@@ -4,6 +4,7 @@ from .analysis import AnnotatedProgram, analyze
 from .engine import (
     EAGER,
     LAZY,
+    DepthExceeded,
     Engine,
     EngineError,
     EngineOptions,
@@ -17,6 +18,7 @@ from .oracle import OracleInapplicable, oracle_solve
 
 __all__ = [
     "AnnotatedProgram",
+    "DepthExceeded",
     "EAGER",
     "Engine",
     "EngineError",

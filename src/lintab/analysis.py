@@ -6,11 +6,15 @@ is strictly above everything it calls outside its own SCC. Rule
 annotations mark the last depending subgoal (the rightmost body goal at
 the head's level) and base rules (no depending subgoal at all), which is
 what the engine's semi-naive gating consumes.
+
+Clause indexes are demand-driven: a predicate's index plan is computed on
+its first call, and the index of one argument position on the first call
+that binds that position to an atom or integer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import networkx as nx
@@ -41,7 +45,11 @@ class AnnotatedRule:
     last_depending_index: Optional[int]
     base_rule: bool
     body_kinds: tuple[str, ...]
-    first_arg_key: Optional[tuple] = None
+
+
+# One argument-position index: clauses per atomic key, each in program
+# order, plus the clauses whose head argument there is not atomic.
+PositionIndex = tuple[dict[tuple, tuple[AnnotatedRule, ...]], tuple[AnnotatedRule, ...]]
 
 
 @dataclass
@@ -49,23 +57,11 @@ class AnnotatedProgram:
     rules: dict[PredKey, tuple[AnnotatedRule, ...]]
     tabled: dict[PredKey, Optional[str]]  # declared strategy, None = default
     levels: dict[PredKey, int]
-    _buckets: dict[PredKey, dict] = field(default_factory=dict, repr=False)
-    _unindexed: dict[PredKey, tuple] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        # first-argument clause indexing: calls with a bound atomic first
-        # argument only scan clauses that can match it
-        for key, rules in self.rules.items():
-            buckets: dict[tuple, tuple[AnnotatedRule, ...]] = {}
-            keys = {r.first_arg_key for r in rules if r.first_arg_key is not None}
-            for k in keys:
-                buckets[k] = tuple(
-                    r for r in rules if r.first_arg_key in (None, k)
-                )
-            self._buckets[key] = buckets
-            self._unindexed[key] = tuple(
-                r for r in rules if r.first_arg_key is None
-            )
+        # both filled on demand by index_plan and rules_for
+        self._plans: dict[PredKey, tuple[int, ...]] = {}
+        self._indexes: dict[tuple[PredKey, int], PositionIndex] = {}
 
     def is_tabled(self, key: PredKey) -> bool:
         return key in self.tabled
@@ -74,18 +70,46 @@ class AnnotatedProgram:
         declared = self.tabled.get(key)
         return declared if declared is not None else default
 
+    def index_plan(self, key: PredKey) -> tuple[int, ...]:
+        """Argument positions worth indexing, most distinct keys first.
+
+        A position qualifies when some clause head has an atom or integer
+        there; ties in the number of distinct keys go to the lower one.
+        """
+        plan = self._plans.get(key)
+        if plan is None:
+            distinct: dict[int, set] = {}
+            for r in self.rules.get(key, ()):
+                head = r.clause.head
+                if type(head) is Struct:
+                    for pos, arg in enumerate(head.args):
+                        k = atomic_key(arg)
+                        if k is not None:
+                            distinct.setdefault(pos, set()).add(k)
+            plan = self._plans[key] = tuple(
+                sorted(distinct, key=lambda pos: (-len(distinct[pos]), pos))
+            )
+        return plan
+
     def rules_for(
-        self, key: PredKey, first_key: Optional[tuple] = None
+        self, key: PredKey, first_key: Optional[tuple] = None, pos: int = 0
     ) -> tuple[AnnotatedRule, ...]:
+        """Clauses of key, in program order, that a call can match.
+
+        With first_key, the call's argument at pos is that atomic key, and
+        only clauses whose head argument there is the same key or is not
+        atomic are returned.
+        """
         rules = self.rules.get(key)
         if rules is None:
             return ()
         if first_key is None:
             return rules
-        bucket = self._buckets[key].get(first_key)
-        if bucket is not None:
-            return bucket
-        return self._unindexed[key]
+        index = self._indexes.get((key, pos))
+        if index is None:
+            index = self._indexes[(key, pos)] = _index_position(rules, pos)
+        buckets, unindexed = index
+        return buckets.get(first_key, unindexed)
 
     def report(self) -> str:
         """Deterministic text dump of levels and rule annotations."""
@@ -136,14 +160,36 @@ def level_mapping(graph: "nx.DiGraph") -> dict[PredKey, int]:
     return levels
 
 
-def _first_arg_key(head: Term) -> Optional[tuple]:
-    if isinstance(head, Struct):
-        a0 = head.args[0]
-        if isinstance(a0, Atom):
-            return ("a", a0.name)
-        if isinstance(a0, Integer):
-            return ("i", a0.value)
+def atomic_key(t: Term) -> Optional[tuple]:
+    """Index key of an atom or integer; None for any other term."""
+    if type(t) is Atom:
+        return ("a", t.name)
+    if type(t) is Integer:
+        return ("i", t.value)
     return None
+
+
+def _index_position(rules: tuple[AnnotatedRule, ...], pos: int) -> PositionIndex:
+    """Bucket rules by their head argument at pos, in one ordered pass.
+
+    A rule whose head argument there is not atomic (a variable or a
+    compound) can match any key, so it joins every bucket and the
+    fallback; a bucket opened late starts from the fallback so far.
+    """
+    buckets: dict[tuple, list[AnnotatedRule]] = {}
+    unindexed: list[AnnotatedRule] = []
+    for r in rules:
+        k = atomic_key(r.clause.head.args[pos])
+        if k is None:
+            unindexed.append(r)
+            for bucket in buckets.values():
+                bucket.append(r)
+        else:
+            bucket = buckets.get(k)
+            if bucket is None:
+                bucket = buckets[k] = list(unindexed)
+            bucket.append(r)
+    return {k: tuple(v) for k, v in buckets.items()}, tuple(unindexed)
 
 
 def annotate(
@@ -189,7 +235,6 @@ def annotate(
                 last_depending_index=last_dep,
                 base_rule=last_dep is None,
                 body_kinds=tuple(kinds),
-                first_arg_key=_first_arg_key(c.head),
             )
         else:
             rule = AnnotatedRule(
@@ -198,7 +243,6 @@ def annotate(
                 last_depending_index=None,
                 base_rule=False,
                 body_kinds=tuple(KIND_PLAIN for _ in c.body),
-                first_arg_key=_first_arg_key(c.head),
             )
         grouped[hk].append(rule)
 

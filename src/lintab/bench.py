@@ -108,14 +108,13 @@ def run_instance(
     if use_oracle:
         try:
             items = parse_program(text)
-            expected = oracle.oracle_solve(items, query)
+            model = oracle_model(items)
+            expected = oracle.oracle_solve(items, query, model)
             if frozenset(expected) != result.solutions[base]:
                 result.divergences.append(
                     f"{name}: engine disagrees with the bottom-up oracle"
                 )
-            model = oracle_model(items)
             program_keys = result.entry_answers[base]
-            goals, _ = parse_query(query)
             for key_text, answers in program_keys.items():
                 key_term = parse_query(key_text)[0][0]
                 want = frozenset(

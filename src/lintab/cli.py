@@ -1,7 +1,8 @@
 """Command-line front end: run queries, benchmark, generate, analyze.
 
 Exit codes: 0 success, 1 query completed with no solutions, 2 usage or
-parse errors, 3 step budget exhausted.
+parse errors, 3 step budget exhausted, 4 resolution nested deeper than
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from pathlib import Path
 from typing import Optional
 
 from . import bench, generate, load_program
-from .engine import EAGER, LAZY, Engine, EngineOptions, StepBudgetExceeded
+from .engine import (
+    EAGER,
+    LAZY,
+    DepthExceeded,
+    Engine,
+    EngineOptions,
+    StepBudgetExceeded,
+)
 from .oracle import OracleInapplicable, oracle_solve
 from .parser import ProgramSyntaxError
 from .table import dump
@@ -22,6 +30,7 @@ EXIT_OK = 0
 EXIT_NO_SOLUTIONS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_DEPTH = 4
 
 
 def _onoff(value: str) -> bool:
@@ -131,6 +140,9 @@ def _cmd_run(args) -> int:
         except StepBudgetExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BUDGET
+        except DepthExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DEPTH
     except ProgramSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -174,6 +186,9 @@ def _cmd_bench(args) -> int:
     except StepBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except DepthExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEPTH
     print(report)
     if args.json is not None:
         payload = [

@@ -22,6 +22,7 @@ possible at call sites marked as last depending tabled subgoals.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
@@ -29,6 +30,9 @@ from .analysis import (
     KIND_LAST_DEP_TABLED,
     KIND_PLAIN,
     AnnotatedProgram,
+    AnnotatedRule,
+    PredKey,
+    atomic_key,
     pred_key,
 )
 from .parser import parse_query
@@ -47,7 +51,6 @@ from .table import (
 from .terms import (
     Atom,
     Bindings,
-    Integer,
     Struct,
     Term,
     Var,
@@ -69,6 +72,10 @@ class EngineError(Exception):
 
 class StepBudgetExceeded(EngineError):
     """The run exceeded its resolution-step budget (nontermination suspect)."""
+
+
+class DepthExceeded(EngineError):
+    """Resolution nested deeper than the interpreter's recursion limit."""
 
 
 class InvariantViolation(EngineError):
@@ -201,14 +208,16 @@ class Engine:
         body = tuple(renumber(g, off) for g in clause.body)
         return head, body
 
-    def _call_index_key(self, goal: Term) -> Optional[tuple]:
-        if type(goal) is Struct:
-            a0 = self.bindings.deref(goal.args[0])
-            if type(a0) is Atom:
-                return ("a", a0.name)
-            if type(a0) is Integer:
-                return ("i", a0.value)
-        return None
+    def _clauses_for(self, goal: Term, key: PredKey) -> tuple[AnnotatedRule, ...]:
+        """The clauses a call can match: one index bucket, looked up at the
+        first position of the predicate's plan where the call's argument
+        is bound to an atom or integer; all clauses when there is none."""
+        program = self.program
+        for pos in program.index_plan(key):
+            k = atomic_key(self.bindings.deref(goal.args[pos]))
+            if k is not None:
+                return program.rules_for(key, k, pos)
+        return program.rules_for(key)
 
     def _instantiate(self, entry: SubgoalEntry, pos: int, ans: Term) -> Term:
         if entry.answers.ground[pos]:
@@ -248,6 +257,13 @@ class Engine:
                 count += 1
                 if self.opts.limit is not None and count >= self.opts.limit:
                     return
+        except RecursionError:
+            # each goal and subgoal nests a generator, so a derivation
+            # chain a few hundred goals deep exhausts the Python stack
+            raise DepthExceeded(
+                f"resolution nested deeper than the recursion limit "
+                f"({sys.getrecursionlimit()})"
+            ) from None
         finally:
             self.stats.finalize(self.store)
 
@@ -275,7 +291,7 @@ class Engine:
             self.stats.undefined_calls += 1
             return
         b = self.bindings
-        for ar in self.program.rules_for(key, self._call_index_key(goal)):
+        for ar in self._clauses_for(goal, key):
             self._step()
             self.stats.clause_resolutions += 1
             mark = b.mark()
@@ -394,7 +410,7 @@ class Engine:
     def _run_rules_lazy(self, goal, key, entry) -> None:
         b = self.bindings
         skip_base = self.opts.semi_naive and entry.round_counter >= 2
-        for ar in self.program.rules_for(key, self._call_index_key(goal)):
+        for ar in self._clauses_for(goal, key):
             if skip_base and ar.base_rule:
                 continue
             self._step()
@@ -416,7 +432,7 @@ class Engine:
             # answers first, then rules
             yield from self._consume(goal, entry, kind, ctx, promote=False)
             skip_base = self.opts.semi_naive and entry.round_counter >= 2
-            for ar in self.program.rules_for(key, self._call_index_key(goal)):
+            for ar in self._clauses_for(goal, key):
                 if skip_base and ar.base_rule:
                     continue
                 self._step()

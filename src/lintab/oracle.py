@@ -143,15 +143,21 @@ def oracle_model(items: Iterable[Item]) -> Model:
 def oracle_solve(
     items_or_text: Union[str, Iterable[Item]],
     query: Union[str, list[Term]],
+    model: Optional[Model] = None,
 ) -> set[str]:
-    """Ground solutions of the query against the least model, rendered."""
-    items = (
-        parse_program(items_or_text)
-        if isinstance(items_or_text, str)
-        else list(items_or_text)
-    )
+    """Ground solutions of the query against the least model, rendered.
+
+    Pass the program's model, if already built by oracle_model, to skip
+    building it again.
+    """
+    if model is None:
+        items = (
+            parse_program(items_or_text)
+            if isinstance(items_or_text, str)
+            else list(items_or_text)
+        )
+        model = oracle_model(items)
     goals = parse_query(query)[0] if isinstance(query, str) else list(query)
-    model = oracle_model(items)
     out = set()
     for theta in _match_body(tuple(goals), 0, model, {}):
         out.add(render_goals([_substitute(g, theta) for g in goals]))

@@ -133,9 +133,10 @@ class Bindings:
 def unify(t1: Term, t2: Term, b: Bindings) -> bool:
     """Extend b to a most-general unifier of t1 and t2.
 
-    On failure the bindings are rolled back to the pre-call state. No
-    occurs-check: the dialect is Datalog-like and never constructs cyclic
-    terms.
+    On failure the bindings are rolled back to the pre-call state. A
+    variable is bound to a compound only if it does not occur in it, so
+    no binding is ever cyclic. Binding to an atom, integer or variable
+    needs no check, so Datalog terms pay one type test per binding.
     """
     mark = b.mark()
     stack = [(t1, t2)]
@@ -148,8 +149,14 @@ def unify(t1: Term, t2: Term, b: Bindings) -> bool:
         if ta is Var:
             if tc is Var and c.id == a.id:
                 continue
+            if tc is Struct and _occurs(a.id, c, b):
+                b.undo(mark)
+                return False
             b.bind(a.id, c)
         elif tc is Var:
+            if ta is Struct and _occurs(c.id, a, b):
+                b.undo(mark)
+                return False
             b.bind(c.id, a)
         elif ta is Atom:
             if tc is not Atom or a.name != c.name:
@@ -169,6 +176,19 @@ def unify(t1: Term, t2: Term, b: Bindings) -> bool:
                 return False
             stack.extend(zip(a.args, c.args))
     return True
+
+
+def _occurs(vid: int, t: Term, b: Bindings) -> bool:
+    """Does variable vid occur in t under b?"""
+    stack = [t]
+    while stack:
+        t = b.deref(stack.pop())
+        if type(t) is Var:
+            if t.id == vid:
+                return True
+        elif type(t) is Struct:
+            stack.extend(t.args)
+    return False
 
 
 def canonicalize(t: Term, b: Optional[Bindings] = None) -> Term:

@@ -1,16 +1,21 @@
 """Static analysis: call graph, level mapping, rule annotations."""
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 import lintab.corpus as corpus
 from lintab.analysis import (
     KIND_LAST_DEP_TABLED,
     KIND_PLAIN,
     KIND_TABLED,
     analyze,
+    atomic_key,
     build_call_graph,
     level_mapping,
     verify_level_mapping,
 )
 from lintab.parser import Clause, parse_program
+from lintab.terms import Atom, Integer, Struct, Var
 
 
 def _clauses(text):
@@ -107,6 +112,41 @@ def test_first_argument_indexing_buckets():
     assert names(prog.rules_for(("e", 2), ("a", "a"))) == [Atom("a"), Var(0)]
     assert names(prog.rules_for(("e", 2), ("a", "zzz"))) == [Var(0)]
     assert len(prog.rules_for(("e", 2), None)) == 3
+
+
+HEAD_ARGS = st.one_of(
+    st.sampled_from(["a", "b", "0"]).map(Atom),
+    st.integers(0, 2).map(Integer),
+    st.integers(0, 1).map(Var),
+    st.sampled_from("ab").map(lambda n: Struct("f", [Atom(n)])),
+)
+# every key the heads can hold, plus keys no head holds
+CALL_KEYS = [Atom(n) for n in ("a", "b", "0", "zz")] + [Integer(v) for v in range(4)]
+
+
+@given(st.lists(st.lists(HEAD_ARGS, min_size=3, max_size=3), max_size=8))
+@settings(max_examples=300)
+def test_indexed_lookup_is_the_ordered_filter(heads):
+    prog = analyze([Clause(Struct("p", args), (), 2) for args in heads])
+    key = ("p", 3)
+    rules = prog.rules_for(key)
+    for pos in range(3):
+        for k in CALL_KEYS:
+            want = [
+                r
+                for r in rules
+                if not (
+                    type(r.clause.head.args[pos]) in (Atom, Integer)
+                    and r.clause.head.args[pos] != k
+                )
+            ]
+            got = prog.rules_for(key, atomic_key(k), pos)
+            assert [id(r) for r in got] == [id(r) for r in want]
+    distinct = [{a for a in col if type(a) in (Atom, Integer)} for col in zip(*heads)]
+    assert list(prog.index_plan(key)) == sorted(
+        (pos for pos, ks in enumerate(distinct) if ks),
+        key=lambda pos: (-len(distinct[pos]), pos),
+    )
 
 
 def test_report_format_and_determinism():

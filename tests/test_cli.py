@@ -7,6 +7,7 @@ import pytest
 import lintab.corpus as corpus
 from lintab.cli import (
     EXIT_BUDGET,
+    EXIT_DEPTH,
     EXIT_NO_SOLUTIONS,
     EXIT_OK,
     EXIT_USAGE,
@@ -66,6 +67,24 @@ def test_run_invalid_option_combination(tc_file, capsys):
 
 def test_run_step_budget_exit_code(tc_file, capsys):
     assert main(["run", tc_file, "p(X,Y)", "--step-budget", "4"]) == EXIT_BUDGET
+
+
+def test_run_deep_recursion_exit_code(tmp_path, capsys):
+    path = tmp_path / "path.pl"
+    chain = "".join(f"edge({i},{i + 1}).\n" for i in range(1, 401))
+    path.write_text(
+        chain + "path(X,Y) :- edge(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\n"
+    )
+    assert main(["run", str(path), "path(1,Y)"]) == EXIT_DEPTH
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "path(1,2)"
+    assert captured.err.startswith("error: resolution nested deeper")
+    assert "Traceback" not in captured.err
+
+
+def test_bench_deep_recursion_exit_code(capsys):
+    assert main(["bench", "tcr", "--sizes", "180", "--no-oracle"]) == EXIT_DEPTH
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_run_stats_block(tc_file, capsys):

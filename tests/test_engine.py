@@ -6,6 +6,7 @@ import lintab.corpus as corpus
 from lintab import (
     EAGER,
     LAZY,
+    DepthExceeded,
     Engine,
     EngineError,
     EngineOptions,
@@ -13,7 +14,7 @@ from lintab import (
     load_program,
     run_query,
 )
-from lintab.bench import config_matrix
+from lintab.bench import config_matrix, suite_instances
 from lintab.table import check_region_invariants
 
 
@@ -181,3 +182,22 @@ def test_tabled_call_instantiation_is_fresh_per_consumption():
     # consuming the non-ground answer twice must not alias variables
     sols, _ = solve(":- table p/1.\np(X).\n", "p(A),p(B)")
     assert sols == ["p(_G0),p(_G1)"]
+
+
+def test_indexing_on_second_argument_cuts_clause_resolutions():
+    # sg's edge(Y,YY) binds only its second argument; first-argument
+    # indexing alone tried 5,451,761 clauses on this instance
+    [(_, text, query)] = [
+        i for i in suite_instances("sg", [100], 0) if i[0] == "sg-random-100"
+    ]
+    sols, eng = solve(text, query, strategy=LAZY)
+    assert len(set(sols)) == 6180
+    assert eng.stats.clause_resolutions <= 545_176
+
+
+def test_deep_recursion_is_a_typed_engine_error():
+    chain = "".join(f"edge({i},{i + 1}).\n" for i in range(1, 401))
+    text = chain + "path(X,Y) :- edge(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\n"
+    with pytest.raises(EngineError) as info:
+        solve(text, "path(1,Y)")
+    assert type(info.value) is DepthExceeded

@@ -74,6 +74,15 @@ def test_unify_failure_rolls_back():
     assert b.snapshot() == before
 
 
+def test_unify_occurs_check():
+    # X = f(X), directly and through an earlier binding, would be cyclic
+    b = Bindings()
+    assert not unify(Var(0), Struct("f", [Var(0)]), b)
+    x, y = Var(0), Var(100)
+    assert not unify(Struct("g", [x, x]), Struct("g", [y, Struct("f", [y])]), b)
+    assert len(b) == 0
+
+
 def test_trail_undo_restores_snapshot():
     b = Bindings()
     unify(Var(0), Atom("a"), b)
