@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import networkx as nx
-
 from .parser import Clause, Item, TableDeclaration
 from .terms import Atom, Integer, Struct, Term
 
 PredKey = tuple[str, int]
+# successors of each predicate as dict keys, in first-occurrence order, so
+# every walk over the graph is the same under any hash seed
+CallGraph = dict[PredKey, dict[PredKey, None]]
 
 # body call-site kinds
 KIND_LAST_DEP_TABLED = "tabled-last-depending"
@@ -129,34 +130,62 @@ class AnnotatedProgram:
         return "\n".join(lines)
 
 
-def build_call_graph(clauses: Iterable[Clause]) -> "nx.DiGraph":
-    """Directed predicate graph: edge p -> q iff q occurs in a body of p."""
-    g = nx.DiGraph()
+def build_call_graph(clauses: Iterable[Clause]) -> CallGraph:
+    """Predicate adjacency: q is a successor of p iff q occurs in a body of p."""
+    graph: CallGraph = {}
     for c in clauses:
-        hk = pred_key(c.head)
-        g.add_node(hk)
+        succs = graph.setdefault(pred_key(c.head), {})
         for goal in c.body:
             bk = pred_key(goal)
-            g.add_node(bk)
-            g.add_edge(hk, bk)
-    return g
+            graph.setdefault(bk, {})
+            succs[bk] = None
+    return graph
 
 
-def level_mapping(graph: "nx.DiGraph") -> dict[PredKey, int]:
+def level_mapping(graph: CallGraph) -> dict[PredKey, int]:
     """Assign each SCC the length of its longest path to a sink.
 
     Predicates with no clauses (including undefined ones) are sinks and
-    land on level 0.
+    land on level 0. An iterative Tarjan (1972) closes SCCs sinks first,
+    so every callee outside an SCC has its level when the SCC closes.
     """
-    cond = nx.condensation(graph)
-    scc_level: dict[int, int] = {}
-    for node in reversed(list(nx.topological_sort(cond))):
-        succs = list(cond.successors(node))
-        scc_level[node] = 1 + max((scc_level[s] for s in succs), default=-1)
+    index: dict[PredKey, int] = {}
+    low: dict[PredKey, int] = {}
+    stack: list[PredKey] = []  # visited, SCC not yet closed
     levels: dict[PredKey, int] = {}
-    for node, data in cond.nodes(data=True):
-        for pred in data["members"]:
-            levels[pred] = scc_level[node]
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, succs = work[-1]
+            for s in succs:
+                if s not in index:
+                    index[s] = low[s] = len(index)
+                    stack.append(s)
+                    work.append((s, iter(graph[s])))
+                    break
+                if s not in levels and index[s] < low[node]:
+                    low[node] = index[s]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    k = len(stack) - 1
+                    while stack[k] != node:
+                        k -= 1
+                    members = stack[k:]
+                    del stack[k:]
+                    # members are not in levels yet: only callees outside count
+                    level = 1 + max(
+                        (levels[q] for m in members for q in graph[m] if q in levels),
+                        default=-1,
+                    )
+                    for m in members:
+                        levels[m] = level
     return levels
 
 
@@ -261,7 +290,7 @@ def analyze(items: Iterable[Item]) -> AnnotatedProgram:
     decls = [i for i in items if isinstance(i, TableDeclaration)]
     graph = build_call_graph(clauses)
     for d in decls:
-        graph.add_node((d.name, d.arity))
+        graph.setdefault((d.name, d.arity), {})
     levels = level_mapping(graph)
     return annotate(clauses, decls, levels)
 
@@ -271,14 +300,25 @@ def verify_level_mapping(
 ) -> bool:
     """Check the defining bidirectional property on every rule."""
     graph = build_call_graph(clauses)
-    reach: dict[PredKey, set] = {
-        n: nx.descendants(graph, n) | {n} for n in graph.nodes
-    }
+    reach: dict[PredKey, set] = {}
+
+    def reachable(start: PredKey) -> set:
+        seen = reach.get(start)
+        if seen is None:
+            seen = reach[start] = {start}
+            todo = [start]
+            while todo:
+                for s in graph[todo.pop()]:
+                    if s not in seen:
+                        seen.add(s)
+                        todo.append(s)
+        return seen
+
     for c in clauses:
         hk = pred_key(c.head)
         for goal in c.body:
             bk = pred_key(goal)
-            calls_back = hk in reach.get(bk, set())
+            calls_back = hk in reachable(bk)
             mh = levels[hk]
             mb = levels[bk]
             if (mh > mb) != (not calls_back):

@@ -1,8 +1,9 @@
 """Command-line front end: run queries, benchmark, generate, analyze.
 
 Exit codes: 0 success, 1 query completed with no solutions, 2 usage or
-parse errors, 3 step budget exhausted, 4 resolution nested deeper than
-the interpreter's recursion limit.
+parse errors, or an oracle divergence in `run --oracle` or in `bench`,
+3 step budget exhausted, 4 resolution nested deeper than the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -189,6 +190,9 @@ def _cmd_bench(args) -> int:
     except DepthExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEPTH
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(report)
     if args.json is not None:
         payload = [

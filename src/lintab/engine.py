@@ -98,6 +98,8 @@ class EngineOptions:
             raise ValueError("early promotion requires semi-naive consumption")
         if self.step_budget <= 0:
             raise ValueError("step budget must be positive")
+        if self.limit is not None and self.limit < 1:
+            raise ValueError("limit must be positive")
 
 
 @dataclass

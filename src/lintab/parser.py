@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Union
 
 from .terms import Atom, Integer, Struct, Term, Var
@@ -52,79 +53,68 @@ class Clause:
 
 Item = Union[Clause, TableDeclaration]
 
+# One scan yields every token as a string; the kind is read off its first
+# character. `\S` catches any character no token starts with, so the
+# parser meets it as a stray and reports it.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<arrow>:-)
-  | (?P<int>-?\d+)
-  | (?P<atom>[a-z][A-Za-z0-9_]*)
-  | (?P<var>[A-Z_][A-Za-z0-9_]*)
-  | (?P<punct>[(),./])
-    """,
-    re.VERBOSE,
+    r":-|-?\d+|[a-z][A-Za-z0-9_]*|[A-Z_][A-Za-z0-9_]*|[(),./]|%[^\n]*|\S"
 )
+_ATOM_START = frozenset("abcdefghijklmnopqrstuvwxyz")
+_VAR_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_VALID_SINGLE = _ATOM_START | _VAR_START | frozenset("(),./")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _is_int(tok: str) -> bool:
+    c = tok[:1]
+    return c.isdecimal() or (c == "-" and len(tok) > 1)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ProgramSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        tok_text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok_text, line, m.start() - line_start + 1))
-        newlines = tok_text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + tok_text.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
-    return tokens
+def _position(text: str, index: int) -> tuple[int, int]:
+    """1-based line and column of token number index, or of the text's end."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(text) if text[m.start()] != "%")
+    offset = next(islice(starts, index, None), len(text))
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, text: str):
+        self.text = text
+        tokens = _TOKEN_RE.findall(text)
+        if "%" in text:
+            tokens = [t for t in tokens if t[0] != "%"]
+        tokens.append("")  # end of input
         self.tokens = tokens
         self.i = 0
         self.varmap: dict[str, int] = {}
         self.nvars = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def error(self, message: str, at: Optional[int] = None):
+        """Raise at token number at (default: the current one)."""
+        self.raise_stray()  # a stray anywhere in the text comes first
+        raise ProgramSyntaxError(
+            message, *_position(self.text, self.i if at is None else at)
+        )
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
+    def raise_stray(self) -> None:
+        """Raise at the first stray: one character that starts no token."""
+        for k, t in enumerate(self.tokens):
+            if len(t) == 1 and t not in _VALID_SINGLE and not t.isdecimal():
+                raise ProgramSyntaxError(
+                    f"unexpected character {t!r}", *_position(self.text, k)
+                )
+
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.i] != text:
+            return False
         self.i += 1
-        return tok
+        return True
 
-    def error(self, message: str, tok: Optional[_Token] = None):
-        tok = tok or self.peek()
-        raise ProgramSyntaxError(message, tok.line, tok.col)
-
-    def expect(self, kind: str, text: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            got = tok.text or "end of input"
-            self.error(f"expected {want!r}, found {got!r}")
-        return self.advance()
+    def expect(self, text: str) -> None:
+        tok = self.tokens[self.i]
+        if tok != text:
+            self.error(f"expected {text!r}, found {tok or 'end of input'!r}")
+        self.i += 1
 
     def fresh_var(self, name: str) -> Var:
         if name == "_":
@@ -139,80 +129,98 @@ class _Parser:
         return Var(vid)
 
     def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return Integer(int(tok.text))
-        if tok.kind == "var":
-            self.advance()
-            return self.fresh_var(tok.text)
-        if tok.kind == "atom":
-            self.advance()
-            if self.peek().kind == "punct" and self.peek().text == "(":
-                self.advance()
-                args = [self.parse_term()]
-                while self.peek().kind == "punct" and self.peek().text == ",":
-                    self.advance()
-                    args.append(self.parse_term())
-                self.expect("punct", ")")
-                return Struct(tok.text, args)
-            return Atom(tok.text)
+        tokens = self.tokens
+        tok = tokens[self.i]
+        c = tok[:1]
+        if c in _ATOM_START:
+            self.i += 1
+            if tokens[self.i] != "(":
+                return Atom(tok)
+            self.i += 1
+            args = [self.parse_term()]
+            while tokens[self.i] == ",":
+                self.i += 1
+                args.append(self.parse_term())
+            self.expect(")")
+            return Struct(tok, args)
+        if c in _VAR_START:
+            self.i += 1
+            return self.fresh_var(tok)
+        if _is_int(tok):
+            self.i += 1
+            return Integer(int(tok))
         self.error("expected a term")
 
     def parse_goal(self) -> Term:
-        tok = self.peek()
+        at = self.i
         t = self.parse_term()
         if not isinstance(t, (Atom, Struct)):
-            self.error("goal must be an atom or compound", tok)
+            self.error("goal must be an atom or compound", at)
         return t
 
     def parse_declaration(self) -> TableDeclaration:
-        self.expect("atom", "table")
-        name_tok = self.expect("atom")
-        self.expect("punct", "/")
-        arity_tok = self.peek()
-        if arity_tok.kind != "int" or int(arity_tok.text) < 0:
+        self.expect("table")
+        name = self.tokens[self.i]
+        if name[:1] not in _ATOM_START:
+            self.error(f"expected 'atom', found {name or 'end of input'!r}")
+        self.i += 1
+        self.expect("/")
+        arity = self.tokens[self.i]
+        if not _is_int(arity) or int(arity) < 0:
             self.error("declaration arity must be a non-negative integer")
-        self.advance()
+        self.i += 1
         strategy = None
-        if self.peek().kind == "atom" and self.peek().text in ("lazy", "eager"):
-            strategy = self.advance().text
-        self.expect("punct", ".")
-        return TableDeclaration(name_tok.text, int(arity_tok.text), strategy)
+        if self.tokens[self.i] in ("lazy", "eager"):
+            strategy = self.tokens[self.i]
+            self.i += 1
+        self.expect(".")
+        return TableDeclaration(name, int(arity), strategy)
 
-    def parse_clause_from(self, head_tok: _Token) -> Clause:
+    def parse_clause(self) -> Clause:
         self.varmap = {}
         self.nvars = 0
+        at = self.i
         head = self.parse_term()
         if not isinstance(head, (Atom, Struct)):
-            self.error("clause head must be an atom or compound", head_tok)
+            self.error("clause head must be an atom or compound", at)
         body: list[Term] = []
-        tok = self.peek()
-        if tok.kind == "arrow":
-            self.advance()
+        if self.accept(":-"):
             body.append(self.parse_goal())
-            while self.peek().kind == "punct" and self.peek().text == ",":
-                self.advance()
+            while self.accept(","):
                 body.append(self.parse_goal())
-        self.expect("punct", ".")
+        self.expect(".")
         return Clause(head, tuple(body), self.nvars)
 
     def parse_items(self) -> list[Item]:
         items: list[Item] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return items
-            if tok.kind == "arrow":
-                self.advance()
+        while self.tokens[self.i] != "":
+            if self.accept(":-"):
                 items.append(self.parse_declaration())
             else:
-                items.append(self.parse_clause_from(tok))
+                items.append(self.parse_clause())
+        return items
+
+    def parse_query(self) -> tuple[list[Term], int]:
+        goals = [self.parse_goal()]
+        while self.accept(","):
+            goals.append(self.parse_goal())
+        self.accept(".")
+        if self.tokens[self.i] != "":
+            self.error("trailing input after query")
+        return goals, self.nvars
+
+    def run(self, rule):
+        try:
+            return rule()
+        except RecursionError:
+            self.raise_stray()  # the scan would have stopped there first
+            raise
 
 
 def parse_program(text: str) -> list[Item]:
     """Parse source text into declarations and clauses in source order."""
-    return _Parser(_tokenize(text)).parse_items()
+    p = _Parser(text)
+    return p.run(p.parse_items)
 
 
 def parse_query(text: str) -> tuple[list[Term], int]:
@@ -220,13 +228,5 @@ def parse_query(text: str) -> tuple[list[Term], int]:
 
     Returns the goals plus the number of distinct variables (ids 0..n-1).
     """
-    p = _Parser(_tokenize(text))
-    goals = [p.parse_goal()]
-    while p.peek().kind == "punct" and p.peek().text == ",":
-        p.advance()
-        goals.append(p.parse_goal())
-    if p.peek().kind == "punct" and p.peek().text == ".":
-        p.advance()
-    if p.peek().kind != "eof":
-        p.error("trailing input after query")
-    return goals, p.nvars
+    p = _Parser(text)
+    return p.run(p.parse_query)

@@ -1,8 +1,14 @@
 """Static analysis: call graph, level mapping, rule annotations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import lintab
 import lintab.corpus as corpus
 from lintab.analysis import (
     KIND_LAST_DEP_TABLED,
@@ -14,7 +20,7 @@ from lintab.analysis import (
     level_mapping,
     verify_level_mapping,
 )
-from lintab.parser import Clause, parse_program
+from lintab.parser import Clause, TableDeclaration, parse_program
 from lintab.terms import Atom, Integer, Struct, Var
 
 
@@ -24,7 +30,7 @@ def _clauses(text):
 
 def test_call_graph_edges():
     g = build_call_graph(_clauses("p(X) :- q(X), r(X).\nq(X) :- p(X).\nr(a).\n"))
-    assert set(g.edges) == {
+    assert {(p, q) for p, succs in g.items() for q in succs} == {
         (("p", 1), ("q", 1)),
         (("p", 1), ("r", 1)),
         (("q", 1), ("p", 1)),
@@ -158,3 +164,71 @@ def test_report_format_and_determinism():
     assert "p/2 level=1" in lines
     assert "  rule#0 last_depending=0 base=false" in lines
     assert "  rule#1 last_depending=none base=true" in lines
+
+
+def _reference_levels(nodes, edges):
+    """Levels by definition: reachability, mutual reachability, longest path."""
+    succs = {n: {q for p, q in edges if p == n} for n in nodes}
+    reach = {}
+    for n in nodes:
+        seen, todo = {n}, [n]
+        while todo:
+            for q in succs[todo.pop()]:
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+        reach[n] = seen
+    scc = {n: {m for m in nodes if m in reach[n] and n in reach[m]} for n in nodes}
+    level = dict.fromkeys(nodes, 0)
+    for _ in nodes:  # the longest path between SCCs has fewer steps than nodes
+        for n in nodes:
+            level[n] = max(
+                [1 + level[q] for m in scc[n] for q in succs[m] if q not in scc[n]],
+                default=0,
+            )
+    return level
+
+
+PREDS = [f"p{k}" for k in range(7)]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(PREDS), st.lists(st.sampled_from(PREDS), max_size=3)
+        ),
+        max_size=10,
+    ),
+    st.lists(st.sampled_from(PREDS + ["d0", "d1"]), max_size=3),
+)
+@settings(max_examples=300)
+def test_level_mapping_matches_reference(rules, declared):
+    clauses = [
+        Clause(Atom(head), tuple(Atom(g) for g in body), 0) for head, body in rules
+    ]
+    decls = [TableDeclaration(name, 0) for name in declared]
+    nodes = {(name, 0) for name in declared}
+    for head, body in rules:
+        nodes |= {(head, 0)} | {(g, 0) for g in body}
+    edges = {((head, 0), (g, 0)) for head, body in rules for g in body}
+    want = _reference_levels(sorted(nodes), edges)
+    assert analyze(clauses + decls).levels == want
+    graph = build_call_graph(clauses)
+    assert {(p, q) for p, succs in graph.items() for q in succs} == edges
+    levels = level_mapping(graph)
+    assert levels == {n: want[n] for n in graph}
+    assert verify_level_mapping(clauses, levels)
+
+
+def test_import_does_not_load_networkx():
+    src = str(Path(lintab.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import sys, lintab; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

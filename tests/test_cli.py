@@ -106,6 +106,24 @@ def test_run_oracle_agreement(tc_file, capsys):
     assert "oracle: agreement on 2 solutions" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_run_nonpositive_limit_is_usage_error(tc_file, capsys, limit):
+    assert main(["run", tc_file, "p(a,Y)", "--limit", limit]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: limit must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "args", [["--sizes", "3", "--step-budget", "0"], ["--sizes", "0"]]
+)
+def test_bench_invalid_arguments_exit_code(capsys, args):
+    assert main(["bench", "tcl", *args]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_run_limit_and_dedup(tc_file, capsys):
     assert main(["run", tc_file, "p(a,Y)", "--limit", "1", "--dedup"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == ["p(a,b)"]

@@ -31,6 +31,12 @@ def test_options_validation():
         EngineOptions(step_budget=0)
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_limit_must_be_positive(limit):
+    with pytest.raises(ValueError, match="limit must be positive"):
+        EngineOptions(limit=limit)
+
+
 def test_left_recursion_terminates_with_all_answers():
     sols, eng = solve(corpus.LEFT_RECURSIVE_TC, "p(a,Y)")
     assert sols == ["p(a,b)", "p(a,c)"]

@@ -1,6 +1,11 @@
 """Parser: dialect grammar, variable numbering, error positions."""
 
+import itertools
+import re
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from lintab.parser import (
     Clause,
@@ -103,3 +108,126 @@ def test_goal_must_be_callable():
 def test_duplicate_declarations_parse():
     items = parse_program(":- table p/2.\n:- table p/2 eager.\n")
     assert [i.strategy for i in items] == [None, "eager"]
+
+
+# Random programs for the property tests below: abstract terms are rendered
+# to text with random layout, and the expected items are built from the same
+# terms with variables numbered in first-occurrence order per clause.
+
+IDENT_REST = st.text("aZ9_", max_size=3)
+NAMES = st.builds(str.__add__, st.sampled_from("abpqz"), IDENT_REST)
+VAR_NAMES = st.builds(str.__add__, st.sampled_from("XY_"), IDENT_REST)
+TERMS = st.recursive(
+    st.one_of(
+        st.tuples(st.just("atom"), NAMES),
+        st.tuples(st.just("int"), st.integers(-1000, 1000)),
+        st.tuples(st.just("var"), VAR_NAMES),
+    ),
+    lambda sub: st.tuples(
+        st.just("struct"), NAMES, st.lists(sub, min_size=1, max_size=3)
+    ),
+    max_leaves=6,
+)
+CALLABLE = st.one_of(
+    st.tuples(st.just("atom"), NAMES),
+    st.tuples(st.just("struct"), NAMES, st.lists(TERMS, min_size=1, max_size=3)),
+)
+CLAUSES = st.tuples(st.just("clause"), CALLABLE, st.lists(CALLABLE, max_size=3))
+DECLARATIONS = st.tuples(
+    st.just("table"),
+    NAMES,
+    st.integers(0, 12),
+    st.sampled_from([None, "lazy", "eager"]),
+)
+SEPARATORS = st.sampled_from(["", " ", "\n", "\t ", "  % note: $ , . :- X\n"])
+
+
+def _tokens(t):
+    if t[0] == "struct":
+        yield t[1]
+        yield "("
+        for k, arg in enumerate(t[2]):
+            if k:
+                yield ","
+            yield from _tokens(arg)
+        yield ")"
+    else:
+        yield str(t[1])
+
+
+def _item_tokens(item):
+    if item[0] == "table":
+        _, name, arity, strategy = item
+        # "table" and the name need a space between them
+        toks = [":-", "table ", name, "/", str(arity)]
+        return toks + ([" " + strategy] if strategy else []) + ["."]
+    _, head, body = item
+    toks = list(_tokens(head))
+    for k, goal in enumerate(body):
+        toks.append(":-" if k == 0 else ",")
+        toks.extend(_tokens(goal))
+    return toks + ["."]
+
+
+def _expected(item):
+    if item[0] == "table":
+        return TableDeclaration(item[1], item[2], item[3])
+    ids = {}
+    fresh = itertools.count()
+
+    def term(t):
+        kind = t[0]
+        if kind == "atom":
+            return Atom(t[1])
+        if kind == "int":
+            return Integer(t[1])
+        if kind == "struct":
+            return Struct(t[1], [term(a) for a in t[2]])
+        if t[1] == "_":
+            return Var(next(fresh))
+        if t[1] not in ids:
+            ids[t[1]] = next(fresh)
+        return Var(ids[t[1]])
+
+    head = term(item[1])
+    body = tuple(term(g) for g in item[2])
+    return Clause(head, body, next(fresh))
+
+
+@st.composite
+def programs(draw):
+    items = draw(st.lists(st.one_of(CLAUSES, DECLARATIONS), max_size=5))
+    text = draw(SEPARATORS)
+    for item in items:
+        for tok in _item_tokens(item):
+            text += tok + draw(SEPARATORS)
+    return items, text
+
+
+@given(programs())
+@settings(max_examples=150)
+def test_round_trip(program):
+    items, text = program
+    assert parse_program(text) == [_expected(i) for i in items]
+
+
+@given(programs(), st.data())
+@settings(max_examples=150)
+def test_stray_character_position(program, data):
+    _, text = program
+    inside = set()  # offsets where an inserted character joins a comment
+    for m in re.finditer(r"%[^\n]*", text):
+        inside.update(range(m.start() + 1, m.end() + 1))
+    # after ':' or '-' the scan would stop at that character instead
+    offsets = [
+        k
+        for k in range(len(text) + 1)
+        if k not in inside and not (k and text[k - 1] in ":-")
+    ]
+    k = data.draw(st.sampled_from(offsets))
+    stray = data.draw(st.sampled_from("$#é²"))  # no token starts with these
+    with pytest.raises(ProgramSyntaxError) as e:
+        parse_program(text[:k] + stray + text[k:])
+    assert f"unexpected character {stray!r}" in str(e.value)
+    assert e.value.line == text.count("\n", 0, k) + 1
+    assert e.value.col == k - text.rfind("\n", 0, k)
