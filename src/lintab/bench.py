@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import corpus, load_program, oracle
+from . import corpus, generate, load_program, oracle
 from .engine import EAGER, LAZY, Engine, EngineOptions
 from .oracle import OracleInapplicable, answers_for_key, oracle_model
 from .parser import parse_program, parse_query
@@ -129,18 +129,6 @@ def run_instance(
     return result
 
 
-def _graph_facts(graph: str, n: int, m: Optional[int], seed: int) -> str:
-    from .generate import chain_facts, cycle_facts, random_graph_facts
-
-    if graph == "chain":
-        return chain_facts(n, pred="edge")
-    if graph == "cycle":
-        return cycle_facts(n, pred="edge")
-    if graph == "random":
-        return random_graph_facts(n, m or max(1, 2 * n), seed, pred="edge")
-    raise ValueError(f"unknown graph kind {graph!r}")
-
-
 def suite_instances(
     suite: str, sizes: list[int], seed: int
 ) -> list[tuple[str, str, str]]:
@@ -150,7 +138,7 @@ def suite_instances(
         for n in sizes:
             for graph in ("chain", "cycle", "random"):
                 m = min(2 * n, n * (n - 1)) if graph == "random" else None
-                facts = _graph_facts(graph, n, m, seed)
+                facts = generate.graph_facts(graph, n, seed, m)
                 text, query = corpus.datalog_program(suite, facts, n)
                 instances.append((f"{suite}-{graph}-{n}", text, query))
     elif suite == "regex-warren":

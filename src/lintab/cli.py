@@ -211,20 +211,16 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.kind == "random-graph" and args.edges is None:
+        print("error: random-graph needs --edges", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        if args.kind == "chain":
-            out = generate.chain_facts(args.n, pred=args.pred or "e")
-        elif args.kind == "cycle":
-            out = generate.cycle_facts(args.n, pred=args.pred or "e")
-        elif args.kind == "random-graph":
-            if args.edges is None:
-                print("error: random-graph needs --edges", file=sys.stderr)
-                return EXIT_USAGE
-            out = generate.random_graph_facts(
-                args.n, args.edges, args.seed, pred=args.pred or "e"
-            )
-        else:
+        if args.kind == "ab-string":
             out = generate.ab_string_facts(args.n, pred=args.pred or "c")
+        else:
+            graph = args.kind.removesuffix("-graph")
+            pred = args.pred or "e"
+            out = generate.graph_facts(graph, args.n, args.seed, args.edges, pred)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,12 +7,15 @@ undone on backtracking). Tabled calls dispatch on the entry state:
   * complete entries and evaluated entries are resolved from the table;
   * a call whose entry has a live pioneer activation is a follower: it
     consumes answers and then fails (early-promoting on exhaustion);
-  * anything else is a pioneer. Lazy pioneers run rules to a fixpoint
-    first (answers are withheld until clauses are exhausted, and for
-    top-most looping subgoals until the whole cluster is complete), then
-    return answers from the table. Eager pioneers consume existing
-    answers first and then run rules, handing each new answer to the
-    parent the moment it is stored.
+  * anything else is a pioneer. One pioneer generator serves both
+    strategies: it runs rounds of rule resolution to the entry's fixpoint
+    and yields each new answer as it is stored. The strategy only decides
+    when answers are returned. A lazy pioneer drains the generator, so
+    answers are withheld until clauses are exhausted (and for top-most
+    looping subgoals until the whole cluster is complete), then returns
+    them from the table. An eager pioneer consumes existing answers at
+    the start of each round and hands each new answer to the parent the
+    moment it is stored.
 
 Top-most looping subgoals are iterated in rounds until a round inserts
 nothing new. Between rounds the cluster's answer regions are promoted,
@@ -318,41 +321,33 @@ class Engine:
             return
         if entry.pioneer_active:
             # follower: a loop (possibly fake, under eager) was found
-            self._note_loop(entry, strategy)
+            if strategy == LAZY and entry not in self.active_pioneers:
+                raise InvariantViolation(
+                    "lazy follower whose pioneer is not an ancestor on the path"
+                )
+            self._join_cluster(entry)
             yield from self._consume(goal, entry, kind, ctx, promote=True)
             return
         # pioneer
+        eager = strategy == EAGER
         entry.pioneer_active = True
         self.active_pioneers.append(entry)
         try:
-            if strategy == EAGER:
-                yield from self._pioneer_eager(goal, key, entry, kind, ctx)
-            else:
-                self._pioneer_lazy_rules(goal, key, entry)
-                entry.pioneer_active = False
-                self._deactivate(entry)
-                yield from self._consume(goal, entry, kind, ctx, promote=False)
+            pioneer = self._pioneer(goal, key, entry, kind, ctx, eager)
+            if eager:
+                yield from pioneer
+                return
+            for _ in pioneer:
+                pass  # lazy: the memo fails, answers wait in the table
         finally:
             entry.pioneer_active = False
-            self._deactivate(entry)
-
-    def _deactivate(self, entry):
-        try:
             self.active_pioneers.remove(entry)
-        except ValueError:
-            pass
+        yield from self._consume(goal, entry, kind, ctx, promote=False)
 
     def _find_top(self, entry: SubgoalEntry) -> SubgoalEntry:
         while entry.topmost is not None and entry.topmost is not entry:
             entry = entry.topmost
         return entry
-
-    def _note_loop(self, entry: SubgoalEntry, strategy: str) -> None:
-        if strategy == LAZY and entry not in self.active_pioneers:
-            raise InvariantViolation(
-                "lazy follower whose pioneer is not an ancestor on the path"
-            )
-        self._join_cluster(entry)
 
     def _join_cluster(self, entry: SubgoalEntry) -> None:
         """Merge every active pioneer below entry's top into its cluster."""
@@ -389,50 +384,20 @@ class Engine:
             e.evaluated = False
             e.revised = False
 
-    def _pioneer_lazy_rules(self, goal, key, entry) -> None:
-        """Rule resolution to fixpoint; yields nothing (memo always fails)."""
-        while True:
-            entry.round_counter += 1
-            self._run_rules_lazy(goal, key, entry)
-            # check_completion
-            if not entry.is_looping:
-                mark_complete(entry)
-                return
-            top = self._find_top(entry)
-            if top is entry:
-                cluster = [entry, *entry.dependents]
-                if any(e.revised for e in cluster):
-                    self._reset_cluster(cluster)
-                    continue
-                mark_complete(entry)
-                return
-            entry.evaluated = True
-            return
+    def _pioneer(self, goal, key, entry, kind, ctx, eager):
+        """Rounds of rule resolution to the entry's fixpoint.
 
-    def _run_rules_lazy(self, goal, key, entry) -> None:
-        b = self.bindings
-        skip_base = self.opts.semi_naive and entry.round_counter >= 2
-        for ar in self._clauses_for(goal, key):
-            if skip_base and ar.base_rule:
-                continue
-            self._step()
-            self.stats.clause_resolutions += 1
-            mark = b.mark()
-            head, body = self._activate(ar.clause)
-            if unify(goal, head, b):
-                bctx = BodyContext(entry)
-                for _ in self._solve_seq(body, ar.body_kinds, bctx, 0):
-                    # memo: store the answer, then fail into backtracking
-                    if insert_answer(entry, canonicalize(goal, b)):
-                        self.stats.answers_produced += 1
-            b.undo(mark)
-
-    def _pioneer_eager(self, goal, key, entry, kind, ctx):
+        Yields once per newly stored answer. The strategy only decides
+        when answers are returned: an eager pioneer first hands the
+        table's answers to the parent each round and forwards every
+        yield, a lazy one drains the generator and consumes afterwards.
+        """
         b = self.bindings
         while True:
             entry.round_counter += 1
-            # answers first, then rules
-            yield from self._consume(goal, entry, kind, ctx, promote=False)
+            if eager:
+                # answers first, then rules
+                yield from self._consume(goal, entry, kind, ctx, promote=False)
             skip_base = self.opts.semi_naive and entry.round_counter >= 2
             for ar in self._clauses_for(goal, key):
                 if skip_base and ar.base_rule:
@@ -444,9 +409,9 @@ class Engine:
                 if unify(goal, head, b):
                     bctx = BodyContext(entry)
                     for _ in self._solve_seq(body, ar.body_kinds, bctx, 0):
+                        # memo: store the answer; only a new one is returned
                         if insert_answer(entry, canonicalize(goal, b)):
                             self.stats.answers_produced += 1
-                            # memo succeeds: return the new answer upward
                             if ctx is not None:
                                 ctx.new_depth += 1
                             try:
@@ -454,9 +419,8 @@ class Engine:
                             finally:
                                 if ctx is not None:
                                     ctx.new_depth -= 1
-                        # a duplicate was returned before: fail
                 b.undo(mark)
-            # check_completion never returns answers under eager
+            # check_completion
             if not entry.is_looping:
                 mark_complete(entry)
                 return

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 
 def chain_facts(n: int, pred: str = "e") -> str:
@@ -29,6 +30,24 @@ def random_graph_facts(n: int, m: int, seed: int, pred: str = "e") -> str:
     rng = random.Random(seed)
     chosen = rng.sample(pairs, m)
     return "\n".join(f"{pred}({i},{j})." for i, j in chosen) + "\n"
+
+
+def graph_facts(
+    graph: str, n: int, seed: int, m: Optional[int] = None, pred: str = "edge"
+) -> str:
+    """Edge facts of a chain, cycle or random graph over nodes 1..n.
+
+    Random graphs need the edge count m and are deterministic per seed.
+    """
+    if graph == "chain":
+        return chain_facts(n, pred)
+    if graph == "cycle":
+        return cycle_facts(n, pred)
+    if graph == "random":
+        if m is None:
+            raise ValueError("random graphs need an edge count")
+        return random_graph_facts(n, m, seed, pred)
+    raise ValueError(f"unknown graph kind {graph!r}")
 
 
 def node_facts(n: int, pred: str = "node") -> str:

@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Union
 
 from .analysis import PredKey, pred_key
 from .corpus import datalog_program
-from .generate import chain_facts, cycle_facts, random_graph_facts
+from .generate import graph_facts
 from .parser import Clause, Item, parse_program, parse_query
 from .terms import (
     Atom,
@@ -182,14 +182,4 @@ def random_instance(
     kind in {tcl, tcr, tcn, sg}; graph in {chain, cycle, random} (random
     needs the edge count m).
     """
-    if graph == "chain":
-        facts = chain_facts(n, pred="edge")
-    elif graph == "cycle":
-        facts = cycle_facts(n, pred="edge")
-    elif graph == "random":
-        if m is None:
-            raise ValueError("random graphs need an edge count")
-        facts = random_graph_facts(n, m, seed, pred="edge")
-    else:
-        raise ValueError(f"unknown graph kind {graph!r}")
-    return datalog_program(kind, facts, n)
+    return datalog_program(kind, graph_facts(graph, n, seed, m), n)

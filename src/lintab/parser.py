@@ -213,8 +213,7 @@ class _Parser:
         try:
             return rule()
         except RecursionError:
-            self.raise_stray()  # the scan would have stopped there first
-            raise
+            self.error("term nested too deeply")
 
 
 def parse_program(text: str) -> list[Item]:

@@ -179,10 +179,6 @@ class AnswerCursor:
         return None if item is None else item[1]
 
 
-def cursor(entry: SubgoalEntry, mode: str = FROM_FIRST) -> AnswerCursor:
-    return AnswerCursor(entry, mode)
-
-
 def check_region_invariants(store: SubgoalStore) -> None:
     """Raise TableError if any entry's region partition is inconsistent."""
     for entry in store:

@@ -83,8 +83,19 @@ def test_run_deep_recursion_exit_code(tmp_path, capsys):
 
 
 def test_bench_deep_recursion_exit_code(capsys):
-    assert main(["bench", "tcr", "--sizes", "180", "--no-oracle"]) == EXIT_DEPTH
+    assert main(["bench", "tcr", "--sizes", "400", "--no-oracle"]) == EXIT_DEPTH
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run", "_", "p(X)"], ["analyze", "_"]])
+def test_deeply_nested_term_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.pl"
+    path.write_text("p(" + "f(" * 2000 + "a" + ")" * 2000 + ").\n")
+    command[1] = str(path)
+    assert main(command) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "term nested too deeply" in err
+    assert "Traceback" not in err
 
 
 def test_run_stats_block(tc_file, capsys):

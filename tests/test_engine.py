@@ -1,5 +1,7 @@
 """Engine behavior: strategies, rounds, loops, options, budgets."""
 
+import dataclasses
+
 import pytest
 
 import lintab.corpus as corpus
@@ -207,3 +209,20 @@ def test_deep_recursion_is_a_typed_engine_error():
     with pytest.raises(EngineError) as info:
         solve(text, "path(1,Y)")
     assert type(info.value) is DepthExceeded
+
+
+@pytest.mark.parametrize("label,opts", config_matrix(), ids=[c[0] for c in config_matrix()])
+@pytest.mark.parametrize(
+    "text,query",
+    [
+        (corpus.LEFT_RECURSIVE_TC, corpus.LEFT_RECURSIVE_TC_QUERY),
+        corpus.string_matcher_program(20, tabled_step=True),
+    ],
+    ids=["left-recursive-tc", "regex-warren-20"],
+)
+def test_abandoned_run_leaves_no_active_pioneer(label, opts, text, query):
+    opts = dataclasses.replace(opts, limit=1)
+    sols, eng = run_query(load_program(text), query, opts)
+    assert len(sols) == 1
+    assert eng.active_pioneers == []
+    assert not any(e.pioneer_active for e in eng.store)

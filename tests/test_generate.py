@@ -6,6 +6,7 @@ from lintab.generate import (
     ab_string_facts,
     chain_facts,
     cycle_facts,
+    graph_facts,
     node_facts,
     random_graph_facts,
 )
@@ -30,6 +31,16 @@ def test_random_graph_deterministic_and_distinct():
     assert len(lines) == len(set(lines)) == 25
     with pytest.raises(ValueError):
         random_graph_facts(3, 100, seed=0)
+
+
+def test_graph_facts_dispatch():
+    assert graph_facts("chain", 3, seed=0) == chain_facts(3, pred="edge")
+    assert graph_facts("cycle", 3, seed=0, pred="e") == cycle_facts(3)
+    assert graph_facts("random", 10, 9, 25) == random_graph_facts(10, 25, 9, "edge")
+    with pytest.raises(ValueError, match="edge count"):
+        graph_facts("random", 10, seed=9)
+    with pytest.raises(ValueError, match="unknown graph kind"):
+        graph_facts("star", 3, seed=0)
 
 
 def test_node_facts():

@@ -105,6 +105,24 @@ def test_goal_must_be_callable():
         parse_query("X")
 
 
+def deep_term(depth: int) -> str:
+    return "f(" * depth + "a" + ")" * depth
+
+
+def test_deeply_nested_term_is_a_syntax_error():
+    text = f"p({deep_term(2000)}).\n"
+    for parse in (parse_program, parse_query):
+        with pytest.raises(ProgramSyntaxError, match="term nested too deeply"):
+            parse(text)
+
+
+def test_stray_is_reported_before_nesting_depth():
+    with pytest.raises(ProgramSyntaxError) as e:
+        parse_program(f"p({deep_term(2000)}).\nq($).\n")
+    assert "unexpected character '$'" in str(e.value)
+    assert (e.value.line, e.value.col) == (2, 3)
+
+
 def test_duplicate_declarations_parse():
     items = parse_program(":- table p/2.\n:- table p/2 eager.\n")
     assert [i.strategy for i in items] == [None, "eager"]
