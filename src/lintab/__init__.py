@@ -8,7 +8,6 @@ from .engine import (
     Engine,
     EngineError,
     EngineOptions,
-    InvariantViolation,
     RunStats,
     StepBudgetExceeded,
     run_query,
@@ -23,7 +22,6 @@ __all__ = [
     "Engine",
     "EngineError",
     "EngineOptions",
-    "InvariantViolation",
     "LAZY",
     "OracleInapplicable",
     "ProgramSyntaxError",

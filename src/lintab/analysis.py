@@ -42,7 +42,6 @@ def pred_key(t: Term) -> PredKey:
 @dataclass(frozen=True)
 class AnnotatedRule:
     clause: Clause
-    tabled_head: bool
     last_depending_index: Optional[int]
     base_rule: bool
     body_kinds: tuple[str, ...]
@@ -260,7 +259,6 @@ def annotate(
                     kinds.append(KIND_PLAIN)
             rule = AnnotatedRule(
                 clause=c,
-                tabled_head=True,
                 last_depending_index=last_dep,
                 base_rule=last_dep is None,
                 body_kinds=tuple(kinds),
@@ -268,7 +266,6 @@ def annotate(
         else:
             rule = AnnotatedRule(
                 clause=c,
-                tabled_head=False,
                 last_depending_index=None,
                 base_rule=False,
                 body_kinds=tuple(KIND_PLAIN for _ in c.body),

@@ -8,7 +8,7 @@ counters are reported; a divergence is a hard failure.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import corpus, generate, load_program, oracle
@@ -74,13 +74,7 @@ def run_instance(
     program = load_program(text)
     result = InstanceResult(name=name)
     for label, opts in configs or config_matrix():
-        opts = EngineOptions(
-            strategy=opts.strategy,
-            semi_naive=opts.semi_naive,
-            early_promotion=opts.early_promotion,
-            step_budget=step_budget,
-        )
-        eng = Engine(program, opts)
+        eng = Engine(program, replace(opts, step_budget=step_budget))
         t0 = time.monotonic()
         sols = list(eng.run(query))
         elapsed = time.monotonic() - t0

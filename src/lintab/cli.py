@@ -120,33 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        opts = _options(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        text = args.program.read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        program = load_program(text)
-        engine = Engine(program, opts)
-        solutions = []
-        try:
-            for sol in engine.run(args.query):
-                solutions.append(sol)
-                print(sol)
-        except StepBudgetExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        except DepthExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DEPTH
-    except ProgramSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    opts = _options(args)
+    text = args.program.read_text()
+    engine = Engine(load_program(text), opts)
+    solutions = []
+    for sol in engine.run(args.query):
+        solutions.append(sol)
+        print(sol)
     if args.stats:
         print("-- stats --")
         for line in engine.stats.as_lines():
@@ -176,23 +156,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        results, report = bench.bench_suite(
-            args.suite,
-            args.sizes,
-            args.seed,
-            use_oracle=not args.no_oracle,
-            step_budget=args.step_budget,
-        )
-    except StepBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except DepthExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEPTH
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    results, report = bench.bench_suite(
+        args.suite,
+        args.sizes,
+        args.seed,
+        use_oracle=not args.no_oracle,
+        step_budget=args.step_budget,
+    )
     print(report)
     if args.json is not None:
         payload = [
@@ -214,33 +184,36 @@ def _cmd_gen(args) -> int:
     if args.kind == "random-graph" and args.edges is None:
         print("error: random-graph needs --edges", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        if args.kind == "ab-string":
-            out = generate.ab_string_facts(args.n, pred=args.pred or "c")
-        else:
-            graph = args.kind.removesuffix("-graph")
-            pred = args.pred or "e"
-            out = generate.graph_facts(graph, args.n, args.seed, args.edges, pred)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.kind == "ab-string":
+        out = generate.ab_string_facts(args.n, pred=args.pred or "c")
+    else:
+        graph = args.kind.removesuffix("-graph")
+        pred = args.pred or "e"
+        out = generate.graph_facts(graph, args.n, args.seed, args.edges, pred)
     sys.stdout.write(out)
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        text = args.program.read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        program = load_program(text)
-    except ProgramSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(program.report())
+    print(load_program(args.program.read_text()).report())
     return EXIT_OK
+
+
+COMMANDS = {
+    "run": _cmd_run,
+    "bench": _cmd_bench,
+    "gen": _cmd_gen,
+    "analyze": _cmd_analyze,
+}
+
+# the exit code of each error a command may raise; anything else is a bug
+ERROR_EXITS = {
+    ProgramSyntaxError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+    StepBudgetExceeded: EXIT_BUDGET,
+    DepthExceeded: EXIT_DEPTH,
+}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -249,13 +222,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    return _cmd_analyze(args)
+    try:
+        return COMMANDS[args.command](args)
+    except tuple(ERROR_EXITS) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in ERROR_EXITS.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

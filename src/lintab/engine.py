@@ -1,11 +1,13 @@
 """The linear-tabling interpreter.
 
-Depth-first resolution over generators: each goal solver is a generator
-that yields once per solution (bindings live in a shared trail and are
-undone on backtracking). Tabled calls dispatch on the entry state:
+Depth-first resolution over generators: `_solve_seq` solves a body goal
+by goal, and each goal's clause loop or table loop is a generator that
+yields once per solution (bindings live in a shared trail and are undone
+on backtracking). Tabled calls dispatch on the entry state:
 
-  * complete entries and evaluated entries are resolved from the table;
-  * a call whose entry has a live pioneer activation is a follower: it
+  * a complete entry is resolved from the table;
+  * a follower, which is a call whose entry has a live pioneer activation
+    or is evaluated while its cluster still iterates, joins the cluster,
     consumes answers and then fails (early-promoting on exhaustion);
   * anything else is a pioneer. One pioneer generator serves both
     strategies: it runs rounds of rule resolution to the entry's fixpoint
@@ -17,10 +19,14 @@ undone on backtracking). Tabled calls dispatch on the entry state:
     the start of each round and hands each new answer to the parent the
     moment it is stored.
 
-Top-most looping subgoals are iterated in rounds until a round inserts
-nothing new. Between rounds the cluster's answer regions are promoted,
-which is what makes new-answers-only consumption (the semi-naive gate)
-possible at call sites marked as last depending tabled subgoals.
+Consumption walks the answer table by position. An entry found looping
+points `topmost` at its cluster's top-most subgoal, which points at
+itself. Top-most looping subgoals are iterated in rounds until a round
+inserts nothing new. Between rounds the cluster's answer regions are
+promoted, which is what makes new-answers-only consumption (the
+semi-naive gate) possible at call sites marked as last depending tabled
+subgoals: the gate only moves the walk's start from 0 to the end of the
+old region.
 """
 
 from __future__ import annotations
@@ -40,9 +46,6 @@ from .analysis import (
 )
 from .parser import parse_query
 from .table import (
-    FROM_FIRST,
-    FROM_NEW,
-    AnswerCursor,
     SubgoalEntry,
     SubgoalStore,
     early_promote,
@@ -56,7 +59,6 @@ from .terms import (
     Bindings,
     Struct,
     Term,
-    Var,
     canonicalize,
     render,
     render_goals,
@@ -79,10 +81,6 @@ class StepBudgetExceeded(EngineError):
 
 class DepthExceeded(EngineError):
     """Resolution nested deeper than the interpreter's recursion limit."""
-
-
-class InvariantViolation(EngineError):
-    """An internal engine invariant failed (engine bug, not user error)."""
 
 
 @dataclass
@@ -224,24 +222,6 @@ class Engine:
                 return program.rules_for(key, k, pos)
         return program.rules_for(key)
 
-    def _instantiate(self, entry: SubgoalEntry, pos: int, ans: Term) -> Term:
-        if entry.answers.ground[pos]:
-            return ans
-        mapping: dict[int, Var] = {}
-
-        def walk(t: Term) -> Term:
-            if type(t) is Var:
-                v = mapping.get(t.id)
-                if v is None:
-                    v = Var(self._fresh_block(1))
-                    mapping[t.id] = v
-                return v
-            if type(t) is Struct:
-                return Struct(t.functor, [walk(a) for a in t.args])
-            return t
-
-        return walk(ans)
-
     # -- resolution ------------------------------------------------------
 
     def _solutions(self, goals: list[Term]) -> Iterator[str]:
@@ -276,19 +256,17 @@ class Engine:
         if i == len(goals):
             yield
             return
-        for _ in self._solve_goal(goals[i], kinds[i], ctx):
-            yield from self._solve_seq(goals, kinds, ctx, i + 1)
-
-    def _solve_goal(self, goal, kind, ctx):
-        goal = self.bindings.deref(goal)
+        goal = self.bindings.deref(goals[i])
         if not isinstance(goal, (Atom, Struct)):
             raise EngineError(f"goal is not callable: {render(goal, self.bindings)}")
         self._step()
         key = pred_key(goal)
         if self.program.is_tabled(key):
-            yield from self._solve_tabled(goal, key, kind, ctx)
+            solutions = self._solve_tabled(goal, key, kinds[i], ctx)
         else:
-            yield from self._solve_plain(goal, key, ctx)
+            solutions = self._solve_plain(goal, key, ctx)
+        for _ in solutions:
+            yield from self._solve_seq(goals, kinds, ctx, i + 1)
 
     def _solve_plain(self, goal, key, ctx):
         if key not in self.program.rules:
@@ -309,27 +287,18 @@ class Engine:
 
     def _solve_tabled(self, goal, key, kind, ctx):
         entry, _fresh = register_subgoal(self.store, goal, self.bindings)
-        strategy = self.program.strategy(key, self.opts.strategy)
         if entry.complete:
             yield from self._consume(goal, entry, kind, ctx, promote=False)
             return
-        if entry.evaluated:
-            # the entry's cluster is still iterating: the caller depends on
-            # it and must not complete before the cluster's top-most does
-            self._join_cluster(entry)
-            yield from self._consume(goal, entry, kind, ctx, promote=True)
-            return
-        if entry.pioneer_active:
-            # follower: a loop (possibly fake, under eager) was found
-            if strategy == LAZY and entry not in self.active_pioneers:
-                raise InvariantViolation(
-                    "lazy follower whose pioneer is not an ancestor on the path"
-                )
+        if entry.pioneer_active or entry.evaluated:
+            # a follower (a loop, possibly fake under eager, was found), or
+            # an entry whose cluster is still iterating: either way the
+            # caller must not complete before the cluster's top-most does
             self._join_cluster(entry)
             yield from self._consume(goal, entry, kind, ctx, promote=True)
             return
         # pioneer
-        eager = strategy == EAGER
+        eager = self.program.strategy(key, self.opts.strategy) == EAGER
         entry.pioneer_active = True
         self.active_pioneers.append(entry)
         try:
@@ -344,15 +313,10 @@ class Engine:
             self.active_pioneers.remove(entry)
         yield from self._consume(goal, entry, kind, ctx, promote=False)
 
-    def _find_top(self, entry: SubgoalEntry) -> SubgoalEntry:
-        while entry.topmost is not None and entry.topmost is not entry:
-            entry = entry.topmost
-        return entry
-
     def _join_cluster(self, entry: SubgoalEntry) -> None:
         """Merge every active pioneer below entry's top into its cluster."""
         actives = self.active_pioneers
-        top = self._find_top(entry)
+        top = entry.topmost or entry
         try:
             start = actives.index(top)
         except ValueError:
@@ -361,20 +325,17 @@ class Engine:
             start = actives.index(entry) if entry in actives else len(actives)
         for e in actives[start + 1 :]:
             self._merge(top, e)
-        top.is_looping = True
-        entry.is_looping = True
+        top.topmost = top  # a looping top points at itself
 
     def _merge(self, top: SubgoalEntry, e: SubgoalEntry) -> None:
-        r = self._find_top(e)
+        r = e.topmost or e
         if r is not top:
             for x in (r, *r.dependents):
                 x.topmost = top
-                x.is_looping = True
                 top.dependents.add(x)
             r.dependents.clear()
         if e is not top:
             e.topmost = top
-            e.is_looping = True
             top.dependents.add(e)
         top.dependents.discard(top)
 
@@ -421,11 +382,10 @@ class Engine:
                                     ctx.new_depth -= 1
                 b.undo(mark)
             # check_completion
-            if not entry.is_looping:
+            if entry.topmost is None:
                 mark_complete(entry)
                 return
-            top = self._find_top(entry)
-            if top is entry:
+            if entry.topmost is entry:
                 cluster = [entry, *entry.dependents]
                 if any(e.revised for e in cluster):
                     self._reset_cluster(cluster)
@@ -435,28 +395,28 @@ class Engine:
             entry.evaluated = True
             return
 
-    def _cursor_mode(self, entry, kind, ctx) -> str:
-        if (
+    def _consume(self, goal, entry, kind, ctx, promote):
+        """Walk the entry's answers by position, seeing answers stored
+        meanwhile. The semi-naive gate starts the walk at the end of the
+        old region instead of at 0."""
+        b = self.bindings
+        answers = entry.answers.answers
+        nvars = entry.answers.nvars
+        gate_open = (
             self.opts.semi_naive
             and kind == KIND_LAST_DEP_TABLED
             and ctx is not None
             and ctx.entry.round_counter >= 2
             and ctx.new_depth == 0
-        ):
-            return FROM_NEW
-        return FROM_FIRST
-
-    def _consume(self, goal, entry, kind, ctx, promote):
-        b = self.bindings
-        cur = AnswerCursor(entry, self._cursor_mode(entry, kind, ctx))
-        while True:
-            item = cur.next_pos()
-            if item is None:
-                break
-            pos, ans = item
+        )
+        pos = entry.last_old if gate_open else 0
+        while pos < len(answers):
             self._step()
+            ans = answers[pos]
+            if nvars[pos]:
+                ans = renumber(ans, self._fresh_block(nvars[pos]))
             mark = b.mark()
-            if unify(goal, self._instantiate(entry, pos, ans), b):
+            if unify(goal, ans, b):
                 self.stats.answers_consumed += 1
                 is_new = pos >= entry.last_old
                 if is_new and ctx is not None:
@@ -467,6 +427,7 @@ class Engine:
                     if is_new and ctx is not None:
                         ctx.new_depth -= 1
             b.undo(mark)
+            pos += 1
         if (
             promote
             and self.opts.early_promotion

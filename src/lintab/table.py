@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .terms import Bindings, Term, canonicalize, is_ground, render
-
-FROM_FIRST = "from-first"
-FROM_NEW = "from-new"
+from .terms import Bindings, Term, canonicalize, render, variables
 
 
 class TableError(Exception):
@@ -27,7 +24,9 @@ class TableError(Exception):
 class AnswerList:
     answers: list[Term] = field(default_factory=list)
     _index: dict[Term, int] = field(default_factory=dict)
-    ground: list[bool] = field(default_factory=list)
+    # per answer, its variable count: a canonical answer's variables are
+    # numbered 0..n-1, so renaming it apart is one renumber by a fresh block
+    nvars: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.answers)
@@ -38,7 +37,7 @@ class AnswerList:
             return False
         self._index[ans] = len(self.answers)
         self.answers.append(ans)
-        self.ground.append(is_ground(ans))
+        self.nvars.append(len(variables(ans)))
         return True
 
     def __iter__(self) -> Iterator[Term]:
@@ -55,7 +54,6 @@ class SubgoalEntry:
         "last_prev",
         "complete",
         "evaluated",
-        "is_looping",
         "revised",
         "pioneer_active",
         "promoted_this_round",
@@ -73,11 +71,12 @@ class SubgoalEntry:
         self.last_prev = 0
         self.complete = False
         self.evaluated = False
-        self.is_looping = False
         self.revised = False
         self.pioneer_active = False
         self.promoted_this_round = False
         self.round_counter = 0
+        # None until the entry is found looping; then its cluster's
+        # top-most entry, which points at itself
         self.topmost: Optional[SubgoalEntry] = None
         self.dependents: set[SubgoalEntry] = set()
 
@@ -150,33 +149,6 @@ def mark_complete(top_entry: SubgoalEntry) -> None:
     for dep in top_entry.dependents:
         dep.complete = True
         dep.evaluated = False
-
-
-class AnswerCursor:
-    """Sequential consumption: later appends are still seen.
-
-    FROM_NEW starts after the old region as it stood at creation time.
-    `next_pos()` hands back (position, answer) so callers can classify the
-    answer as old or new at consumption time.
-    """
-
-    __slots__ = ("entry", "position")
-
-    def __init__(self, entry: SubgoalEntry, mode: str = FROM_FIRST):
-        self.entry = entry
-        self.position = entry.last_old if mode == FROM_NEW else 0
-
-    def next_pos(self) -> Optional[tuple[int, Term]]:
-        answers = self.entry.answers.answers
-        if self.position >= len(answers):
-            return None
-        pos = self.position
-        self.position = pos + 1
-        return pos, answers[pos]
-
-    def next(self) -> Optional[Term]:
-        item = self.next_pos()
-        return None if item is None else item[1]
 
 
 def check_region_invariants(store: SubgoalStore) -> None:

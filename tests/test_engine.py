@@ -203,6 +203,15 @@ def test_indexing_on_second_argument_cuts_clause_resolutions():
     assert eng.stats.clause_resolutions <= 545_176
 
 
+def test_nontabled_path_over_300_edge_chain_answers_all():
+    # one generator frame per goal: the chain's 300 solutions fit in the
+    # default recursion limit
+    chain = "".join(f"edge({i},{i + 1}).\n" for i in range(1, 301))
+    text = chain + "path(X,Y) :- edge(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\n"
+    sols, _ = solve(text, "path(1,Y)")
+    assert sols == [f"path(1,{i})" for i in range(2, 302)]
+
+
 def test_deep_recursion_is_a_typed_engine_error():
     chain = "".join(f"edge({i},{i + 1}).\n" for i in range(1, 401))
     text = chain + "path(X,Y) :- edge(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\n"

@@ -25,7 +25,9 @@ def golden_instances():
     out = []
     for suite in ("tcl", "tcr", "tcn", "sg"):
         out += suite_instances(suite, [6], SEED)
+    out += suite_instances("sg", [12], SEED)
     out += suite_instances("regex-warren", [20], SEED)
+    out += suite_instances("regex-warren-nontabled", [20], SEED)
     out += suite_instances("paper-examples", [], SEED)
     return out
 
@@ -140,6 +142,30 @@ GOLDEN = {
         'eager,semi_naive=on,early_promotion=off': '828567bc05d8',
         'eager,semi_naive=on,early_promotion=on': 'f1d51412ad29',
     },
+    'sg-chain-12': {
+        'lazy,semi_naive=off,early_promotion=off': 'b2fffea60173',
+        'lazy,semi_naive=on,early_promotion=off': 'b2fffea60173',
+        'lazy,semi_naive=on,early_promotion=on': 'b2fffea60173',
+        'eager,semi_naive=off,early_promotion=off': '1d76b8258302',
+        'eager,semi_naive=on,early_promotion=off': '1d76b8258302',
+        'eager,semi_naive=on,early_promotion=on': '1d76b8258302',
+    },
+    'sg-cycle-12': {
+        'lazy,semi_naive=off,early_promotion=off': '175fdcb23a09',
+        'lazy,semi_naive=on,early_promotion=off': '62dce28b9314',
+        'lazy,semi_naive=on,early_promotion=on': 'af88058a0f96',
+        'eager,semi_naive=off,early_promotion=off': '5e91e0ca67fe',
+        'eager,semi_naive=on,early_promotion=off': '405e2d52e878',
+        'eager,semi_naive=on,early_promotion=on': '5bb31b73676e',
+    },
+    'sg-random-12': {
+        'lazy,semi_naive=off,early_promotion=off': '30d56e4b750d',
+        'lazy,semi_naive=on,early_promotion=off': 'a763fa506422',
+        'lazy,semi_naive=on,early_promotion=on': 'fe87e4efd3d6',
+        'eager,semi_naive=off,early_promotion=off': '99142b0b56c3',
+        'eager,semi_naive=on,early_promotion=off': '70c454c002bf',
+        'eager,semi_naive=on,early_promotion=on': '3428f7285336',
+    },
     'regex-warren-20': {
         'lazy,semi_naive=off,early_promotion=off': '4597254824f1',
         'lazy,semi_naive=on,early_promotion=off': '9a9dbcedcd78',
@@ -147,6 +173,14 @@ GOLDEN = {
         'eager,semi_naive=off,early_promotion=off': 'efae89588389',
         'eager,semi_naive=on,early_promotion=off': '5e5b2731d9d6',
         'eager,semi_naive=on,early_promotion=on': '17d547b9a9a5',
+    },
+    'regex-warren-nontabled-20': {
+        'lazy,semi_naive=off,early_promotion=off': 'de31ca7fde06',
+        'lazy,semi_naive=on,early_promotion=off': '36467692ce6b',
+        'lazy,semi_naive=on,early_promotion=on': '36467692ce6b',
+        'eager,semi_naive=off,early_promotion=off': 'b551368c7294',
+        'eager,semi_naive=on,early_promotion=off': '3510ab9b1e05',
+        'eager,semi_naive=on,early_promotion=on': '3510ab9b1e05',
     },
     'left-recursive-tc': {
         'lazy,semi_naive=off,early_promotion=off': 'b9b1adc9a1a2',

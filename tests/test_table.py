@@ -1,13 +1,10 @@
-"""Answer tables: regions, promotion, cursors, invariants."""
+"""Answer tables: regions, promotion, invariants."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from lintab.table import (
-    FROM_FIRST,
-    FROM_NEW,
-    AnswerCursor,
     SubgoalStore,
     TableError,
     check_region_invariants,
@@ -92,54 +89,6 @@ def test_early_promote_once_per_round():
     promote_regions(e)
     assert not e.promoted_this_round
     assert (e.last_old, e.last_prev) == (2, 2)
-
-
-def test_cursor_sees_later_appends():
-    _, e = fresh_entry()
-    insert_answer(e, goal("a"))
-    cur = AnswerCursor(e)
-    assert cur.next() == goal("a")
-    insert_answer(e, goal("b"))
-    assert cur.next() == goal("b")
-    assert cur.next() is None
-    insert_answer(e, goal("c"))
-    assert cur.next() == goal("c")
-
-
-def test_cursor_from_new_skips_old_region():
-    _, e = fresh_entry()
-    insert_answer(e, goal("a"))
-    promote_regions(e)
-    promote_regions(e)  # a is now old
-    insert_answer(e, goal("b"))
-    insert_answer(e, goal("c"))
-    got = []
-    cur = AnswerCursor(e, FROM_NEW)
-    while (item := cur.next_pos()) is not None:
-        got.append(item)
-    assert got == [(1, goal("b")), (2, goal("c"))]
-    # from-first still walks everything
-    assert AnswerCursor(e, FROM_FIRST).next() == goal("a")
-
-
-def test_from_new_equals_set_difference():
-    _, e = fresh_entry()
-    for n in "abc":
-        insert_answer(e, goal(n))
-    promote_regions(e)
-    promote_regions(e)
-    for n in "de":
-        insert_answer(e, goal(n))
-    all_first = []
-    cur = AnswerCursor(e, FROM_FIRST)
-    while (a := cur.next()) is not None:
-        all_first.append(a)
-    new_only = []
-    cur = AnswerCursor(e, FROM_NEW)
-    while (a := cur.next()) is not None:
-        new_only.append(a)
-    old = e.regions()[0]
-    assert new_only == [a for a in all_first if a not in old]
 
 
 def test_mark_complete_covers_dependents():
