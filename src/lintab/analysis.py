@@ -2,10 +2,11 @@
 
 The level mapping stratifies predicates by the SCC condensation of the
 call graph: predicates in one SCC share a level, and a predicate's level
-is strictly above everything it calls outside its own SCC. Rule
-annotations mark the last depending subgoal (the rightmost body goal at
-the head's level) and base rules (no depending subgoal at all), which is
-what the engine's semi-naive gating consumes.
+is strictly above everything it calls outside its own SCC. A tabled
+rule's annotation is one index: its last depending subgoal, the
+rightmost body goal at the head's level, or None for a base rule (no
+depending subgoal at all). The engine's semi-naive gate opens only at a
+tabled call in that position; rules of non-tabled predicates carry None.
 
 Clause indexes are demand-driven: a predicate's index plan is computed on
 its first call, and the index of one argument position on the first call
@@ -25,11 +26,6 @@ PredKey = tuple[str, int]
 # every walk over the graph is the same under any hash seed
 CallGraph = dict[PredKey, dict[PredKey, None]]
 
-# body call-site kinds
-KIND_LAST_DEP_TABLED = "tabled-last-depending"
-KIND_TABLED = "tabled"
-KIND_PLAIN = "nontabled"
-
 
 def pred_key(t: Term) -> PredKey:
     if isinstance(t, Atom):
@@ -42,9 +38,7 @@ def pred_key(t: Term) -> PredKey:
 @dataclass(frozen=True)
 class AnnotatedRule:
     clause: Clause
-    last_depending_index: Optional[int]
-    base_rule: bool
-    body_kinds: tuple[str, ...]
+    last_depending_index: Optional[int]  # None: a base or non-tabled rule
 
 
 # One argument-position index: clauses per atomic key, each in program
@@ -119,13 +113,11 @@ class AnnotatedProgram:
             lines.append(f"{name}/{arity} level={self.levels[key]}")
             if key in self.tabled:
                 for k, r in enumerate(self.rules.get(key, ())):
-                    ld = (
-                        "none"
-                        if r.last_depending_index is None
-                        else str(r.last_depending_index)
-                    )
-                    base = "true" if r.base_rule else "false"
-                    lines.append(f"  rule#{k} last_depending={ld} base={base}")
+                    ld = r.last_depending_index
+                    if ld is None:
+                        lines.append(f"  rule#{k} last_depending=none base=true")
+                    else:
+                        lines.append(f"  rule#{k} last_depending={ld} base=false")
         return "\n".join(lines)
 
 
@@ -240,37 +232,12 @@ def annotate(
     grouped: dict[PredKey, list[AnnotatedRule]] = {}
     for c in clauses:
         hk = pred_key(c.head)
-        grouped.setdefault(hk, [])
+        last_dep = None
         if hk in tabled:
-            head_level = levels[hk]
-            last_dep = None
             for i, goal in enumerate(c.body):
-                if levels.get(pred_key(goal), 0) == head_level:
+                if levels.get(pred_key(goal), 0) == levels[hk]:
                     last_dep = i
-            kinds = []
-            for i, goal in enumerate(c.body):
-                gk = pred_key(goal)
-                if gk in tabled:
-                    if i == last_dep:
-                        kinds.append(KIND_LAST_DEP_TABLED)
-                    else:
-                        kinds.append(KIND_TABLED)
-                else:
-                    kinds.append(KIND_PLAIN)
-            rule = AnnotatedRule(
-                clause=c,
-                last_depending_index=last_dep,
-                base_rule=last_dep is None,
-                body_kinds=tuple(kinds),
-            )
-        else:
-            rule = AnnotatedRule(
-                clause=c,
-                last_depending_index=None,
-                base_rule=False,
-                body_kinds=tuple(KIND_PLAIN for _ in c.body),
-            )
-        grouped[hk].append(rule)
+        grouped.setdefault(hk, []).append(AnnotatedRule(c, last_dep))
 
     for key in tabled:
         grouped.setdefault(key, [])

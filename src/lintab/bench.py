@@ -150,6 +150,8 @@ def suite_instances(
             ("fresh-subgoal-guard", corpus.FRESH_SUBGOAL_GUARD, corpus.FRESH_SUBGOAL_GUARD_QUERY),
             ("fresh-subgoal-guard-reordered", corpus.FRESH_SUBGOAL_GUARD_REORDERED, corpus.FRESH_SUBGOAL_GUARD_QUERY),
             ("self-feeding-pair", corpus.SELF_FEEDING_PAIR, corpus.SELF_FEEDING_PAIR_QUERY),
+            ("helper-routed-tc-point", corpus.HELPER_ROUTED_TC, corpus.HELPER_ROUTED_TC_QUERIES[0]),
+            ("helper-routed-tc-open", corpus.HELPER_ROUTED_TC, corpus.HELPER_ROUTED_TC_QUERIES[1]),
         ]
     else:
         raise ValueError(f"unknown suite {suite!r}")

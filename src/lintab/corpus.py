@@ -65,6 +65,17 @@ p(b,c) :- p(X,Y).
 """
 SELF_FEEDING_PAIR_QUERY = "p(X,Y)"
 
+# Closure whose first call goes through a non-tabled helper: a new answer
+# consumed inside via/2 must keep the gate closed at the last goal p/2.
+HELPER_ROUTED_TC = """\
+:- table p/2.
+p(X,Y) :- e(X,Y).
+p(X,Y) :- via(X,Z), p(Z,Y).
+via(X,Z) :- p(X,Z).
+e(1,2). e(2,3). e(3,4). e(4,5). e(5,1).
+"""
+HELPER_ROUTED_TC_QUERIES = ("p(1,Y)", "p(X,Y)")
+
 # Tabled string matcher for (a|b)*: linear with new-answers-only
 # consumption, quadratic without.
 STRING_MATCHER = """\

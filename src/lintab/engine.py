@@ -3,7 +3,10 @@
 Depth-first resolution over generators: `_solve_seq` solves a body goal
 by goal, and each goal's clause loop or table loop is a generator that
 yields once per solution (bindings live in a shared trail and are undone
-on backtracking). Tabled calls dispatch on the entry state:
+on backtracking). Each yield carries one bool: whether the solution
+stands on a new answer, one past its entry's old region or just stored
+by a pioneer, at any depth below. Tabled calls dispatch on the entry
+state:
 
   * a complete entry is resolved from the table;
   * a follower, which is a call whose entry has a live pioneer activation
@@ -24,9 +27,10 @@ points `topmost` at its cluster's top-most subgoal, which points at
 itself. Top-most looping subgoals are iterated in rounds until a round
 inserts nothing new. Between rounds the cluster's answer regions are
 promoted, which is what makes new-answers-only consumption (the
-semi-naive gate) possible at call sites marked as last depending tabled
-subgoals: the gate only moves the walk's start from 0 to the end of the
-old region.
+semi-naive gate) possible. The gate is one bool decided at a tabled
+call site: open at the rule's last depending index when no earlier body
+goal stands on a new answer and the rule's entry is past round 1. It
+only moves the walk's start from 0 to the end of the old region.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 from .analysis import (
-    KIND_LAST_DEP_TABLED,
-    KIND_PLAIN,
     AnnotatedProgram,
     AnnotatedRule,
     PredKey,
@@ -144,21 +146,6 @@ class RunStats:
         return [f"{k}={v}" for k, v in d.items()]
 
 
-class BodyContext:
-    """Per-body-attempt state of a tabled activation's rule resolution.
-
-    new_depth counts how many goals on the current path through the body
-    are standing on a new (previous or current region) answer; the
-    semi-naive gate only opens while it is zero.
-    """
-
-    __slots__ = ("entry", "new_depth")
-
-    def __init__(self, entry: SubgoalEntry):
-        self.entry = entry
-        self.new_depth = 0
-
-
 Query = Union[str, Iterable[Term]]
 
 
@@ -171,7 +158,8 @@ class Engine:
         self.bindings = Bindings()
         self.store = SubgoalStore()
         self.stats = RunStats()
-        self.active_pioneers: list[SubgoalEntry] = []
+        # entries whose pioneer is running, outermost first
+        self.active_pioneers: dict[SubgoalEntry, None] = {}
         self._var_counter = 0
         self._started = False
 
@@ -230,9 +218,8 @@ class Engine:
         self._started = True
         seen: set[str] = set()
         count = 0
-        kinds = tuple(KIND_PLAIN for _ in goals)
         try:
-            for _ in self._solve_seq(goals, kinds, None, 0):
+            for _ in self._solve_seq(goals, None, None, False, 0):
                 text = render_goals(goals, self.bindings)
                 if self.opts.dedup_solutions:
                     if text in seen:
@@ -252,9 +239,13 @@ class Engine:
         finally:
             self.stats.finalize(self.store)
 
-    def _solve_seq(self, goals, kinds, ctx, i):
+    def _solve_seq(self, goals, last_dep, owner, fresh, i):
+        """Solve goals[i:], yielding per solution whether it stands on a
+        new answer; fresh says whether goals[:i] do. last_dep and owner are
+        the rule's last depending index and entry, None outside tabled
+        rule bodies; they and fresh decide the gate of a tabled call."""
         if i == len(goals):
-            yield
+            yield fresh
             return
         goal = self.bindings.deref(goals[i])
         if not isinstance(goal, (Atom, Struct)):
@@ -262,13 +253,19 @@ class Engine:
         self._step()
         key = pred_key(goal)
         if self.program.is_tabled(key):
-            solutions = self._solve_tabled(goal, key, kinds[i], ctx)
+            gate = (
+                i == last_dep
+                and not fresh
+                and self.opts.semi_naive
+                and owner.round_counter >= 2
+            )
+            solutions = self._solve_tabled(goal, key, gate)
         else:
-            solutions = self._solve_plain(goal, key, ctx)
-        for _ in solutions:
-            yield from self._solve_seq(goals, kinds, ctx, i + 1)
+            solutions = self._solve_plain(goal, key)
+        for new in solutions:
+            yield from self._solve_seq(goals, last_dep, owner, fresh or new, i + 1)
 
-    def _solve_plain(self, goal, key, ctx):
+    def _solve_plain(self, goal, key):
         if key not in self.program.rules:
             # call to an undefined predicate: finite failure
             self.stats.undefined_calls += 1
@@ -280,51 +277,47 @@ class Engine:
             mark = b.mark()
             head, body = self._activate(ar.clause)
             if unify(goal, head, b):
-                yield from self._solve_seq(body, ar.body_kinds, ctx, 0)
+                yield from self._solve_seq(body, None, None, False, 0)
             b.undo(mark)
 
     # -- tabled resolution ----------------------------------------------
 
-    def _solve_tabled(self, goal, key, kind, ctx):
-        entry, _fresh = register_subgoal(self.store, goal, self.bindings)
+    def _solve_tabled(self, goal, key, gate):
+        entry = register_subgoal(self.store, goal, self.bindings)[0]
         if entry.complete:
-            yield from self._consume(goal, entry, kind, ctx, promote=False)
+            yield from self._consume(goal, entry, gate, promote=False)
             return
-        if entry.pioneer_active or entry.evaluated:
+        if entry in self.active_pioneers or entry.evaluated:
             # a follower (a loop, possibly fake under eager, was found), or
             # an entry whose cluster is still iterating: either way the
             # caller must not complete before the cluster's top-most does
             self._join_cluster(entry)
-            yield from self._consume(goal, entry, kind, ctx, promote=True)
+            yield from self._consume(goal, entry, gate, promote=True)
             return
         # pioneer
         eager = self.program.strategy(key, self.opts.strategy) == EAGER
-        entry.pioneer_active = True
-        self.active_pioneers.append(entry)
+        self.active_pioneers[entry] = None
         try:
-            pioneer = self._pioneer(goal, key, entry, kind, ctx, eager)
+            pioneer = self._pioneer(goal, key, entry, gate, eager)
             if eager:
                 yield from pioneer
                 return
             for _ in pioneer:
                 pass  # lazy: the memo fails, answers wait in the table
         finally:
-            entry.pioneer_active = False
-            self.active_pioneers.remove(entry)
-        yield from self._consume(goal, entry, kind, ctx, promote=False)
+            del self.active_pioneers[entry]
+        yield from self._consume(goal, entry, gate, promote=False)
 
     def _join_cluster(self, entry: SubgoalEntry) -> None:
         """Merge every active pioneer below entry's top into its cluster."""
-        actives = self.active_pioneers
         top = entry.topmost or entry
-        try:
-            start = actives.index(top)
-        except ValueError:
-            # the cluster's anchor already left the path (eager fake loop,
-            # or an abandoned run): nothing on the path to merge above it
-            start = actives.index(entry) if entry in actives else len(actives)
-        for e in actives[start + 1 :]:
-            self._merge(top, e)
+        # the cluster's anchor may have left the path (eager fake loop, or
+        # an abandoned run): then nothing on the path above it is merged
+        anchor = top if top in self.active_pioneers else entry
+        if anchor in self.active_pioneers:
+            actives = list(self.active_pioneers)
+            for e in actives[actives.index(anchor) + 1 :]:
+                self._merge(top, e)
         top.topmost = top  # a looping top points at itself
 
     def _merge(self, top: SubgoalEntry, e: SubgoalEntry) -> None:
@@ -339,16 +332,10 @@ class Engine:
             top.dependents.add(e)
         top.dependents.discard(top)
 
-    def _reset_cluster(self, cluster) -> None:
-        for e in cluster:
-            promote_regions(e)
-            e.evaluated = False
-            e.revised = False
-
-    def _pioneer(self, goal, key, entry, kind, ctx, eager):
+    def _pioneer(self, goal, key, entry, gate, eager):
         """Rounds of rule resolution to the entry's fixpoint.
 
-        Yields once per newly stored answer. The strategy only decides
+        Yields True once per newly stored answer. The strategy only decides
         when answers are returned: an eager pioneer first hands the
         table's answers to the parent each round and forwards every
         yield, a lazy one drains the generator and consumes afterwards.
@@ -358,28 +345,22 @@ class Engine:
             entry.round_counter += 1
             if eager:
                 # answers first, then rules
-                yield from self._consume(goal, entry, kind, ctx, promote=False)
+                yield from self._consume(goal, entry, gate, promote=False)
             skip_base = self.opts.semi_naive and entry.round_counter >= 2
             for ar in self._clauses_for(goal, key):
-                if skip_base and ar.base_rule:
-                    continue
+                last_dep = ar.last_depending_index
+                if skip_base and last_dep is None:
+                    continue  # a base rule derives nothing new after round 1
                 self._step()
                 self.stats.clause_resolutions += 1
                 mark = b.mark()
                 head, body = self._activate(ar.clause)
                 if unify(goal, head, b):
-                    bctx = BodyContext(entry)
-                    for _ in self._solve_seq(body, ar.body_kinds, bctx, 0):
+                    for _ in self._solve_seq(body, last_dep, entry, False, 0):
                         # memo: store the answer; only a new one is returned
                         if insert_answer(entry, canonicalize(goal, b)):
                             self.stats.answers_produced += 1
-                            if ctx is not None:
-                                ctx.new_depth += 1
-                            try:
-                                yield
-                            finally:
-                                if ctx is not None:
-                                    ctx.new_depth -= 1
+                            yield True
                 b.undo(mark)
             # check_completion
             if entry.topmost is None:
@@ -388,28 +369,25 @@ class Engine:
             if entry.topmost is entry:
                 cluster = [entry, *entry.dependents]
                 if any(e.revised for e in cluster):
-                    self._reset_cluster(cluster)
+                    for e in cluster:  # another round
+                        promote_regions(e)
+                        e.evaluated = False
+                        e.revised = False
                     continue
                 mark_complete(entry)
                 return
             entry.evaluated = True
             return
 
-    def _consume(self, goal, entry, kind, ctx, promote):
+    def _consume(self, goal, entry, gate, promote):
         """Walk the entry's answers by position, seeing answers stored
-        meanwhile. The semi-naive gate starts the walk at the end of the
-        old region instead of at 0."""
+        meanwhile, and yield per answer whether it is new (past the old
+        region). An open gate starts the walk at the end of the old
+        region instead of at 0."""
         b = self.bindings
         answers = entry.answers.answers
         nvars = entry.answers.nvars
-        gate_open = (
-            self.opts.semi_naive
-            and kind == KIND_LAST_DEP_TABLED
-            and ctx is not None
-            and ctx.entry.round_counter >= 2
-            and ctx.new_depth == 0
-        )
-        pos = entry.last_old if gate_open else 0
+        pos = entry.last_old if gate else 0
         while pos < len(answers):
             self._step()
             ans = answers[pos]
@@ -418,14 +396,7 @@ class Engine:
             mark = b.mark()
             if unify(goal, ans, b):
                 self.stats.answers_consumed += 1
-                is_new = pos >= entry.last_old
-                if is_new and ctx is not None:
-                    ctx.new_depth += 1
-                try:
-                    yield
-                finally:
-                    if is_new and ctx is not None:
-                        ctx.new_depth -= 1
+                yield pos >= entry.last_old
             b.undo(mark)
             pos += 1
         if (

@@ -23,7 +23,7 @@ class TableError(Exception):
 @dataclass
 class AnswerList:
     answers: list[Term] = field(default_factory=list)
-    _index: dict[Term, int] = field(default_factory=dict)
+    _seen: set[Term] = field(default_factory=set)
     # per answer, its variable count: a canonical answer's variables are
     # numbered 0..n-1, so renaming it apart is one renumber by a fresh block
     nvars: list[int] = field(default_factory=list)
@@ -33,9 +33,9 @@ class AnswerList:
 
     def add(self, ans: Term) -> bool:
         """Append unless a variant is already stored. Returns inserted."""
-        if ans in self._index:
+        if ans in self._seen:
             return False
-        self._index[ans] = len(self.answers)
+        self._seen.add(ans)
         self.answers.append(ans)
         self.nvars.append(len(variables(ans)))
         return True
@@ -55,7 +55,6 @@ class SubgoalEntry:
         "complete",
         "evaluated",
         "revised",
-        "pioneer_active",
         "promoted_this_round",
         "round_counter",
         "topmost",
@@ -72,7 +71,6 @@ class SubgoalEntry:
         self.complete = False
         self.evaluated = False
         self.revised = False
-        self.pioneer_active = False
         self.promoted_this_round = False
         self.round_counter = 0
         # None until the entry is found looping; then its cluster's

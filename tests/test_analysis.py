@@ -11,13 +11,11 @@ from hypothesis import given, settings
 import lintab
 import lintab.corpus as corpus
 from lintab.analysis import (
-    KIND_LAST_DEP_TABLED,
-    KIND_PLAIN,
-    KIND_TABLED,
     analyze,
     atomic_key,
     build_call_graph,
     level_mapping,
+    pred_key,
     verify_level_mapping,
 )
 from lintab.parser import Clause, TableDeclaration, parse_program
@@ -59,24 +57,35 @@ def test_level_mapping_verifier_rejects_wrong_levels():
     assert not verify_level_mapping(cs, {("p", 2): 0, ("e", 2): 1})
 
 
+def _tabled_goals(prog, rule):
+    return tuple(prog.is_tabled(pred_key(g)) for g in rule.clause.body)
+
+
 def test_annotations_left_recursive_tc():
     prog = analyze(parse_program(corpus.LEFT_RECURSIVE_TC))
     rec, base = prog.rules[("p", 2)]
-    assert rec.last_depending_index == 0 and not rec.base_rule
-    assert rec.body_kinds == (KIND_LAST_DEP_TABLED, KIND_PLAIN)
-    assert base.last_depending_index is None and base.base_rule
+    assert rec.last_depending_index == 0
+    assert _tabled_goals(prog, rec) == (True, False)
+    assert base.last_depending_index is None
     assert prog.is_tabled(("p", 2)) and not prog.is_tabled(("e", 2))
 
 
 def test_annotation_untabled_helper_blocks_gate():
     # the last depending body goal is the non-tabled helper q, so no call
-    # site in the matcher rules is marked as a gated consumer
+    # site in the matcher rules is a gated tabled consumer
     prog = analyze(parse_program(corpus.STRING_MATCHER_UNTABLED_STEP + "c(0,a,1).\n"))
-    for r in prog.rules[("p", 2)]:
-        assert KIND_LAST_DEP_TABLED not in r.body_kinds
+    rec = [r for r in prog.rules[("p", 2)] if r.last_depending_index is not None]
+    assert len(rec) == 2
+    for r in rec:
+        assert pred_key(r.clause.body[r.last_depending_index]) == ("q", 2)
+    assert not prog.is_tabled(("q", 2))
     # whereas the directly-tabled twin gates its first body goal
     prog2 = analyze(parse_program(corpus.STRING_MATCHER + "c(0,a,1).\n"))
-    gated = [r for r in prog2.rules[("p", 2)] if r.body_kinds[:1] == (KIND_LAST_DEP_TABLED,)]
+    gated = [
+        r
+        for r in prog2.rules[("p", 2)]
+        if r.last_depending_index == 0 and _tabled_goals(prog2, r)[0]
+    ]
     assert len(gated) == 2
 
 
@@ -84,12 +93,13 @@ def test_annotation_mutual_recursion_kinds():
     prog = analyze(parse_program(corpus.FRESH_SUBGOAL_GUARD))
     rules = prog.rules[("p", 2)]
     # p(X,Y) :- p(X,Z), q(Z,Y): q is the last depending goal and tabled
-    assert rules[0].body_kinds == (KIND_TABLED, KIND_LAST_DEP_TABLED)
+    assert rules[0].last_depending_index == 1
+    assert _tabled_goals(prog, rules[0]) == (True, True)
     # p(b,c) :- p(X,Y): single depending goal
-    assert rules[1].body_kinds == (KIND_LAST_DEP_TABLED,)
-    assert not rules[1].base_rule
+    assert rules[1].last_depending_index == 0
+    assert _tabled_goals(prog, rules[1]) == (True,)
     # p(a,b): base
-    assert rules[2].base_rule
+    assert rules[2].last_depending_index is None
 
 
 def test_strategy_resolution():

@@ -222,6 +222,22 @@ GOLDEN = {
         'eager,semi_naive=on,early_promotion=off': '66a3749fdcf8',
         'eager,semi_naive=on,early_promotion=on': 'fc91b33190fd',
     },
+    'helper-routed-tc-point': {
+        'lazy,semi_naive=off,early_promotion=off': '5fcf9f211981',
+        'lazy,semi_naive=on,early_promotion=off': '09fcdbe8a3c8',
+        'lazy,semi_naive=on,early_promotion=on': '081f843244b3',
+        'eager,semi_naive=off,early_promotion=off': '6f31e9fcd089',
+        'eager,semi_naive=on,early_promotion=off': '164ac25d322f',
+        'eager,semi_naive=on,early_promotion=on': 'd8932d51e94d',
+    },
+    'helper-routed-tc-open': {
+        'lazy,semi_naive=off,early_promotion=off': '2e83aa562d3a',
+        'lazy,semi_naive=on,early_promotion=off': '85661d6e186f',
+        'lazy,semi_naive=on,early_promotion=on': '2dd95daf88e3',
+        'eager,semi_naive=off,early_promotion=off': '01e73527152e',
+        'eager,semi_naive=on,early_promotion=off': 'c5fe8d599a3b',
+        'eager,semi_naive=on,early_promotion=on': '871e3580dada',
+    },
 }
 
 
