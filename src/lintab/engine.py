@@ -22,10 +22,11 @@ state:
     the start of each round and hands each new answer to the parent the
     moment it is stored.
 
-Consumption walks the answer table by position. An entry found looping
-points `topmost` at its cluster's top-most subgoal, which points at
-itself. Top-most looping subgoals are iterated in rounds until a round
-inserts nothing new. Between rounds the cluster's answer regions are
+Consumption walks the answer table by position and binds the call's
+variables to each stored substitution tuple, with no unification (see
+table.py). An entry found looping points `topmost` at its cluster's
+top-most subgoal, which points at itself. Top-most looping subgoals are
+iterated in rounds until a round inserts nothing new. Between rounds the cluster's answer regions are
 promoted, which is what makes new-answers-only consumption (the
 semi-naive gate) possible. The gate is one bool decided at a tabled
 call site: open at the rule's last depending index when no earlier body
@@ -61,6 +62,7 @@ from .terms import (
     Bindings,
     Struct,
     Term,
+    Var,
     canonicalize,
     render,
     render_goals,
@@ -283,22 +285,22 @@ class Engine:
     # -- tabled resolution ----------------------------------------------
 
     def _solve_tabled(self, goal, key, gate):
-        entry = register_subgoal(self.store, goal, self.bindings)[0]
+        entry, call_vars = register_subgoal(self.store, goal, self.bindings)
         if entry.complete:
-            yield from self._consume(goal, entry, gate, promote=False)
+            yield from self._consume(call_vars, entry, gate, promote=False)
             return
         if entry in self.active_pioneers or entry.evaluated:
             # a follower (a loop, possibly fake under eager, was found), or
             # an entry whose cluster is still iterating: either way the
             # caller must not complete before the cluster's top-most does
             self._join_cluster(entry)
-            yield from self._consume(goal, entry, gate, promote=True)
+            yield from self._consume(call_vars, entry, gate, promote=True)
             return
         # pioneer
         eager = self.program.strategy(key, self.opts.strategy) == EAGER
         self.active_pioneers[entry] = None
         try:
-            pioneer = self._pioneer(goal, key, entry, gate, eager)
+            pioneer = self._pioneer(goal, key, entry, call_vars, gate, eager)
             if eager:
                 yield from pioneer
                 return
@@ -306,7 +308,7 @@ class Engine:
                 pass  # lazy: the memo fails, answers wait in the table
         finally:
             del self.active_pioneers[entry]
-        yield from self._consume(goal, entry, gate, promote=False)
+        yield from self._consume(call_vars, entry, gate, promote=False)
 
     def _join_cluster(self, entry: SubgoalEntry) -> None:
         """Merge every active pioneer below entry's top into its cluster."""
@@ -332,20 +334,23 @@ class Engine:
             top.dependents.add(e)
         top.dependents.discard(top)
 
-    def _pioneer(self, goal, key, entry, gate, eager):
+    def _pioneer(self, goal, key, entry, call_vars, gate, eager):
         """Rounds of rule resolution to the entry's fixpoint.
 
-        Yields True once per newly stored answer. The strategy only decides
-        when answers are returned: an eager pioneer first hands the
-        table's answers to the parent each round and forwards every
-        yield, a lazy one drains the generator and consumes afterwards.
+        Stores each answer as the canonical tuple of the call variables'
+        bindings and yields True once per newly stored one, with the call
+        still bound to it. The strategy only decides when answers are
+        returned: an eager pioneer first hands the table's answers to the
+        parent each round and forwards every yield, a lazy one drains the
+        generator and consumes afterwards.
         """
         b = self.bindings
+        subst = tuple(map(Var, call_vars))
         while True:
             entry.round_counter += 1
             if eager:
                 # answers first, then rules
-                yield from self._consume(goal, entry, gate, promote=False)
+                yield from self._consume(call_vars, entry, gate, promote=False)
             skip_base = self.opts.semi_naive and entry.round_counter >= 2
             for ar in self._clauses_for(goal, key):
                 last_dep = ar.last_depending_index
@@ -358,7 +363,7 @@ class Engine:
                 if unify(goal, head, b):
                     for _ in self._solve_seq(body, last_dep, entry, False, 0):
                         # memo: store the answer; only a new one is returned
-                        if insert_answer(entry, canonicalize(goal, b)):
+                        if insert_answer(entry, canonicalize(subst, b)):
                             self.stats.answers_produced += 1
                             yield True
                 b.undo(mark)
@@ -379,24 +384,28 @@ class Engine:
             entry.evaluated = True
             return
 
-    def _consume(self, goal, entry, gate, promote):
-        """Walk the entry's answers by position, seeing answers stored
+    def _consume(self, call_vars, entry, gate, promote):
+        """Walk the entry's answer tuples by position, seeing answers stored
         meanwhile, and yield per answer whether it is new (past the old
-        region). An open gate starts the walk at the end of the old
-        region instead of at 0."""
+        region). Each answer binds the i-th call variable to the tuple's
+        i-th element, renamed apart first if the tuple has variables; a
+        call is a variant of the key, so this is the unifier and cannot
+        fail. An open gate starts the walk at the end of the old region
+        instead of at 0."""
         b = self.bindings
-        answers = entry.answers.answers
+        tuples = entry.answers.tuples
         nvars = entry.answers.nvars
         pos = entry.last_old if gate else 0
-        while pos < len(answers):
+        while pos < len(tuples):
             self._step()
-            ans = answers[pos]
+            tup = tuples[pos]
             if nvars[pos]:
-                ans = renumber(ans, self._fresh_block(nvars[pos]))
+                tup = renumber(tup, self._fresh_block(nvars[pos]))
             mark = b.mark()
-            if unify(goal, ans, b):
-                self.stats.answers_consumed += 1
-                yield pos >= entry.last_old
+            for vid, t in zip(call_vars, tup):
+                b.bind(vid, t)
+            self.stats.answers_consumed += 1
+            yield pos >= entry.last_old
             b.undo(mark)
             pos += 1
         if (

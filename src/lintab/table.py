@@ -1,47 +1,74 @@
 """Subgoal table and three-region answer tables.
 
 Every tabled subgoal variant owns one `SubgoalEntry` keyed by its
-canonical form. Answers are stored append-only as canonical copies; two
-integer boundaries split the list into the old / previous / current
-regions. Promotion slides the boundaries forward between rounds; early
-promotion moves the current region into previous the moment a follower
-exhausts its answers, so those answers age out one round sooner.
+canonical form. Each answer is an instance of its entry's key, so it is
+stored substitution-factored: as the canonical tuple of bindings for the
+key's variables, in key order (Ramakrishnan, Rao, Sagonas, Swift and
+Warren, "Efficient access mechanisms for tabled logic programs", JLP
+38(1), 1999). Two answers are variants iff their tuples are equal, and
+a consumer binds its call's i-th variable to a tuple's i-th element,
+with no unification. Iteration, `regions()` and `dump()` rebuild full
+answers from key + tuple.
+
+Tuples are stored append-only; two integer boundaries split the list
+into the old / previous / current regions. Promotion slides the
+boundaries forward between rounds; early promotion moves the current
+region into previous the moment a follower exhausts its answers, so
+those answers age out one round sooner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .terms import Bindings, Term, canonicalize, render, variables
+from .terms import Bindings, Struct, Term, Var, canonicalize, render, variables
+
+Subst = tuple[Term, ...]
 
 
 class TableError(Exception):
     """Internal table misuse (engine bug), e.g. inserting when complete."""
 
 
-@dataclass
+def _rebuild(t: Term, tup: Subst) -> Term:
+    """The full answer: t with each variable i replaced by tup[i]."""
+    tt = type(t)
+    if tt is Var:
+        return tup[t.id]
+    if tt is Struct:
+        return Struct(t.functor, [_rebuild(a, tup) for a in t.args])
+    return t
+
+
 class AnswerList:
-    answers: list[Term] = field(default_factory=list)
-    _seen: set[Term] = field(default_factory=set)
-    # per answer, its variable count: a canonical answer's variables are
-    # numbered 0..n-1, so renaming it apart is one renumber by a fresh block
-    nvars: list[int] = field(default_factory=list)
+    """One entry's answers as substitution tuples, in insertion order."""
+
+    __slots__ = ("key", "tuples", "nvars", "_seen")
+
+    def __init__(self, key: Term):
+        self.key = key
+        self.tuples: list[Subst] = []
+        # per tuple, its variable count: a canonical tuple's variables are
+        # numbered 0..n-1, so renaming it apart is one renumber by a fresh block
+        self.nvars: list[int] = []
+        self._seen: set[Subst] = set()
 
     def __len__(self) -> int:
-        return len(self.answers)
+        return len(self.tuples)
 
-    def add(self, ans: Term) -> bool:
+    def add(self, tup: Subst) -> bool:
         """Append unless a variant is already stored. Returns inserted."""
-        if ans in self._seen:
+        if tup in self._seen:
             return False
-        self._seen.add(ans)
-        self.answers.append(ans)
-        self.nvars.append(len(variables(ans)))
+        self._seen.add(tup)
+        self.tuples.append(tup)
+        self.nvars.append(len(variables(tup)))
         return True
 
     def __iter__(self) -> Iterator[Term]:
-        return iter(self.answers)
+        """The full answers, rebuilt from key + tuple."""
+        key = self.key
+        return (_rebuild(key, tup) for tup in self.tuples)
 
 
 class SubgoalEntry:
@@ -63,7 +90,7 @@ class SubgoalEntry:
 
     def __init__(self, key: Term):
         self.key = key
-        self.answers = AnswerList()
+        self.answers = AnswerList(key)
         # old = answers[:last_old]; previous = [last_old:last_prev];
         # current = [last_prev:]
         self.last_old = 0
@@ -83,7 +110,7 @@ class SubgoalEntry:
         return f"<entry {render(self.key)} {state} {len(self.answers)} answers>"
 
     def regions(self) -> tuple[list[Term], list[Term], list[Term]]:
-        a = self.answers.answers
+        a = list(self.answers)
         return a[: self.last_old], a[self.last_old : self.last_prev], a[self.last_prev :]
 
 
@@ -102,26 +129,31 @@ class SubgoalStore:
 
 def register_subgoal(
     store: SubgoalStore, goal: Term, b: Optional[Bindings] = None
-) -> tuple[SubgoalEntry, bool]:
-    """Find or create the entry for goal's variant class."""
-    key = canonicalize(goal, b)
+) -> tuple[SubgoalEntry, tuple[int, ...]]:
+    """Find or create the entry for goal's variant class.
+
+    Also returns the call's free variable ids in key order, found in the
+    walk that canonicalizes the key: an answer binds the i-th of them to
+    its tuple's i-th element.
+    """
+    mapping: dict[int, Var] = {}
+    key = canonicalize(goal, b, mapping)
     entry = store.entries.get(key)
-    if entry is not None:
-        return entry, False
-    entry = SubgoalEntry(key)
-    store.entries[key] = entry
-    return entry, True
+    if entry is None:
+        entry = store.entries[key] = SubgoalEntry(key)
+    return entry, tuple(mapping)
 
 
-def insert_answer(entry: SubgoalEntry, ans: Term) -> bool:
-    """Add a canonical answer to the current region unless a variant exists.
+def insert_answer(entry: SubgoalEntry, tup: Subst) -> bool:
+    """Add a canonical substitution tuple to the current region unless a
+    variant exists.
 
     Sets the revised flag on insertion so the governing top-most subgoal
     sees that its round produced something new.
     """
     if entry.complete:
         raise TableError(f"insertion into complete entry {render(entry.key)}")
-    inserted = entry.answers.add(ans)
+    inserted = entry.answers.add(tup)
     if inserted:
         entry.revised = True
     return inserted
@@ -150,7 +182,8 @@ def mark_complete(top_entry: SubgoalEntry) -> None:
 
 
 def check_region_invariants(store: SubgoalStore) -> None:
-    """Raise TableError if any entry's region partition is inconsistent."""
+    """Raise TableError if an entry's region boundaries are out of order
+    or it stores one answer twice."""
     for entry in store:
         n = len(entry.answers)
         if not (0 <= entry.last_old <= entry.last_prev <= n):
@@ -158,16 +191,14 @@ def check_region_invariants(store: SubgoalStore) -> None:
                 f"bad region boundaries for {render(entry.key)}: "
                 f"old={entry.last_old} prev={entry.last_prev} n={n}"
             )
-        old, prev, cur = entry.regions()
-        if len(old) + len(prev) + len(cur) != n:
-            raise TableError(f"regions do not partition {render(entry.key)}")
         seen = set()
-        for ans in entry.answers:
-            if ans in seen:
+        for tup in entry.answers.tuples:
+            if tup in seen:
                 raise TableError(
-                    f"variant duplicate {render(ans)} in {render(entry.key)}"
+                    f"variant duplicate {render(_rebuild(entry.key, tup))} "
+                    f"in {render(entry.key)}"
                 )
-            seen.add(ans)
+            seen.add(tup)
 
 
 def dump(store: SubgoalStore) -> str:

@@ -191,15 +191,23 @@ def _occurs(vid: int, t: Term, b: Bindings) -> bool:
     return False
 
 
-def canonicalize(t: Term, b: Optional[Bindings] = None) -> Term:
+def canonicalize(
+    t: Term | tuple[Term, ...],
+    b: Optional[Bindings] = None,
+    mapping: Optional[dict[int, Var]] = None,
+) -> Term | tuple[Term, ...]:
     """Renumber variables 0,1,2,... in first-occurrence order.
 
     Dereferences through b when given, so the result is a standalone copy
-    usable as a table key or stored answer. Idempotent.
+    usable as a table key or stored answer. Idempotent. t may also be a
+    tuple of terms, numbered as one sequence. A `mapping` dict passed in
+    is filled with original variable id -> canonical variable, in
+    numbering order.
     """
-    mapping: dict[int, Var] = {}
+    if mapping is None:
+        mapping = {}
 
-    def walk(t: Term) -> Term:
+    def walk(t):
         if b is not None:
             t = b.deref(t)
         tt = type(t)
@@ -213,6 +221,8 @@ def canonicalize(t: Term, b: Optional[Bindings] = None) -> Term:
             return Struct(t.functor, [walk(a) for a in t.args])
         return t
 
+    if type(t) is tuple:
+        return tuple([walk(a) for a in t])
     return walk(t)
 
 
@@ -224,8 +234,9 @@ def resolve(t: Term, b: Bindings) -> Term:
     return t
 
 
-def variables(t: Term, b: Optional[Bindings] = None) -> list[int]:
-    """Variable ids in first-occurrence order (after deref through b)."""
+def variables(t: Term | tuple[Term, ...], b: Optional[Bindings] = None) -> list[int]:
+    """Variable ids in first-occurrence order (after deref through b).
+    t may also be a tuple of terms."""
     seen: list[int] = []
 
     def walk(t: Term) -> None:
@@ -239,7 +250,8 @@ def variables(t: Term, b: Optional[Bindings] = None) -> list[int]:
             for a in t.args:
                 walk(a)
 
-    walk(t)
+    for a in t if type(t) is tuple else (t,):
+        walk(a)
     return seen
 
 
@@ -336,13 +348,16 @@ def render_goals(goals, b: Optional[Bindings] = None) -> str:
     return ",".join(render(g, b, names) for g in goals)
 
 
-def renumber(t: Term, offset: int) -> Term:
-    """Shift every variable id by offset (clause activation renaming)."""
+def renumber(t: Term | tuple[Term, ...], offset: int) -> Term | tuple[Term, ...]:
+    """Shift every variable id by offset (clause activation renaming).
+    t may also be a tuple of terms."""
     tt = type(t)
     if tt is Var:
         return Var(t.id + offset)
     if tt is Struct:
         return Struct(t.functor, [renumber(a, offset) for a in t.args])
+    if tt is tuple:
+        return tuple([renumber(a, offset) for a in t])
     return t
 
 

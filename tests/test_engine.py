@@ -16,7 +16,8 @@ from lintab import (
     load_program,
     run_query,
 )
-from lintab.bench import config_matrix, suite_instances
+from lintab.bench import config_matrix, run_instance, suite_instances
+from lintab.oracle import OracleInapplicable, oracle_solve
 from lintab.table import check_region_invariants
 
 
@@ -190,6 +191,61 @@ def test_tabled_call_instantiation_is_fresh_per_consumption():
     # consuming the non-ground answer twice must not alias variables
     sols, _ = solve(":- table p/1.\np(X).\n", "p(A),p(B)")
     assert sols == ["p(_G0),p(_G1)"]
+
+
+CYCLE_TC = """
+:- table p/2.
+e(a,b). e(b,c). e(c,a). e(d,a).
+p(X,Y) :- e(X,Y).
+p(X,Y) :- p(X,Z), e(Z,Y).
+"""
+COMPOUND_TC = """
+:- table p/2.
+e(a,b). e(b,c). e(c,a).
+p(f(X),Y) :- e(X,Y).
+p(f(X),Y) :- p(f(X),Z), e(Z,Y).
+"""
+SHARED = ":- table q/2.\nq(X,X).\n:- table r/2.\nr(f(X),g(X)).\n"
+ABC = ("a", "b", "c")
+
+# Answers are stored as the bindings of the entry key's variables and
+# returned by binding the call's variables in key order. Each case runs
+# under all six configs; `oracle` marks the range-restricted ones, which
+# are also checked against the bottom-up oracle per query and per entry.
+FACTORING_CASES = {
+    # key p(_0,_0): one tuple element binds both positions
+    "repeated-call-variable": (
+        CYCLE_TC, "p(X,X)", {f"p({c},{c})" for c in ABC}, True),
+    # an answer's positions share a variable, renamed apart per consumption
+    "shared-answer-variable": (
+        SHARED, "q(A,B),q(C,D)", {"q(_G0,_G0),q(_G1,_G1)"}, False),
+    "shared-answer-variable-repeated-call": (
+        SHARED, "q(A,A)", {"q(_G0,_G0)"}, False),
+    "shared-answer-variable-compound": (
+        SHARED, "r(A,B)", {"r(f(_G0),g(_G0))"}, False),
+    # a ground call's tuples are empty
+    "ground-call": (CYCLE_TC, "p(d,c)", {"p(d,c)"}, True),
+    "ground-call-fails": (CYCLE_TC, "p(a,d)", set(), True),
+    # key p(f(_0),_1): the call's variables sit inside a compound
+    "compound-argument": (
+        COMPOUND_TC, "p(f(X),Y)", {f"p(f({x}),{y})" for x in ABC for y in ABC}, True),
+    "compound-argument-bound": (
+        COMPOUND_TC, "p(f(X),b)", {f"p(f({x}),b)" for x in ABC}, True),
+}
+
+
+@pytest.mark.parametrize("name", FACTORING_CASES)
+def test_factored_answer_return(name):
+    text, query, want, oracle = FACTORING_CASES[name]
+    result = run_instance(name, text, query)
+    assert not result.divergences
+    assert set(result.solutions) == {label for label, _ in config_matrix()}
+    assert all(sols == want for sols in result.solutions.values())
+    if oracle:
+        assert oracle_solve(text, query) == want
+    else:
+        with pytest.raises(OracleInapplicable):
+            oracle_solve(text, query)
 
 
 def test_indexing_on_second_argument_cuts_clause_resolutions():

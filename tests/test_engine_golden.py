@@ -2,10 +2,13 @@
 
 Pins, per (instance, config), the exact solution stream (order and eager
 duplicates included), `entry_rounds` and every `RunStats.as_dict()`
-counter as one short digest. A refactor of the resolution machinery must
-leave every digest unchanged; a failure names the instance and configs.
+counter as one short digest, and separately what the tables hold after
+the run (`table.dump`: every entry's key, state, answers in insertion
+order and region boundaries). A refactor of the resolution machinery or
+of the answer-table representation must leave every digest unchanged; a
+failure names the instance and configs.
 
-To print the digests of the code under test:
+To print both digest maps of the code under test:
 
     PYTHONPATH=src python tests/test_engine_golden.py
 """
@@ -17,6 +20,7 @@ import pytest
 
 from lintab import Engine, load_program
 from lintab.bench import config_matrix, suite_instances
+from lintab.table import dump
 
 SEED = 0
 
@@ -32,17 +36,26 @@ def golden_instances():
     return out
 
 
-def run_digest(program, query, opts) -> str:
+def _digest(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def run_digests(program, query, opts) -> tuple[str, str]:
+    """(run digest, table-dump digest) of one run."""
     eng = Engine(program, opts)
     sols = list(eng.run(query))
     record = [sols, list(eng.stats.entry_rounds.items()), eng.stats.as_dict()]
     blob = json.dumps(record, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return _digest(blob), _digest(dump(eng.store).encode())
 
 
-def instance_digests(text, query) -> dict[str, str]:
+def instance_digests(text, query) -> tuple[dict[str, str], dict[str, str]]:
+    """Per config label: the run digests and the table-dump digests."""
     program = load_program(text)
-    return {label: run_digest(program, query, opts) for label, opts in config_matrix()}
+    runs, tables = {}, {}
+    for label, opts in config_matrix():
+        runs[label], tables[label] = run_digests(program, query, opts)
+    return runs, tables
 
 
 GOLDEN = {
@@ -241,21 +254,229 @@ GOLDEN = {
 }
 
 
+# table.dump digests, generated on the engine that stored full answer terms
+TABLE_GOLDEN = {
+    'tcl-chain-6': {
+        'lazy,semi_naive=off,early_promotion=off': '5ed24e99c255',
+        'lazy,semi_naive=on,early_promotion=off': '5ed24e99c255',
+        'lazy,semi_naive=on,early_promotion=on': '3cf3ccb6c3bc',
+        'eager,semi_naive=off,early_promotion=off': '5ed24e99c255',
+        'eager,semi_naive=on,early_promotion=off': '5ed24e99c255',
+        'eager,semi_naive=on,early_promotion=on': '3cf3ccb6c3bc',
+    },
+    'tcl-cycle-6': {
+        'lazy,semi_naive=off,early_promotion=off': '43a8b58ad94c',
+        'lazy,semi_naive=on,early_promotion=off': '43a8b58ad94c',
+        'lazy,semi_naive=on,early_promotion=on': 'a5e573f04c77',
+        'eager,semi_naive=off,early_promotion=off': '43a8b58ad94c',
+        'eager,semi_naive=on,early_promotion=off': '43a8b58ad94c',
+        'eager,semi_naive=on,early_promotion=on': 'a5e573f04c77',
+    },
+    'tcl-random-6': {
+        'lazy,semi_naive=off,early_promotion=off': 'ff95efe2dc3a',
+        'lazy,semi_naive=on,early_promotion=off': 'ff95efe2dc3a',
+        'lazy,semi_naive=on,early_promotion=on': 'b1ebbb789251',
+        'eager,semi_naive=off,early_promotion=off': 'ff95efe2dc3a',
+        'eager,semi_naive=on,early_promotion=off': 'ff95efe2dc3a',
+        'eager,semi_naive=on,early_promotion=on': 'b1ebbb789251',
+    },
+    'tcr-chain-6': {
+        'lazy,semi_naive=off,early_promotion=off': '7ec95ad940fb',
+        'lazy,semi_naive=on,early_promotion=off': '7ec95ad940fb',
+        'lazy,semi_naive=on,early_promotion=on': '7ec95ad940fb',
+        'eager,semi_naive=off,early_promotion=off': '7ec95ad940fb',
+        'eager,semi_naive=on,early_promotion=off': '7ec95ad940fb',
+        'eager,semi_naive=on,early_promotion=on': '7ec95ad940fb',
+    },
+    'tcr-cycle-6': {
+        'lazy,semi_naive=off,early_promotion=off': '12edfec6a7bb',
+        'lazy,semi_naive=on,early_promotion=off': '12edfec6a7bb',
+        'lazy,semi_naive=on,early_promotion=on': '12edfec6a7bb',
+        'eager,semi_naive=off,early_promotion=off': '56ec955ad1d5',
+        'eager,semi_naive=on,early_promotion=off': '56ec955ad1d5',
+        'eager,semi_naive=on,early_promotion=on': 'b75a140f2c03',
+    },
+    'tcr-random-6': {
+        'lazy,semi_naive=off,early_promotion=off': '942105b69cfd',
+        'lazy,semi_naive=on,early_promotion=off': '942105b69cfd',
+        'lazy,semi_naive=on,early_promotion=on': '0a222d1038ac',
+        'eager,semi_naive=off,early_promotion=off': '98738c05df33',
+        'eager,semi_naive=on,early_promotion=off': '98738c05df33',
+        'eager,semi_naive=on,early_promotion=on': '5620c719bff5',
+    },
+    'tcn-chain-6': {
+        'lazy,semi_naive=off,early_promotion=off': '4491202cfafc',
+        'lazy,semi_naive=on,early_promotion=off': '4491202cfafc',
+        'lazy,semi_naive=on,early_promotion=on': 'c29161ef66e3',
+        'eager,semi_naive=off,early_promotion=off': '4491202cfafc',
+        'eager,semi_naive=on,early_promotion=off': '4491202cfafc',
+        'eager,semi_naive=on,early_promotion=on': 'c29161ef66e3',
+    },
+    'tcn-cycle-6': {
+        'lazy,semi_naive=off,early_promotion=off': '63d761c4ca05',
+        'lazy,semi_naive=on,early_promotion=off': '63d761c4ca05',
+        'lazy,semi_naive=on,early_promotion=on': '218590d58be0',
+        'eager,semi_naive=off,early_promotion=off': '63d761c4ca05',
+        'eager,semi_naive=on,early_promotion=off': '63d761c4ca05',
+        'eager,semi_naive=on,early_promotion=on': '7e7adf98a2d0',
+    },
+    'tcn-random-6': {
+        'lazy,semi_naive=off,early_promotion=off': '658b286f3949',
+        'lazy,semi_naive=on,early_promotion=off': '658b286f3949',
+        'lazy,semi_naive=on,early_promotion=on': '663d03d8cba0',
+        'eager,semi_naive=off,early_promotion=off': '658b286f3949',
+        'eager,semi_naive=on,early_promotion=off': '658b286f3949',
+        'eager,semi_naive=on,early_promotion=on': 'e76f716eceb7',
+    },
+    'sg-chain-6': {
+        'lazy,semi_naive=off,early_promotion=off': '97a661efee08',
+        'lazy,semi_naive=on,early_promotion=off': '97a661efee08',
+        'lazy,semi_naive=on,early_promotion=on': '97a661efee08',
+        'eager,semi_naive=off,early_promotion=off': '97a661efee08',
+        'eager,semi_naive=on,early_promotion=off': '97a661efee08',
+        'eager,semi_naive=on,early_promotion=on': '97a661efee08',
+    },
+    'sg-cycle-6': {
+        'lazy,semi_naive=off,early_promotion=off': 'aa2e6ecdb9aa',
+        'lazy,semi_naive=on,early_promotion=off': 'aa2e6ecdb9aa',
+        'lazy,semi_naive=on,early_promotion=on': '09206bedf289',
+        'eager,semi_naive=off,early_promotion=off': 'aa2e6ecdb9aa',
+        'eager,semi_naive=on,early_promotion=off': 'aa2e6ecdb9aa',
+        'eager,semi_naive=on,early_promotion=on': '09206bedf289',
+    },
+    'sg-random-6': {
+        'lazy,semi_naive=off,early_promotion=off': 'f2c5e94ac520',
+        'lazy,semi_naive=on,early_promotion=off': 'f2c5e94ac520',
+        'lazy,semi_naive=on,early_promotion=on': '3ffbb7fcb9e6',
+        'eager,semi_naive=off,early_promotion=off': 'aa8df43903b8',
+        'eager,semi_naive=on,early_promotion=off': 'aa8df43903b8',
+        'eager,semi_naive=on,early_promotion=on': '544be4f5f965',
+    },
+    'sg-chain-12': {
+        'lazy,semi_naive=off,early_promotion=off': '406898ba1164',
+        'lazy,semi_naive=on,early_promotion=off': '406898ba1164',
+        'lazy,semi_naive=on,early_promotion=on': '406898ba1164',
+        'eager,semi_naive=off,early_promotion=off': '406898ba1164',
+        'eager,semi_naive=on,early_promotion=off': '406898ba1164',
+        'eager,semi_naive=on,early_promotion=on': '406898ba1164',
+    },
+    'sg-cycle-12': {
+        'lazy,semi_naive=off,early_promotion=off': 'b3fbaa6e3780',
+        'lazy,semi_naive=on,early_promotion=off': 'b3fbaa6e3780',
+        'lazy,semi_naive=on,early_promotion=on': '6ddb55ba1288',
+        'eager,semi_naive=off,early_promotion=off': 'b3fbaa6e3780',
+        'eager,semi_naive=on,early_promotion=off': 'b3fbaa6e3780',
+        'eager,semi_naive=on,early_promotion=on': '6ddb55ba1288',
+    },
+    'sg-random-12': {
+        'lazy,semi_naive=off,early_promotion=off': '2f17277a7ef5',
+        'lazy,semi_naive=on,early_promotion=off': '2f17277a7ef5',
+        'lazy,semi_naive=on,early_promotion=on': 'd5bf8d71318a',
+        'eager,semi_naive=off,early_promotion=off': 'dacda77f7b34',
+        'eager,semi_naive=on,early_promotion=off': 'dacda77f7b34',
+        'eager,semi_naive=on,early_promotion=on': 'edc47ba403cc',
+    },
+    'regex-warren-20': {
+        'lazy,semi_naive=off,early_promotion=off': 'e6f44278ec74',
+        'lazy,semi_naive=on,early_promotion=off': 'e6f44278ec74',
+        'lazy,semi_naive=on,early_promotion=on': 'a8e23935e9f0',
+        'eager,semi_naive=off,early_promotion=off': 'e6f44278ec74',
+        'eager,semi_naive=on,early_promotion=off': 'e6f44278ec74',
+        'eager,semi_naive=on,early_promotion=on': 'a8e23935e9f0',
+    },
+    'regex-warren-nontabled-20': {
+        'lazy,semi_naive=off,early_promotion=off': 'e6f44278ec74',
+        'lazy,semi_naive=on,early_promotion=off': 'e6f44278ec74',
+        'lazy,semi_naive=on,early_promotion=on': 'a8e23935e9f0',
+        'eager,semi_naive=off,early_promotion=off': 'e6f44278ec74',
+        'eager,semi_naive=on,early_promotion=off': 'e6f44278ec74',
+        'eager,semi_naive=on,early_promotion=on': 'a8e23935e9f0',
+    },
+    'left-recursive-tc': {
+        'lazy,semi_naive=off,early_promotion=off': '46ccd2f01129',
+        'lazy,semi_naive=on,early_promotion=off': '46ccd2f01129',
+        'lazy,semi_naive=on,early_promotion=on': 'd2d9da07f757',
+        'eager,semi_naive=off,early_promotion=off': '46ccd2f01129',
+        'eager,semi_naive=on,early_promotion=off': '46ccd2f01129',
+        'eager,semi_naive=on,early_promotion=on': 'd2d9da07f757',
+    },
+    'two-fact-self-join': {
+        'lazy,semi_naive=off,early_promotion=off': '7f30d2be0e7e',
+        'lazy,semi_naive=on,early_promotion=off': '7f30d2be0e7e',
+        'lazy,semi_naive=on,early_promotion=on': '7f30d2be0e7e',
+        'eager,semi_naive=off,early_promotion=off': '0412d2906dc2',
+        'eager,semi_naive=on,early_promotion=off': '0412d2906dc2',
+        'eager,semi_naive=on,early_promotion=on': 'f8251a63c012',
+    },
+    'fresh-subgoal-guard': {
+        'lazy,semi_naive=off,early_promotion=off': '69d16e467d15',
+        'lazy,semi_naive=on,early_promotion=off': '69d16e467d15',
+        'lazy,semi_naive=on,early_promotion=on': '69d16e467d15',
+        'eager,semi_naive=off,early_promotion=off': '69d16e467d15',
+        'eager,semi_naive=on,early_promotion=off': '69d16e467d15',
+        'eager,semi_naive=on,early_promotion=on': '414223341665',
+    },
+    'fresh-subgoal-guard-reordered': {
+        'lazy,semi_naive=off,early_promotion=off': '6582596e1b5a',
+        'lazy,semi_naive=on,early_promotion=off': '6582596e1b5a',
+        'lazy,semi_naive=on,early_promotion=on': '69d16e467d15',
+        'eager,semi_naive=off,early_promotion=off': '6582596e1b5a',
+        'eager,semi_naive=on,early_promotion=off': '6582596e1b5a',
+        'eager,semi_naive=on,early_promotion=on': '69d16e467d15',
+    },
+    'self-feeding-pair': {
+        'lazy,semi_naive=off,early_promotion=off': '218b12bb24ad',
+        'lazy,semi_naive=on,early_promotion=off': '218b12bb24ad',
+        'lazy,semi_naive=on,early_promotion=on': '330e87229586',
+        'eager,semi_naive=off,early_promotion=off': '218b12bb24ad',
+        'eager,semi_naive=on,early_promotion=off': '218b12bb24ad',
+        'eager,semi_naive=on,early_promotion=on': '330e87229586',
+    },
+    'helper-routed-tc-point': {
+        'lazy,semi_naive=off,early_promotion=off': 'c1a82ac23585',
+        'lazy,semi_naive=on,early_promotion=off': 'c1a82ac23585',
+        'lazy,semi_naive=on,early_promotion=on': '3216b5835e0b',
+        'eager,semi_naive=off,early_promotion=off': 'c1a82ac23585',
+        'eager,semi_naive=on,early_promotion=off': 'c1a82ac23585',
+        'eager,semi_naive=on,early_promotion=on': '886126ac11a4',
+    },
+    'helper-routed-tc-open': {
+        'lazy,semi_naive=off,early_promotion=off': '5396b448185c',
+        'lazy,semi_naive=on,early_promotion=off': '5396b448185c',
+        'lazy,semi_naive=on,early_promotion=on': 'dacbe0a718e7',
+        'eager,semi_naive=off,early_promotion=off': '5396b448185c',
+        'eager,semi_naive=on,early_promotion=off': '5396b448185c',
+        'eager,semi_naive=on,early_promotion=on': '96737347cd3e',
+    },
+}
+
+
 INSTANCES = golden_instances()
 
 
-@pytest.mark.parametrize("name,text,query", INSTANCES, ids=[i[0] for i in INSTANCES])
-def test_engine_digests_unchanged(name, text, query):
-    got = instance_digests(text, query)
-    want = GOLDEN[name]
+def _assert_same(name, got, want):
     bad = [f"{name} [{label}]" for label in want if got.get(label) != want[label]]
     assert got.keys() == want.keys()
     assert not bad, "digest changed: " + "; ".join(bad)
 
 
+@pytest.mark.parametrize("name,text,query", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_engine_digests_unchanged(name, text, query):
+    _assert_same(name, instance_digests(text, query)[0], GOLDEN[name])
+
+
+@pytest.mark.parametrize("name,text,query", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_table_dump_digests_unchanged(name, text, query):
+    _assert_same(name, instance_digests(text, query)[1], TABLE_GOLDEN[name])
+
+
 if __name__ == "__main__":
-    for name, text, query in INSTANCES:
-        print(f"    {name!r}: {{")
-        for label, d in instance_digests(text, query).items():
-            print(f"        {label!r}: {d!r},")
-        print("    },")
+    digests = [(name, instance_digests(text, query)) for name, text, query in INSTANCES]
+    for title, which in (("GOLDEN", 0), ("TABLE_GOLDEN", 1)):
+        print(f"{title} = {{")
+        for name, maps in digests:
+            print(f"    {name!r}: {{")
+            for label, d in maps[which].items():
+                print(f"        {label!r}: {d!r},")
+            print("    },")
+        print("}")

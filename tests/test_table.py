@@ -18,25 +18,33 @@ from lintab.table import (
 from lintab.terms import Atom, Integer, Struct, Var
 
 
+def sub(*names):
+    """A substitution tuple: the bindings of an entry key's variables."""
+    return tuple(Atom(n) if isinstance(n, str) else n for n in names)
+
+
 def goal(*names):
-    return Struct("p", [Atom(n) if isinstance(n, str) else n for n in names])
+    return Struct("p", sub(*names))
 
 
 def fresh_entry():
     store = SubgoalStore()
-    entry, fresh = register_subgoal(store, Struct("p", [Var(0)]))
-    assert fresh
+    entry, call_vars = register_subgoal(store, Struct("p", [Var(0)]))
+    assert len(store) == 1 and call_vars == (0,)
     return store, entry
 
 
 def test_register_is_variant_keyed():
     store = SubgoalStore()
-    e1, fresh1 = register_subgoal(store, Struct("p", [Var(5), Var(5), Var(9)]))
-    e2, fresh2 = register_subgoal(store, Struct("p", [Var(0), Var(0), Var(2)]))
-    assert fresh1 and not fresh2 and e1 is e2
-    e3, fresh3 = register_subgoal(store, Struct("p", [Var(0), Var(1), Var(2)]))
-    assert fresh3 and e3 is not e1
+    e1, vars1 = register_subgoal(store, Struct("p", [Var(5), Var(5), Var(9)]))
+    assert len(store) == 1
+    e2, vars2 = register_subgoal(store, Struct("p", [Var(0), Var(0), Var(2)]))
+    assert len(store) == 1 and e1 is e2
+    e3, _ = register_subgoal(store, Struct("p", [Var(0), Var(1), Var(2)]))
+    assert e3 is not e1
     assert len(store) == 2
+    # the call's variables, in key order
+    assert (vars1, vars2) == ((5, 9), (0, 2))
 
 
 def test_insert_dedups_variants():
@@ -64,11 +72,11 @@ def test_insert_into_complete_raises():
 
 def test_promotion_slides_regions():
     _, e = fresh_entry()
-    insert_answer(e, goal("a"))
-    insert_answer(e, goal("b"))
+    insert_answer(e, sub("a"))
+    insert_answer(e, sub("b"))
     promote_regions(e)
     assert (e.last_old, e.last_prev) == (0, 2)
-    insert_answer(e, goal("c"))
+    insert_answer(e, sub("c"))
     old, prev, cur = e.regions()
     assert (old, prev, cur) == ([], [goal("a"), goal("b")], [goal("c")])
     promote_regions(e)
@@ -116,7 +124,7 @@ def test_region_boundaries_monotone_and_partition(script):
         if promote:
             promote_regions(e)
         else:
-            insert_answer(e, goal(Integer(n)))
+            insert_answer(e, sub(Integer(n)))
         assert prev_boundaries <= (e.last_old, e.last_prev)
         assert e.last_old <= e.last_prev <= len(e.answers)
         prev_boundaries = (e.last_old, e.last_prev)
@@ -136,7 +144,7 @@ def test_check_region_invariants_detects_corruption():
 def test_dump_format():
     store = SubgoalStore()
     e, _ = register_subgoal(store, Struct("p", [Atom("a"), Var(3)]))
-    insert_answer(e, goal("a", "b"))
+    insert_answer(e, sub("b"))
     promote_regions(e)
     mark_complete(e)
     assert dump(store) == "p(a,_G0)  state=complete answers=[p(a,b)] old=0 prev=1"
