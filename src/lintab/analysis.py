@@ -16,23 +16,14 @@ that binds that position to an atom or integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .parser import Clause, Item, TableDeclaration
-from .terms import Atom, Integer, Struct, Term
+from .terms import PredKey, Struct, Term, Var, pred_key
 
-PredKey = tuple[str, int]
 # successors of each predicate as dict keys, in first-occurrence order, so
 # every walk over the graph is the same under any hash seed
 CallGraph = dict[PredKey, dict[PredKey, None]]
-
-
-def pred_key(t: Term) -> PredKey:
-    if isinstance(t, Atom):
-        return (t.name, 0)
-    if isinstance(t, Struct):
-        return (t.functor, len(t.args))
-    raise TypeError(f"not a callable term: {t!r}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +34,9 @@ class AnnotatedRule:
 
 # One argument-position index: clauses per atomic key, each in program
 # order, plus the clauses whose head argument there is not atomic.
-PositionIndex = tuple[dict[tuple, tuple[AnnotatedRule, ...]], tuple[AnnotatedRule, ...]]
+PositionIndex = tuple[
+    dict[Union[str, int], tuple[AnnotatedRule, ...]], tuple[AnnotatedRule, ...]
+]
 
 
 @dataclass
@@ -86,13 +79,13 @@ class AnnotatedProgram:
         return plan
 
     def rules_for(
-        self, key: PredKey, first_key: Optional[tuple] = None, pos: int = 0
+        self, key: PredKey, first_key: Optional[Union[str, int]] = None, pos: int = 0
     ) -> tuple[AnnotatedRule, ...]:
         """Clauses of key, in program order, that a call can match.
 
-        With first_key, the call's argument at pos is that atomic key, and
-        only clauses whose head argument there is the same key or is not
-        atomic are returned.
+        With first_key, the call's argument at pos is that atom or integer,
+        and only clauses whose head argument there is the same constant or
+        is not atomic are returned.
         """
         rules = self.rules.get(key)
         if rules is None:
@@ -180,13 +173,11 @@ def level_mapping(graph: CallGraph) -> dict[PredKey, int]:
     return levels
 
 
-def atomic_key(t: Term) -> Optional[tuple]:
-    """Index key of an atom or integer; None for any other term."""
-    if type(t) is Atom:
-        return ("a", t.name)
-    if type(t) is Integer:
-        return ("i", t.value)
-    return None
+def atomic_key(t: Term) -> Optional[Union[str, int]]:
+    """Index key of an atom or integer: the constant itself, whose type
+    keeps the atom "0" and the integer 0 apart. None for a Var or Struct."""
+    tt = type(t)
+    return None if tt is Var or tt is Struct else t
 
 
 def _index_position(rules: tuple[AnnotatedRule, ...], pos: int) -> PositionIndex:
@@ -196,7 +187,7 @@ def _index_position(rules: tuple[AnnotatedRule, ...], pos: int) -> PositionIndex
     compound) can match any key, so it joins every bucket and the
     fallback; a bucket opened late starts from the fallback so far.
     """
-    buckets: dict[tuple, list[AnnotatedRule]] = {}
+    buckets: dict[Union[str, int], list[AnnotatedRule]] = {}
     unindexed: list[AnnotatedRule] = []
     for r in rules:
         k = atomic_key(r.clause.head.args[pos])

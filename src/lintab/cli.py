@@ -181,9 +181,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "random-graph" and args.edges is None:
-        print("error: random-graph needs --edges", file=sys.stderr)
-        return EXIT_USAGE
     if args.kind == "ab-string":
         out = generate.ab_string_facts(args.n, pred=args.pred or "c")
     else:

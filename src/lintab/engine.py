@@ -58,7 +58,6 @@ from .table import (
     register_subgoal,
 )
 from .terms import (
-    Atom,
     Bindings,
     Struct,
     Term,
@@ -250,7 +249,7 @@ class Engine:
             yield fresh
             return
         goal = self.bindings.deref(goals[i])
-        if not isinstance(goal, (Atom, Struct)):
+        if not isinstance(goal, (str, Struct)):
             raise EngineError(f"goal is not callable: {render(goal, self.bindings)}")
         self._step()
         key = pred_key(goal)

@@ -10,18 +10,17 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .analysis import PredKey, pred_key
 from .corpus import datalog_program
 from .generate import graph_facts
 from .parser import Clause, Item, parse_program, parse_query
 from .terms import (
-    Atom,
-    Integer,
+    PredKey,
     Struct,
     Term,
     Var,
     is_ground,
     iter_subterms,
+    pred_key,
     render_goals,
     subsumes,
     variables,
@@ -41,7 +40,7 @@ def _check_range_restricted(clauses: Iterable[Clause]) -> None:
         missing = [v for v in variables(c.head) if v not in body_vars]
         if missing:
             raise OracleInapplicable(
-                f"head variable not bound by the body in clause {c.head!r}"
+                f"head variable not bound by the body in clause {c.head}"
             )
 
 
@@ -65,11 +64,8 @@ def _match(pattern: Term, fact: Term, theta: dict[int, Term], bound: list[int]) 
             bound.append(pattern.id)
             return True
         return existing == fact
-    if tp is Atom:
-        return type(fact) is Atom and fact.name == pattern.name
-    if tp is Integer:
-        return type(fact) is Integer and fact.value == pattern.value
-    # Struct
+    if tp is not Struct:
+        return type(fact) is tp and fact == pattern
     return (
         type(fact) is Struct
         and fact.functor == pattern.functor
@@ -102,7 +98,7 @@ def _herbrand_bound(clauses: list[Clause]) -> int:
         for t in (c.head, *c.body):
             preds.add(pred_key(t))
             for s in iter_subterms(t):
-                if isinstance(s, (Atom, Integer)):
+                if type(s) is not Var and type(s) is not Struct:
                     consts.add(s)
     k = max(len(consts), 1)
     bound = 0

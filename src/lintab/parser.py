@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Union
 
-from .terms import Atom, Integer, Struct, Term, Var
+from .terms import Struct, Term, Var
 
 
 class ProgramSyntaxError(Exception):
@@ -47,7 +47,7 @@ class Clause:
     nvars: int
 
     def __post_init__(self):
-        if not isinstance(self.head, (Atom, Struct)):
+        if not isinstance(self.head, (str, Struct)):
             raise ValueError("clause head must be an atom or compound")
 
 
@@ -135,7 +135,7 @@ class _Parser:
         if c in _ATOM_START:
             self.i += 1
             if tokens[self.i] != "(":
-                return Atom(tok)
+                return tok
             self.i += 1
             args = [self.parse_term()]
             while tokens[self.i] == ",":
@@ -148,13 +148,13 @@ class _Parser:
             return self.fresh_var(tok)
         if _is_int(tok):
             self.i += 1
-            return Integer(int(tok))
+            return int(tok)
         self.error("expected a term")
 
     def parse_goal(self) -> Term:
         at = self.i
         t = self.parse_term()
-        if not isinstance(t, (Atom, Struct)):
+        if not isinstance(t, (str, Struct)):
             self.error("goal must be an atom or compound", at)
         return t
 
@@ -181,7 +181,7 @@ class _Parser:
         self.nvars = 0
         at = self.i
         head = self.parse_term()
-        if not isinstance(head, (Atom, Struct)):
+        if not isinstance(head, (str, Struct)):
             self.error("clause head must be an atom or compound", at)
         body: list[Term] = []
         if self.accept(":-"):

@@ -1,20 +1,19 @@
 """Logic terms, unification over a rollback trail, and term relations.
 
-Terms are immutable values: variables (integer ids), atoms, integers and
-compounds. All mutation lives in a `Bindings` object that records a trail
-so the engine can undo bindings on backtracking.
+A term is a `Var` (an integer id), a `Struct` (a functor and argument
+terms), an atom or an integer. An atom is the Python `str` of its name and
+an integer is a Python `int`: the built-in type is the constant's tag, so
+the atom "0" and the integer 0 are different terms. Terms are immutable
+values. All mutation lives in a `Bindings` object that records a trail so
+the engine can undo bindings on backtracking.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 
-class Term:
-    __slots__ = ()
-
-
-class Var(Term):
+class Var:
     __slots__ = ("id",)
 
     def __init__(self, id: int):
@@ -30,41 +29,7 @@ class Var(Term):
         return hash(("v", self.id))
 
 
-class Atom(Term):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        if not name:
-            raise ValueError("atom name must be non-empty")
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return type(other) is Atom and other.name == self.name
-
-    def __hash__(self):
-        return hash(("a", self.name))
-
-
-class Integer(Term):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __repr__(self):
-        return str(self.value)
-
-    def __eq__(self, other):
-        return type(other) is Integer and other.value == self.value
-
-    def __hash__(self):
-        return hash(("i", self.value))
-
-
-class Struct(Term):
+class Struct:
     __slots__ = ("functor", "args")
 
     def __init__(self, functor: str, args):
@@ -77,7 +42,7 @@ class Struct(Term):
         self.args = args
 
     def __repr__(self):
-        return f"{self.functor}({','.join(map(repr, self.args))})"
+        return f"{self.functor}({','.join(map(str, self.args))})"
 
     def __eq__(self, other):
         return (
@@ -88,6 +53,19 @@ class Struct(Term):
 
     def __hash__(self):
         return hash(("s", self.functor, self.args))
+
+
+Term = Union[Var, Struct, str, int]
+PredKey = tuple[str, int]
+
+
+def pred_key(t: Term) -> PredKey:
+    """The predicate indicator (name, arity) of an atom or compound goal."""
+    if type(t) is str:
+        return (t, 0)
+    if type(t) is Struct:
+        return (t.functor, len(t.args))
+    raise TypeError(f"not a callable term: {t!r}")
 
 
 class Bindings:
@@ -158,15 +136,11 @@ def unify(t1: Term, t2: Term, b: Bindings) -> bool:
                 b.undo(mark)
                 return False
             b.bind(c.id, a)
-        elif ta is Atom:
-            if tc is not Atom or a.name != c.name:
+        elif ta is not Struct:
+            if tc is not ta or a != c:
                 b.undo(mark)
                 return False
-        elif ta is Integer:
-            if tc is not Integer or a.value != c.value:
-                b.undo(mark)
-                return False
-        else:  # Struct
+        else:
             if (
                 tc is not Struct
                 or a.functor != c.functor
@@ -287,10 +261,8 @@ def subsumes(t1: Term, t2: Term) -> bool:
             return bound == c
         if ta is not type(c):
             return False
-        if ta is Atom:
-            return a.name == c.name
-        if ta is Integer:
-            return a.value == c.value
+        if ta is not Struct:
+            return a == c
         return (
             a.functor == c.functor
             and len(a.args) == len(c.args)
@@ -325,10 +297,8 @@ def render(
                 name = f"_G{len(names)}"
                 names[t.id] = name
             parts.append(name)
-        elif tt is Atom:
-            parts.append(t.name)
-        elif tt is Integer:
-            parts.append(str(t.value))
+        elif tt is not Struct:
+            parts.append(str(t))
         else:
             parts.append(t.functor)
             parts.append("(")

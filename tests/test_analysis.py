@@ -19,7 +19,7 @@ from lintab.analysis import (
     verify_level_mapping,
 )
 from lintab.parser import Clause, TableDeclaration, parse_program
-from lintab.terms import Atom, Integer, Struct, Var
+from lintab.terms import Struct, Var
 
 
 def _clauses(text):
@@ -123,21 +123,21 @@ def test_declared_predicate_without_clauses():
 def test_first_argument_indexing_buckets():
     prog = analyze(parse_program("e(a,b).\ne(b,c).\ne(X,X).\n"))
     names = lambda rs: [r.clause.head.args[0] for r in rs]
-    from lintab.terms import Atom, Var
+    from lintab.terms import Var
 
-    assert names(prog.rules_for(("e", 2), ("a", "a"))) == [Atom("a"), Var(0)]
-    assert names(prog.rules_for(("e", 2), ("a", "zzz"))) == [Var(0)]
+    assert names(prog.rules_for(("e", 2), "a")) == ["a", Var(0)]
+    assert names(prog.rules_for(("e", 2), "zzz")) == [Var(0)]
     assert len(prog.rules_for(("e", 2), None)) == 3
 
 
 HEAD_ARGS = st.one_of(
-    st.sampled_from(["a", "b", "0"]).map(Atom),
-    st.integers(0, 2).map(Integer),
+    st.sampled_from(["a", "b", "0"]),
+    st.integers(0, 2),
     st.integers(0, 1).map(Var),
-    st.sampled_from("ab").map(lambda n: Struct("f", [Atom(n)])),
+    st.sampled_from("ab").map(lambda n: Struct("f", [n])),
 )
 # every key the heads can hold, plus keys no head holds
-CALL_KEYS = [Atom(n) for n in ("a", "b", "0", "zz")] + [Integer(v) for v in range(4)]
+CALL_KEYS = ["a", "b", "0", "zz"] + list(range(4))
 
 
 @given(st.lists(st.lists(HEAD_ARGS, min_size=3, max_size=3), max_size=8))
@@ -152,13 +152,13 @@ def test_indexed_lookup_is_the_ordered_filter(heads):
                 r
                 for r in rules
                 if not (
-                    type(r.clause.head.args[pos]) in (Atom, Integer)
+                    type(r.clause.head.args[pos]) in (str, int)
                     and r.clause.head.args[pos] != k
                 )
             ]
             got = prog.rules_for(key, atomic_key(k), pos)
             assert [id(r) for r in got] == [id(r) for r in want]
-    distinct = [{a for a in col if type(a) in (Atom, Integer)} for col in zip(*heads)]
+    distinct = [{a for a in col if type(a) in (str, int)} for col in zip(*heads)]
     assert list(prog.index_plan(key)) == sorted(
         (pos for pos, ks in enumerate(distinct) if ks),
         key=lambda pos: (-len(distinct[pos]), pos),
@@ -213,9 +213,7 @@ PREDS = [f"p{k}" for k in range(7)]
 )
 @settings(max_examples=300)
 def test_level_mapping_matches_reference(rules, declared):
-    clauses = [
-        Clause(Atom(head), tuple(Atom(g) for g in body), 0) for head, body in rules
-    ]
+    clauses = [Clause(head, tuple(body), 0) for head, body in rules]
     decls = [TableDeclaration(name, 0) for name in declared]
     nodes = {(name, 0) for name in declared}
     for head, body in rules:

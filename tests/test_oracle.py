@@ -92,7 +92,7 @@ def test_fixpoint_matches_matrix_power_closure():
 
     for item in parse_program(text):
         if isinstance(item, Clause) and not item.body and pred_key(item.head) == ("edge", 2):
-            i, j = (a.value for a in item.head.args)
+            i, j = item.head.args
             adj[i, j] = True
     closure = adj.copy()
     for _ in range(n):

@@ -14,13 +14,13 @@ from lintab.parser import (
     parse_program,
     parse_query,
 )
-from lintab.terms import Atom, Integer, Struct, Var
+from lintab.terms import Struct, Var
 
 
 def test_fact_and_rule():
     items = parse_program("e(a,b).\np(X,Y) :- p(X,Z), e(Z,Y).\n")
     fact, rule = items
-    assert fact == Clause(Struct("e", [Atom("a"), Atom("b")]), (), 0)
+    assert fact == Clause(Struct("e", ["a", "b"]), (), 0)
     assert rule.head == Struct("p", [Var(0), Var(1)])
     assert rule.body == (
         Struct("p", [Var(0), Var(2)]),
@@ -54,13 +54,13 @@ def test_table_declaration_default_and_strategies():
 
 def test_integers_including_negative():
     (c,) = parse_program("p(0,-5,42).")
-    assert c.head == Struct("p", [Integer(0), Integer(-5), Integer(42)])
+    assert c.head == Struct("p", [0, -5, 42])
 
 
 def test_atom_goal_bodies():
     (c,) = parse_program("p :- q, r(a).")
-    assert c.head == Atom("p")
-    assert c.body == (Atom("q"), Struct("r", [Atom("a")]))
+    assert c.head == "p"
+    assert c.body == ("q", Struct("r", ["a"]))
 
 
 def test_comments_ignored():
@@ -195,10 +195,8 @@ def _expected(item):
 
     def term(t):
         kind = t[0]
-        if kind == "atom":
-            return Atom(t[1])
-        if kind == "int":
-            return Integer(t[1])
+        if kind in ("atom", "int"):
+            return t[1]
         if kind == "struct":
             return Struct(t[1], [term(a) for a in t[2]])
         if t[1] == "_":

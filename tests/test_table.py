@@ -15,12 +15,12 @@ from lintab.table import (
     promote_regions,
     register_subgoal,
 )
-from lintab.terms import Atom, Integer, Struct, Var
+from lintab.terms import Struct, Var
 
 
 def sub(*names):
     """A substitution tuple: the bindings of an entry key's variables."""
-    return tuple(Atom(n) if isinstance(n, str) else n for n in names)
+    return names
 
 
 def goal(*names):
@@ -49,17 +49,18 @@ def test_register_is_variant_keyed():
 
 def test_insert_dedups_variants():
     _, e = fresh_entry()
-    assert insert_answer(e, goal("a"))
-    assert not insert_answer(e, goal("a"))
-    assert insert_answer(e, Struct("p", [Var(0)]))
-    assert not insert_answer(e, Struct("p", [Var(0)]))
+    assert insert_answer(e, sub("a"))
+    assert not insert_answer(e, sub("a"))
+    assert insert_answer(e, sub(Var(0)))
+    assert not insert_answer(e, sub(Var(0)))
     assert len(e.answers) == 2
+    assert list(e.answers) == [goal("a"), goal(Var(0))]
 
 
 def test_insert_sets_revised():
     _, e = fresh_entry()
     assert not e.revised
-    insert_answer(e, goal("a"))
+    insert_answer(e, sub("a"))
     assert e.revised
 
 
@@ -67,7 +68,7 @@ def test_insert_into_complete_raises():
     _, e = fresh_entry()
     mark_complete(e)
     with pytest.raises(TableError):
-        insert_answer(e, goal("a"))
+        insert_answer(e, sub("a"))
 
 
 def test_promotion_slides_regions():
@@ -86,9 +87,9 @@ def test_promotion_slides_regions():
 
 def test_early_promote_once_per_round():
     _, e = fresh_entry()
-    insert_answer(e, goal("a"))
+    insert_answer(e, sub("a"))
     promote_regions(e)
-    insert_answer(e, goal("b"))
+    insert_answer(e, sub("b"))
     assert not e.promoted_this_round
     early_promote(e)
     assert e.promoted_this_round
@@ -124,7 +125,7 @@ def test_region_boundaries_monotone_and_partition(script):
         if promote:
             promote_regions(e)
         else:
-            insert_answer(e, sub(Integer(n)))
+            insert_answer(e, sub(n))
         assert prev_boundaries <= (e.last_old, e.last_prev)
         assert e.last_old <= e.last_prev <= len(e.answers)
         prev_boundaries = (e.last_old, e.last_prev)
@@ -135,15 +136,23 @@ def test_region_boundaries_monotone_and_partition(script):
 
 def test_check_region_invariants_detects_corruption():
     store, e = fresh_entry()
-    insert_answer(e, goal("a"))
+    insert_answer(e, sub("a"))
     e.last_old = 5
     with pytest.raises(TableError):
         check_region_invariants(store)
 
 
+def test_check_region_invariants_detects_variant_duplicate():
+    store, e = fresh_entry()
+    insert_answer(e, sub("a"))
+    e.answers.tuples.append(sub("a"))
+    with pytest.raises(TableError, match="variant duplicate"):
+        check_region_invariants(store)
+
+
 def test_dump_format():
     store = SubgoalStore()
-    e, _ = register_subgoal(store, Struct("p", [Atom("a"), Var(3)]))
+    e, _ = register_subgoal(store, Struct("p", ["a", Var(3)]))
     insert_answer(e, sub("b"))
     promote_regions(e)
     mark_complete(e)

@@ -4,9 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from lintab.terms import (
-    Atom,
     Bindings,
-    Integer,
     Struct,
     Var,
     canonicalize,
@@ -25,8 +23,8 @@ from lintab.terms import (
 def terms(max_vars=4, max_depth=3):
     leaves = st.one_of(
         st.integers(0, max_vars - 1).map(Var),
-        st.sampled_from("abcd").map(Atom),
-        st.integers(-3, 3).map(Integer),
+        st.sampled_from("abcd"),
+        st.integers(-3, 3),
     )
     return st.recursive(
         leaves,
@@ -41,17 +39,15 @@ def terms(max_vars=4, max_depth=3):
 
 def test_term_equality_and_hashing():
     assert Var(0) == Var(0) and Var(0) != Var(1)
-    assert Atom("a") == Atom("a") and Atom("a") != Integer(1)
-    t = Struct("f", [Var(0), Atom("a")])
-    assert t == Struct("f", [Var(0), Atom("a")])
-    assert hash(t) == hash(Struct("f", [Var(0), Atom("a")]))
+    assert "a" == "a" and "a" != 1
+    t = Struct("f", [Var(0), "a"])
+    assert t == Struct("f", [Var(0), "a"])
+    assert hash(t) == hash(Struct("f", [Var(0), "a"]))
 
 
 def test_term_constructor_validation():
     import pytest
 
-    with pytest.raises(ValueError):
-        Atom("")
     with pytest.raises(ValueError):
         Struct("f", [])
     with pytest.raises(ValueError):
@@ -60,15 +56,15 @@ def test_term_constructor_validation():
 
 def test_unify_basic():
     b = Bindings()
-    assert unify(Struct("f", [Var(0), Atom("a")]), Struct("f", [Atom("b"), Var(1)]), b)
-    assert b.deref(Var(0)) == Atom("b")
-    assert b.deref(Var(1)) == Atom("a")
+    assert unify(Struct("f", [Var(0), "a"]), Struct("f", ["b", Var(1)]), b)
+    assert b.deref(Var(0)) == "b"
+    assert b.deref(Var(1)) == "a"
 
 
 def test_unify_failure_rolls_back():
     b = Bindings()
-    t1 = Struct("f", [Var(0), Atom("a")])
-    t2 = Struct("f", [Atom("b"), Atom("c")])
+    t1 = Struct("f", [Var(0), "a"])
+    t2 = Struct("f", ["b", "c"])
     before = b.snapshot()
     assert not unify(t1, t2, b)
     assert b.snapshot() == before
@@ -85,11 +81,11 @@ def test_unify_occurs_check():
 
 def test_trail_undo_restores_snapshot():
     b = Bindings()
-    unify(Var(0), Atom("a"), b)
+    unify(Var(0), "a", b)
     snap = b.snapshot()
     mark = b.mark()
     unify(Var(1), Struct("f", [Var(2)]), b)
-    unify(Var(2), Integer(3), b)
+    unify(Var(2), 3, b)
     b.undo(mark)
     assert b.snapshot() == snap
 
@@ -140,11 +136,11 @@ def test_variant_reflexive(t):
 
 
 def test_subsumes_one_way():
-    assert subsumes(Struct("f", [Var(0), Var(1)]), Struct("f", [Atom("a"), Atom("b")]))
-    assert not subsumes(Struct("f", [Atom("a"), Atom("b")]), Struct("f", [Var(0), Var(1)]))
+    assert subsumes(Struct("f", [Var(0), Var(1)]), Struct("f", ["a", "b"]))
+    assert not subsumes(Struct("f", ["a", "b"]), Struct("f", [Var(0), Var(1)]))
     # repeated variables must match equal subterms
-    assert not subsumes(Struct("f", [Var(0), Var(0)]), Struct("f", [Atom("a"), Atom("b")]))
-    assert subsumes(Struct("f", [Var(0), Var(0)]), Struct("f", [Atom("a"), Atom("a")]))
+    assert not subsumes(Struct("f", [Var(0), Var(0)]), Struct("f", ["a", "b"]))
+    assert subsumes(Struct("f", [Var(0), Var(0)]), Struct("f", ["a", "a"]))
 
 
 @given(terms())
@@ -164,7 +160,7 @@ def test_render_goals_shares_names():
 
 def test_render_through_bindings():
     b = Bindings()
-    unify(Var(0), Struct("f", [Integer(1), Var(2)]), b)
+    unify(Var(0), Struct("f", [1, Var(2)]), b)
     assert render(Var(0), b) == "f(1,_G0)"
 
 
