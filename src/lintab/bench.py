@@ -123,6 +123,43 @@ def run_instance(
     return result
 
 
+@dataclass
+class ModelGaps:
+    """One run against the oracle's least model: the exception it raised,
+    or the query solutions and entry answers outside the model and those
+    missing from it, each as "goal: answer" text."""
+
+    error: Optional[str] = None
+    outside: set[str] = field(default_factory=set)
+    missing: set[str] = field(default_factory=set)
+
+
+def model_gaps(text: str, query: str, step_budget: int = 10**6) -> dict[str, ModelGaps]:
+    """Run one range-restricted program under every config; compare the
+    query's solutions and every table entry's answers with the model."""
+    items = parse_program(text)
+    model = oracle_model(items)
+    want = {query: oracle.oracle_solve(items, query, model)}
+    program = load_program(text)
+    out = {}
+    for label, opts in config_matrix():
+        eng = Engine(program, replace(opts, step_budget=step_budget))
+        try:
+            got = {query: set(eng.run(query))}
+        except Exception as exc:  # tallied: finding these is the point
+            out[label] = ModelGaps(error=f"{type(exc).__name__}: {exc}")
+            continue
+        for e in eng.store:
+            key = render(e.key)
+            got[key] = {render(a) for a in e.answers}
+            want[key] = {render(f) for f in answers_for_key(model, e.key)}
+        gaps = out[label] = ModelGaps()
+        for goal, answers in got.items():
+            gaps.outside |= {f"{goal}: {a}" for a in answers - want[goal]}
+            gaps.missing |= {f"{goal}: {a}" for a in want[goal] - answers}
+    return out
+
+
 def suite_instances(
     suite: str, sizes: list[int], seed: int
 ) -> list[tuple[str, str, str]]:
@@ -152,6 +189,7 @@ def suite_instances(
             ("self-feeding-pair", corpus.SELF_FEEDING_PAIR, corpus.SELF_FEEDING_PAIR_QUERY),
             ("helper-routed-tc-point", corpus.HELPER_ROUTED_TC, corpus.HELPER_ROUTED_TC_QUERIES[0]),
             ("helper-routed-tc-open", corpus.HELPER_ROUTED_TC, corpus.HELPER_ROUTED_TC_QUERIES[1]),
+            ("late-loop-under-running-cluster", corpus.LATE_LOOP_UNDER_RUNNING_CLUSTER, corpus.LATE_LOOP_UNDER_RUNNING_CLUSTER_QUERY),
         ]
     else:
         raise ValueError(f"unknown suite {suite!r}")

@@ -6,6 +6,8 @@ generated facts). Names describe the behavior the program exercises.
 
 from __future__ import annotations
 
+import random
+
 from . import generate
 
 # Left-recursive transitive closure over a two-edge chain. Query p(a,Y)
@@ -76,6 +78,21 @@ e(1,2). e(2,3). e(3,4). e(4,5). e(5,1).
 """
 HELPER_ROUTED_TC_QUERIES = ("p(1,Y)", "p(X,Y)")
 
+# An eager q/2 whose call q(5,1), first made in a later round of the
+# running q(_,_) cluster, loops on itself and then re-evaluates members of
+# that older cluster. Its completion must leave them to q(_,_), which is
+# still running: completing them too lets the rest of the round insert into
+# a complete table.
+LATE_LOOP_UNDER_RUNNING_CLUSTER = """\
+:- table q/2 eager.
+p(X,Y) :- q(Y,X).
+q(X,Y) :- e(X,Y).
+q(X,Y) :- p(X,Z), q(Z,Y).
+e(1,4).
+e(5,5).
+"""
+LATE_LOOP_UNDER_RUNNING_CLUSTER_QUERY = "q(X,X)"
+
 # Tabled string matcher for (a|b)*: linear with new-answers-only
 # consumption, quadratic without.
 STRING_MATCHER = """\
@@ -145,3 +162,58 @@ def datalog_program(kind: str, graph_facts: str, n_nodes: int) -> tuple[str, str
     if kind == "sg":
         text += generate.node_facts(n_nodes)
     return text, query
+
+
+def mutual_recursion_program(seed: int) -> tuple[str, str]:
+    """A random range-restricted program and query, deterministic per seed.
+
+    Two to four tabled /2 predicates, each declared `lazy`, `eager` or
+    untagged. Each calls the next, so they are mutually recursive, or
+    sometimes the non-tabled helper h/2 instead, which calls one of them.
+    Bodies have one or two goals; e/2 facts range over 2-6 nodes.
+    """
+    rng = random.Random(seed)
+    preds = ["p", "q", "r", "s"][: rng.randint(2, 4)]
+    helper = rng.random() < 0.5
+    callees = preds + ["e"] + (["h"] if helper else [])
+
+    def goal(name, a, b):
+        return f"{name}({a},{b})" if rng.random() < 0.7 else f"{name}({b},{a})"
+
+    def body(first, second):
+        if second is None:
+            return goal(first, "X", "Y")
+        return f"{goal(first, 'X', 'Z')}, {goal(second, 'Z', 'Y')}"
+
+    lines = [f":- table {p}/2{rng.choice(('', ' lazy', ' eager'))}." for p in preds]
+    for i, p in enumerate(preds):
+        step = preds[(i + 1) % len(preds)]
+        if helper and rng.random() < 0.3:
+            step = "h"
+        pair = [step, rng.choice(callees + [None])]  # None: a one-goal rule
+        rng.shuffle(pair)
+        rules = [body(*pair) if pair[0] else body(pair[1], None)]
+        if rng.random() < 0.8:
+            rules.append(body("e", None))
+        for _ in range(rng.randint(0, 1)):
+            rules.append(body(rng.choice(callees), rng.choice(callees + [None])))
+        rng.shuffle(rules)
+        lines += [f"{p}(X,Y) :- {b}." for b in rules]
+    if helper:
+        lines.append(f"h(X,Y) :- {body(rng.choice(preds), rng.choice(['e', None]))}.")
+    n = rng.randint(2, 6)
+    edges = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, n))}
+    lines += [f"e({a},{b})." for a, b in sorted(edges)]
+
+    first, second = rng.choice(preds), rng.choice(preds)
+    c = rng.randint(1, n)
+    query = rng.choice(
+        [
+            f"{first}(X,Y)",
+            f"{first}({c},Y)",
+            f"{first}(X,{c})",
+            f"{first}(X,X)",
+            f"{first}(X,Y),{second}(Y,Z)",
+        ]
+    )
+    return "\n".join(lines) + "\n", query

@@ -24,10 +24,15 @@ state:
 
 Consumption walks the answer table by position and binds the call's
 variables to each stored substitution tuple, with no unification (see
-table.py). An entry found looping points `topmost` at its cluster's
-top-most subgoal, which points at itself. Top-most looping subgoals are
-iterated in rounds until a round inserts nothing new. Between rounds the cluster's answer regions are
-promoted, which is what makes new-answers-only consumption (the
+table.py). Incomplete entries sit on one completion stack, `incomplete`,
+in the order of their first call (as in the SLG-WAM; Sagonas and Swift,
+TOPLAS 20(3), 1998), and a cluster of inter-dependent subgoals is always
+a suffix of it. An entry found looping points `topmost` at its cluster's
+top-most subgoal, which points at itself; a follower call points every
+entry from its top's stack position up at that top. Top-most looping
+subgoals are iterated in rounds until a round inserts nothing new, then
+complete their suffix and pop it. Between rounds the cluster's answer
+regions are promoted, which is what makes new-answers-only consumption (the
 semi-naive gate) possible. The gate is one bool decided at a tabled
 call site: open at the rule's last depending index when no earlier body
 goal stands on a new answer and the rule's entry is past round 1. It
@@ -161,6 +166,8 @@ class Engine:
         self.stats = RunStats()
         # entries whose pioneer is running, outermost first
         self.active_pioneers: dict[SubgoalEntry, None] = {}
+        # the completion stack: incomplete entries in first-call order
+        self.incomplete: list[SubgoalEntry] = []
         self._var_counter = 0
         self._started = False
 
@@ -291,12 +298,18 @@ class Engine:
         if entry in self.active_pioneers or entry.evaluated:
             # a follower (a loop, possibly fake under eager, was found), or
             # an entry whose cluster is still iterating: either way the
-            # caller must not complete before the cluster's top-most does
-            self._join_cluster(entry)
+            # caller must not complete before the cluster's top-most does:
+            # every entry first called since that top joins its cluster
+            top = entry.topmost or entry
+            for e in self.incomplete[top.pos :]:
+                e.topmost = top  # a looping top points at itself
             yield from self._consume(call_vars, entry, gate, promote=True)
             return
         # pioneer
         eager = self.program.strategy(key, self.opts.strategy) == EAGER
+        if entry.pos is None:  # first call: push it on the completion stack
+            entry.pos = len(self.incomplete)
+            self.incomplete.append(entry)
         self.active_pioneers[entry] = None
         try:
             pioneer = self._pioneer(goal, key, entry, call_vars, gate, eager)
@@ -308,30 +321,6 @@ class Engine:
         finally:
             del self.active_pioneers[entry]
         yield from self._consume(call_vars, entry, gate, promote=False)
-
-    def _join_cluster(self, entry: SubgoalEntry) -> None:
-        """Merge every active pioneer below entry's top into its cluster."""
-        top = entry.topmost or entry
-        # the cluster's anchor may have left the path (eager fake loop, or
-        # an abandoned run): then nothing on the path above it is merged
-        anchor = top if top in self.active_pioneers else entry
-        if anchor in self.active_pioneers:
-            actives = list(self.active_pioneers)
-            for e in actives[actives.index(anchor) + 1 :]:
-                self._merge(top, e)
-        top.topmost = top  # a looping top points at itself
-
-    def _merge(self, top: SubgoalEntry, e: SubgoalEntry) -> None:
-        r = e.topmost or e
-        if r is not top:
-            for x in (r, *r.dependents):
-                x.topmost = top
-                top.dependents.add(x)
-            r.dependents.clear()
-        if e is not top:
-            e.topmost = top
-            top.dependents.add(e)
-        top.dependents.discard(top)
 
     def _pioneer(self, goal, key, entry, call_vars, gate, eager):
         """Rounds of rule resolution to the entry's fixpoint.
@@ -366,21 +355,24 @@ class Engine:
                             self.stats.answers_produced += 1
                             yield True
                 b.undo(mark)
-            # check_completion
-            if entry.topmost is None:
-                mark_complete(entry)
+            # check_completion. A top-most entry stays active from its first
+            # call until its cluster completes, so every incomplete entry
+            # first called after it has either joined its cluster or
+            # completed before the top resumed: the stack suffix from its
+            # position is its cluster (just the entry when it is not looping)
+            top = entry.topmost
+            if top is not None and top is not entry:
+                entry.evaluated = True  # its top-most subgoal completes it
                 return
-            if entry.topmost is entry:
-                cluster = [entry, *entry.dependents]
-                if any(e.revised for e in cluster):
-                    for e in cluster:  # another round
-                        promote_regions(e)
-                        e.evaluated = False
-                        e.revised = False
-                    continue
-                mark_complete(entry)
-                return
-            entry.evaluated = True
+            cluster = self.incomplete[entry.pos :]
+            if top is entry and any(e.revised for e in cluster):
+                for e in cluster:  # another round
+                    promote_regions(e)
+                    e.evaluated = False
+                    e.revised = False
+                continue
+            mark_complete(*cluster)
+            del self.incomplete[entry.pos :]
             return
 
     def _consume(self, call_vars, entry, gate, promote):

@@ -85,7 +85,7 @@ class SubgoalEntry:
         "promoted_this_round",
         "round_counter",
         "topmost",
-        "dependents",
+        "pos",
     )
 
     def __init__(self, key: Term):
@@ -103,7 +103,8 @@ class SubgoalEntry:
         # None until the entry is found looping; then its cluster's
         # top-most entry, which points at itself
         self.topmost: Optional[SubgoalEntry] = None
-        self.dependents: set[SubgoalEntry] = set()
+        # its index on the engine's completion stack, set on its first call
+        self.pos: Optional[int] = None
 
     def __repr__(self):
         state = "complete" if self.complete else "incomplete"
@@ -172,13 +173,11 @@ def early_promote(entry: SubgoalEntry) -> None:
     entry.promoted_this_round = True
 
 
-def mark_complete(top_entry: SubgoalEntry) -> None:
-    """Flag the entry and every dependent of its cluster as complete."""
-    top_entry.complete = True
-    top_entry.evaluated = False
-    for dep in top_entry.dependents:
-        dep.complete = True
-        dep.evaluated = False
+def mark_complete(*entries: SubgoalEntry) -> None:
+    """Flag the entries of a completed cluster as complete."""
+    for entry in entries:
+        entry.complete = True
+        entry.evaluated = False
 
 
 def check_region_invariants(store: SubgoalStore) -> None:

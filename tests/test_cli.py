@@ -117,6 +117,16 @@ def test_run_oracle_agreement(tc_file, capsys):
     assert "oracle: agreement on 2 solutions" in capsys.readouterr().out
 
 
+def test_run_late_loop_under_running_cluster(tmp_path, capsys):
+    path = tmp_path / "late.pl"
+    path.write_text(corpus.LATE_LOOP_UNDER_RUNNING_CLUSTER)
+    query = corpus.LATE_LOOP_UNDER_RUNNING_CLUSTER_QUERY
+    assert main(["run", str(path), query, "--strategy", "eager", "--oracle"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "oracle: agreement on 2 solutions" in captured.out
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("limit", ["0", "-3"])
 def test_run_nonpositive_limit_is_usage_error(tc_file, capsys, limit):
     assert main(["run", tc_file, "p(a,Y)", "--limit", limit]) == EXIT_USAGE

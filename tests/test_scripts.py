@@ -48,3 +48,11 @@ def test_complexity_analyze():
     assert len(lines) == 2
     assert lines[0].startswith("facts=  100  parse=")
     assert lines[1].startswith("facts=  200  parse=") and " ratio " in lines[1]
+
+
+def test_differential_smoke():
+    lines = run_script("differential.py", "--seed", "0", "--programs", "3")
+    assert lines[0] == "programs=3 seeds=0..2"
+    rows = [line for line in lines if " raised=" in line]
+    assert len(rows) == 6
+    assert all(" raised=0 outside=0 " in row for row in rows)

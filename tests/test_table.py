@@ -106,8 +106,7 @@ def test_mark_complete_covers_dependents():
     dep, _ = register_subgoal(store, Struct("q", [Var(0)]))
     dep.topmost = top
     dep.evaluated = True
-    top.dependents.add(dep)
-    mark_complete(top)
+    mark_complete(top, dep)
     assert top.complete and dep.complete
     assert not dep.evaluated
 
