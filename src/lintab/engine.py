@@ -3,10 +3,14 @@
 Depth-first resolution over generators: `_solve_seq` solves a body goal
 by goal, and each goal's clause loop or table loop is a generator that
 yields once per solution (bindings live in a shared trail and are undone
-on backtracking). Each yield carries one bool: whether the solution
-stands on a new answer, one past its entry's old region or just stored
-by a pioneer, at any depth below. Tabled calls dispatch on the entry
-state:
+on backtracking); a last goal's solutions, and a fact's, go straight to
+the caller with no further generator. Each yield carries one bool:
+whether the solution stands on a new answer, one past its entry's old
+region or just stored by a pioneer, at any depth below. A clause is
+resolved without copying its head: the call is unified with the stored
+head read at the offset of a fresh variable block (`terms.unify`), and
+only on a match is the body renamed into that block. Tabled calls
+dispatch on the entry state:
 
   * a complete entry is resolved from the table;
   * a follower, which is a call whose entry has a live pioneer activation
@@ -199,13 +203,14 @@ class Engine:
                 f"step budget {self.opts.step_budget} exhausted"
             )
 
-    def _activate(self, clause):
-        if clause.nvars == 0:
-            return clause.head, clause.body
+    def _activate(self, goal, clause):
+        """Unify goal with the clause's head renamed to a fresh block of
+        variables, read in place at an offset; on a match the body renamed
+        to that block, else None with the bindings rolled back."""
         off = self._fresh_block(clause.nvars)
-        head = renumber(clause.head, off)
-        body = tuple(renumber(g, off) for g in clause.body)
-        return head, body
+        if not unify(goal, clause.head, self.bindings, off):
+            return None
+        return renumber(clause.body, off) if clause.nvars else clause.body
 
     def _clauses_for(self, goal: Term, key: PredKey) -> tuple[AnnotatedRule, ...]:
         """The clauses a call can match: one index bucket, looked up at the
@@ -270,8 +275,12 @@ class Engine:
             solutions = self._solve_tabled(goal, key, gate)
         else:
             solutions = self._solve_plain(goal, key)
-        for new in solutions:
-            yield from self._solve_seq(goals, last_dep, owner, fresh or new, i + 1)
+        if i + 1 == len(goals):
+            for new in solutions:
+                yield fresh or new
+        else:
+            for new in solutions:
+                yield from self._solve_seq(goals, last_dep, owner, fresh or new, i + 1)
 
     def _solve_plain(self, goal, key):
         if key not in self.program.rules:
@@ -283,9 +292,13 @@ class Engine:
             self._step()
             self.stats.clause_resolutions += 1
             mark = b.mark()
-            head, body = self._activate(ar.clause)
-            if unify(goal, head, b):
+            body = self._activate(goal, ar.clause)
+            if body is None:
+                continue
+            if body:
                 yield from self._solve_seq(body, None, None, False, 0)
+            else:
+                yield False  # a fact
             b.undo(mark)
 
     # -- tabled resolution ----------------------------------------------
@@ -347,13 +360,14 @@ class Engine:
                 self._step()
                 self.stats.clause_resolutions += 1
                 mark = b.mark()
-                head, body = self._activate(ar.clause)
-                if unify(goal, head, b):
-                    for _ in self._solve_seq(body, last_dep, entry, False, 0):
-                        # memo: store the answer; only a new one is returned
-                        if insert_answer(entry, canonicalize(subst, b)):
-                            self.stats.answers_produced += 1
-                            yield True
+                body = self._activate(goal, ar.clause)
+                if body is None:
+                    continue
+                for _ in self._solve_seq(body, last_dep, entry, False, 0):
+                    # memo: store the answer; only a new one is returned
+                    if insert_answer(entry, canonicalize(subst, b)):
+                        self.stats.answers_produced += 1
+                        yield True
                 b.undo(mark)
             # check_completion. A top-most entry stays active from its first
             # call until its cluster completes, so every incomplete entry

@@ -108,16 +108,71 @@ class Bindings:
         return len(self._map)
 
 
-def unify(t1: Term, t2: Term, b: Bindings) -> bool:
+def unify(t1: Term, t2: Term, b: Bindings, offset: int = 0) -> bool:
     """Extend b to a most-general unifier of t1 and t2.
 
     On failure the bindings are rolled back to the pre-call state. A
     variable is bound to a compound only if it does not occur in it, so
     no binding is ever cyclic. Binding to an atom, integer or variable
     needs no check, so Datalog terms pay one type test per binding.
+
+    A nonzero offset reads t2 as a clause head renamed apart: its variable
+    i stands for i + offset, and the result, bindings and trail are exactly
+    those of `unify(t1, renumber(t2, offset), b)`. The general loop pops
+    argument pairs last to first and finishes a pair's subterms before the
+    next pair, so when both sides are compounds of one functor and arity
+    the arguments are matched last to first here too: a variable or
+    atomic head argument inline, with the same cases, occurs check and
+    binding direction as the loop; a compound one renumbered and through
+    the loop. No copy of the head is made unless it has a compound
+    argument.
     """
     mark = b.mark()
-    stack = [(t1, t2)]
+    if not offset or type(t1) is not Struct or type(t2) is not Struct:
+        return _unify_loop([(t1, renumber(t2, offset) if offset else t2)], b, mark)
+    args1 = t1.args
+    args2 = t2.args
+    if t1.functor != t2.functor or len(args1) != len(args2):
+        return False
+    m = b._map
+    for k in range(len(args1) - 1, -1, -1):
+        a = args1[k]
+        while type(a) is Var:
+            nxt = m.get(a.id)
+            if nxt is None:
+                break
+            a = nxt
+        ta = type(a)
+        c = args2[k]
+        tc = type(c)
+        if tc is Var:
+            vid = c.id + offset
+            c = m.get(vid)
+            if c is not None:  # a repeated head variable, already bound
+                if not _unify_loop([(a, c)], b, mark):
+                    return False
+            elif ta is Var:
+                if a.id != vid:
+                    b.bind(a.id, Var(vid))
+            elif ta is Struct and _occurs(vid, a, b):
+                b.undo(mark)
+                return False
+            else:
+                b.bind(vid, a)
+        elif tc is Struct:
+            if not _unify_loop([(a, renumber(c, offset))], b, mark):
+                return False
+        elif ta is Var:
+            b.bind(a.id, c)
+        elif ta is not tc or a != c:
+            b.undo(mark)
+            return False
+    return True
+
+
+def _unify_loop(stack: list, b: Bindings, mark: int) -> bool:
+    """unify's general loop over a stack of term pairs; on failure, undo
+    to mark."""
     while stack:
         a, c = stack.pop()
         a = b.deref(a)
@@ -176,8 +231,25 @@ def canonicalize(
     usable as a table key or stored answer. Idempotent. t may also be a
     tuple of terms, numbered as one sequence. A `mapping` dict passed in
     is filled with original variable id -> canonical variable, in
-    numbering order.
+    numbering order. A tuple whose elements all deref to atoms or integers
+    (a ground answer of flat terms) is returned as the tuple of those
+    values, with no walk.
     """
+    if type(t) is tuple:
+        m = b._map if b is not None else {}
+        flat = []
+        for a in t:
+            while type(a) is Var:
+                nxt = m.get(a.id)
+                if nxt is None:
+                    break
+                a = nxt
+            ta = type(a)
+            if ta is not str and ta is not int:
+                break
+            flat.append(a)
+        else:
+            return tuple(flat)
     if mapping is None:
         mapping = {}
 

@@ -290,3 +290,24 @@ def test_abandoned_run_leaves_no_active_pioneer(label, opts, text, query):
     sols, eng = run_query(load_program(text), query, opts)
     assert len(sols) == 1
     assert not eng.active_pioneers
+
+
+HEAD_UNIFICATION = [
+    ("p/2", "p(X,X).", "p(A,f(A))", []),
+    ("q/2", "q(X,f(X)).", "q(A,A)", []),
+    ("s/2", "s(f(X),X).", "s(A,g(A))", []),
+    ("r/3", "r(X,Y,X).", "r(A,B,B)", ["r(_G0,_G0,_G0)"]),
+    ("t/3", "t(X,g(Y),Y).", "t(f(B),A,B)", ["t(f(_G0),g(_G0),_G0)"]),
+]
+
+
+@pytest.mark.parametrize("strategy", [LAZY, EAGER])
+@pytest.mark.parametrize("tabled", [False, True])
+@pytest.mark.parametrize("pred,fact,query,expected", HEAD_UNIFICATION)
+def test_head_unification_with_repeated_and_nested_variables(pred, fact, query, expected, tabled, strategy):
+    # the occurs check and repeated head variables, met while the call is
+    # unified with a clause head renamed apart
+    text = f":- table {pred}.\n{fact}" if tabled else fact
+    sols, eng = solve(text, query, strategy=strategy)
+    assert sols == expected
+    assert len(eng.store) == int(tabled)

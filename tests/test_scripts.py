@@ -56,3 +56,14 @@ def test_differential_smoke():
     rows = [line for line in lines if " raised=" in line]
     assert len(rows) == 6
     assert all(" raised=0 outside=0 " in row for row in rows)
+
+
+def test_ab_query_smoke():
+    # the current sources against themselves: same answers and counters
+    lines = run_script(
+        "ab_query.py", "--parent-src", str(SCRIPTS.parent / "src"),
+        "--workload", "sg-random", "--strategy", "lazy", "--reps", "1", "--instances", "2",
+    )
+    assert lines[0] == "workload=sg-random strategy=lazy seed=13 instances=2 reps=1"
+    assert lines[-1] == "counters identical: steps clause_resolutions answers_consumed answers_produced"
+    assert lines[-2].startswith("median per-instance ratio change/parent = ")

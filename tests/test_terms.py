@@ -1,7 +1,7 @@
 """Term layer: unification, canonicalization, variance, rendering."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from lintab.terms import (
     Bindings,
@@ -172,3 +172,77 @@ def test_render_parses_back_to_variant(t):
     goal = Struct("wrap", [t])
     parsed, _ = parse_query(render(goal))
     assert is_variant(goal, parsed[0])
+
+
+FLAT = st.one_of(st.integers(0, 3).map(Var), st.sampled_from("ab"), st.integers(0, 2))
+
+
+def _bound(pre):
+    """A Bindings holding pre's pairs, each bound through unify (so never
+    cyclic); a pair that does not unify is skipped."""
+    b = Bindings()
+    for vid, t in pre:
+        unify(Var(vid), t, b)
+    return b
+
+
+def _clause_heads(max_vars):
+    """(call, head) pairs of one functor and arity, so that unify's
+    in-place head path runs on every example."""
+    pair = st.tuples(terms(max_vars), terms(max_vars))
+    return st.lists(pair, min_size=1, max_size=4).map(
+        lambda pairs: (
+            Struct("p", [a for a, _ in pairs]),
+            Struct("p", [c for _, c in pairs]),
+        )
+    )
+
+
+@example(  # q(X,f(X)) against q(A,A): the head's X meets A = f(X)
+    (Struct("q", [Var(0), Var(0)]), Struct("q", [Var(0), Struct("f", [Var(0)])])),
+    [],
+    100,
+)
+@example(  # p(X,X) against p(A,f(A))
+    (Struct("p", [Var(0), Struct("f", [Var(0)])]), Struct("p", [Var(0), Var(0)])),
+    [],
+    100,
+)
+@example(  # r(X,Y,X) against r(A,B,B), with A pre-bound
+    (Struct("r", [Var(0), Var(1), Var(1)]), Struct("r", [Var(0), Var(1), Var(0)])),
+    [(0, Struct("g", [Var(2)]))],
+    100,
+)
+@given(
+    st.one_of(_clause_heads(2), _clause_heads(4), st.tuples(terms(), terms())),
+    st.lists(st.tuples(st.integers(0, 3), terms()), max_size=3),
+    st.sampled_from([1, 3, 100]),
+)
+@settings(max_examples=300)
+def test_unify_at_offset_equals_unify_with_renumbered_head(pair, pre, off):
+    # an offset smaller than the call's variables is not renamed apart;
+    # the bindings and trail must match exactly all the same
+    t1, t2 = pair
+    b1, b2 = _bound(pre), _bound(pre)
+    before = (dict(b1._map), list(b1._trail))
+    ok = unify(t1, t2, b1, off)
+    assert ok == unify(t1, renumber(t2, off), b2)
+    assert b1._map == b2._map and b1._trail == b2._trail
+    if not ok:
+        assert (b1._map, b1._trail) == before
+
+
+@given(
+    st.lists(st.one_of(FLAT, terms()), max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), terms()), max_size=4),
+)
+@settings(max_examples=200)
+def test_canonicalize_tuple_under_bindings(tup, pre):
+    # a tuple whose elements deref to atoms and integers takes the flat path
+    tup = tuple(tup)
+    b = _bound(pre)
+    resolved = tuple(resolve(a, b) for a in tup)
+    got = canonicalize(tup, b)
+    assert got == canonicalize(resolved)
+    # a compound is always walked, so wrapping the tuple checks the flat path
+    assert got == (canonicalize(Struct("t", resolved)).args if tup else ())
