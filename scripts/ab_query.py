@@ -17,7 +17,8 @@ separate processes noisy, hits both trees alike.
 Prints the p50 of the per-instance minima of each tree and the median of
 the per-instance ratios change/parent. Exits 1 when an answer differs
 from the workload's reference, or when steps, clause_resolutions,
-answers_consumed or answers_produced differ between the two trees.
+answers_consumed, answers_produced, subgoals or max_its differ between
+the two trees.
 """
 
 import argparse
@@ -33,7 +34,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
-COUNTERS = ("steps", "clause_resolutions", "answers_consumed", "answers_produced")
+COUNTERS = (
+    "steps", "clause_resolutions", "answers_consumed", "answers_produced", "subgoals", "max_its"
+)
 
 
 def load_workloads():

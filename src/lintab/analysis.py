@@ -46,9 +46,10 @@ class AnnotatedProgram:
     levels: dict[PredKey, int]
 
     def __post_init__(self):
-        # both filled on demand by index_plan and rules_for
+        # all filled on demand by index_plan and rules_for
         self._plans: dict[PredKey, tuple[int, ...]] = {}
         self._indexes: dict[tuple[PredKey, int], PositionIndex] = {}
+        self.row_relations: set[PredKey] = set()
 
     def is_tabled(self, key: PredKey) -> bool:
         return key in self.tabled
@@ -62,17 +63,27 @@ class AnnotatedProgram:
 
         A position qualifies when some clause head has an atom or integer
         there; ties in the number of distinct keys go to the lower one.
+        The same pass adds key to row_relations when it is not tabled and
+        has clauses, all facts of arity >= 1 with atomic arguments.
         """
         plan = self._plans.get(key)
         if plan is None:
             distinct: dict[int, set] = {}
-            for r in self.rules.get(key, ()):
+            rules = self.rules.get(key, ())
+            rows = key[1] > 0 and bool(rules) and key not in self.tabled
+            for r in rules:
+                if r.clause.body:
+                    rows = False
                 head = r.clause.head
                 if type(head) is Struct:
                     for pos, arg in enumerate(head.args):
                         k = atomic_key(arg)
-                        if k is not None:
+                        if k is None:
+                            rows = False
+                        else:
                             distinct.setdefault(pos, set()).add(k)
+            if rows:
+                self.row_relations.add(key)
             plan = self._plans[key] = tuple(
                 sorted(distinct, key=lambda pos: (-len(distinct[pos]), pos))
             )

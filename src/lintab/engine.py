@@ -4,7 +4,8 @@ Depth-first resolution over generators: `_solve_seq` solves a body goal
 by goal, and each goal's clause loop or table loop is a generator that
 yields once per solution (bindings live in a shared trail and are undone
 on backtracking); a last goal's solutions, and a fact's, go straight to
-the caller with no further generator. Each yield carries one bool:
+the caller with no further generator; a call to a row relation walks its
+index bucket in place, with no clause loop. Each yield carries one bool:
 whether the solution stands on a new answer, one past its entry's old
 region or just stored by a pioneer, at any depth below. A clause is
 resolved without copying its head: the call is unified with the stored
@@ -274,7 +275,36 @@ class Engine:
             )
             solutions = self._solve_tabled(goal, key, gate)
         else:
-            solutions = self._solve_plain(goal, key)
+            clauses = self._clauses_for(goal, key)  # decides if key is a row relation
+            if key not in self.program.row_relations:
+                solutions = self._solve_plain(goal, key, clauses)
+            else:  # a row relation: match each row of constants in place
+                args = goal.args
+                m, trail = self.bindings._map, self.bindings._trail
+                last_to_first = range(len(args) - 1, -1, -1)  # unify's order
+                for ar in clauses:
+                    self._step()
+                    self.stats.clause_resolutions += 1
+                    mark = len(trail)
+                    row = ar.clause.head.args
+                    for k in last_to_first:
+                        a = args[k]
+                        while type(a) is Var and a.id in m:
+                            a = m[a.id]
+                        c = row[k]
+                        if type(a) is Var:
+                            m[a.id] = c
+                            trail.append(a.id)
+                        elif type(a) is not type(c) or a != c:
+                            break
+                    else:
+                        if i + 1 == len(goals):
+                            yield fresh
+                        else:
+                            yield from self._solve_seq(goals, last_dep, owner, fresh, i + 1)
+                    while len(trail) > mark:
+                        del m[trail.pop()]
+                return
         if i + 1 == len(goals):
             for new in solutions:
                 yield fresh or new
@@ -282,13 +312,13 @@ class Engine:
             for new in solutions:
                 yield from self._solve_seq(goals, last_dep, owner, fresh or new, i + 1)
 
-    def _solve_plain(self, goal, key):
+    def _solve_plain(self, goal, key, clauses):
         if key not in self.program.rules:
             # call to an undefined predicate: finite failure
             self.stats.undefined_calls += 1
             return
         b = self.bindings
-        for ar in self._clauses_for(goal, key):
+        for ar in clauses:
             self._step()
             self.stats.clause_resolutions += 1
             mark = b.mark()
@@ -352,7 +382,11 @@ class Engine:
             if eager:
                 # answers first, then rules
                 yield from self._consume(call_vars, entry, gate, promote=False)
-            skip_base = self.opts.semi_naive and entry.round_counter >= 2
+            # an entry joined to a top at another level (an eager fake loop) keeps base rules
+            top, levels = entry.topmost, self.program.levels
+            skip_base = self.opts.semi_naive and entry.round_counter >= 2 and (
+                top is None or levels[key] == levels[pred_key(top.key)]
+            )
             for ar in self._clauses_for(goal, key):
                 last_dep = ar.last_depending_index
                 if skip_base and last_dep is None:

@@ -1,7 +1,5 @@
 """Generated mutually recursive programs against the bottom-up oracle."""
 
-import pytest
-
 from lintab.bench import config_matrix, model_gaps
 from lintab.corpus import mutual_recursion_program
 
@@ -11,7 +9,8 @@ def test_generated_programs_raise_nothing_and_stay_in_the_model():
     table-entry answer lies in the least model.
 
     Only soundness is asserted: eager programs can still complete a table
-    early and miss answers, see test_eager_semi_naive_skips_a_joined_base_rule.
+    early and miss answers, when an entry first called in an eager
+    pioneer's continuation is completed with its first round's answers.
     """
     labels = [label for label, _ in config_matrix()]
     for seed in range(60):
@@ -29,8 +28,9 @@ def test_generated_programs_are_deterministic():
 
 
 # r(5,_) joins p(4,_)'s cluster through an eager fake loop after consuming
-# only p(4,5); r's one rule is a base rule by the static level mapping, so
-# round 2's semi-naive skip drops it and r(5,_) completes without r(5,6)
+# only p(4,5); r's one rule is a base rule by the static level mapping, so a
+# round-2 semi-naive skip would drop it and complete r(5,_) without r(5,6):
+# r/2 sits at another level than p/2, so r(5,_) keeps its base rule
 SKIPPED_JOINED_BASE_RULE = """\
 :- table p/2.
 :- table r/2 lazy.
@@ -41,11 +41,6 @@ e(4,5). e(5,4). e(4,6).
 """
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="FOUND in CHANGES.md: eager + semi-naive returns too few answers "
-    "when a base rule's entry joins a cluster through an eager fake loop",
-)
 def test_eager_semi_naive_skips_a_joined_base_rule():
     gaps = model_gaps(SKIPPED_JOINED_BASE_RULE, "p(X,Y),q(Y,Z)")
     assert {label: g.missing for label, g in gaps.items() if g.missing} == {}

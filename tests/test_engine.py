@@ -2,9 +2,12 @@
 
 import dataclasses
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 import lintab.corpus as corpus
+import lintab.engine as engine_module
 from lintab import (
     EAGER,
     LAZY,
@@ -16,9 +19,12 @@ from lintab import (
     load_program,
     run_query,
 )
+from lintab.analysis import analyze
 from lintab.bench import config_matrix, run_instance, suite_instances
 from lintab.oracle import OracleInapplicable, oracle_solve
+from lintab.parser import Clause
 from lintab.table import check_region_invariants
+from lintab.terms import Bindings, Struct, Var, unify
 
 
 def solve(text, query, **kw):
@@ -311,3 +317,120 @@ def test_head_unification_with_repeated_and_nested_variables(pred, fact, query, 
     sols, eng = solve(text, query, strategy=strategy)
     assert sols == expected
     assert len(eng.store) == int(tabled)
+
+
+# the atom "1" and the integer 1 look alike in text but are different terms
+CONSTANTS = st.sampled_from(["a", "1", 1, "0", 0])
+CALL_ARGS = st.one_of(
+    st.integers(0, 2).map(Var),
+    CONSTANTS,
+    st.one_of(st.integers(0, 2).map(Var), CONSTANTS).map(lambda t: Struct("f", [t])),
+)
+
+
+def _rows_and_calls(arity):
+    return st.tuples(
+        st.lists(st.tuples(*[CONSTANTS] * arity), min_size=1, max_size=6),
+        st.lists(st.tuples(*[CALL_ARGS] * arity), min_size=1, max_size=2),
+    )
+
+
+@example(([("1",), (1,)], [(Var(0),)]), [(0, 1)], 100)  # X = 1 meets "1" and 1
+@example(([(1, 1), (1, "1"), ("1", "1")], [(Var(0), Var(0))]), [], 100)  # p(X,X)
+@example(([("a", 0)], [(Struct("f", [Var(0)]), Var(1))]), [], 0)  # a compound call
+@example(([("a",), ("b",)], [(Var(0),)]), [(0, Var(1)), (1, "a")], 100)  # X -> Y -> a
+@given(
+    st.integers(1, 3).flatmap(_rows_and_calls),
+    st.lists(st.tuples(st.integers(0, 2), CALL_ARGS), max_size=3),
+    st.sampled_from([0, 100]),
+)
+@settings(max_examples=300)
+def test_row_walk_equals_unify_with_each_row(case, pre, off):
+    # a conjunction of calls to one row relation, some of their variables
+    # bound beforehand, leaves per solution the same bindings and trail as
+    # unifying each goal with every row's head in turn
+    rows, calls = case
+    program = analyze([Clause(Struct("p", row), (), 0) for row in rows])
+    goals = [Struct("p", args) for args in calls]
+
+    def bound():
+        b = Bindings()
+        for vid, t in pre:
+            unify(Var(vid), t, b)
+        return b
+
+    ref = bound()
+    before = (dict(ref._map), list(ref._trail))
+    want = []
+
+    def walk(i):
+        if i == len(goals):
+            want.append((dict(ref._map), list(ref._trail)))
+            return
+        for row in rows:
+            mark = ref.mark()
+            if unify(goals[i], Struct("p", row), ref, off):
+                walk(i + 1)
+                ref.undo(mark)
+
+    walk(0)
+    eng = Engine(program)
+    b = eng.bindings = bound()
+    assert [(dict(b._map), list(b._trail)) for _ in eng.run(goals)] == want
+    assert (b._map, b._trail) == before
+    assert program.row_relations == {("p", len(rows[0]))}
+
+
+ROW_BOUNDARY = [
+    # text, query, predicate, solutions, unify calls, clause resolutions;
+    # only the first is a row relation, so only it resolves with no unify
+    ("e(1,2).\ne(1,2).\n", "e(1,Y)", ("e", 2), ["e(1,2)", "e(1,2)"], 0, 2),
+    ("e(1,2).\ne(3,4) :- f(3).\nf(3).\n", "e(A,B)", ("e", 2), ["e(1,2)", "e(3,4)"], 2, 3),
+    ("e(1,2).\ne(X,3).\n", "e(A,B)", ("e", 2), ["e(1,2)", "e(_G0,3)"], 2, 2),
+    (":- table e/2.\ne(1,2).\ne(2,3).\n", "e(A,B)", ("e", 2), ["e(1,2)", "e(2,3)"], 2, 2),
+    ("go.\n", "go", ("go", 0), ["go"], 1, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "text,query,key,expected,unify_calls,resolutions",
+    ROW_BOUNDARY,
+    ids=["duplicate-facts", "facts-and-rules", "variable-argument", "tabled", "arity-0"],
+)
+def test_row_relation_boundary(monkeypatch, text, query, key, expected, unify_calls, resolutions):
+    calls = []
+
+    def counting_unify(*args):
+        calls.append(args)
+        return unify(*args)
+
+    monkeypatch.setattr(engine_module, "unify", counting_unify)
+    program = load_program(text)
+    sols, eng = run_query(program, query)
+    assert sols == expected
+    assert (key in program.row_relations) == (unify_calls == 0)
+    assert len(calls) == unify_calls
+    # every clause tried counts, on the row walk and the general path alike
+    assert eng.stats.clause_resolutions == resolutions
+
+
+def test_undefined_call_after_a_row_relation_is_counted():
+    sols, eng = solve("e(1,2).\ne(2,3).\n", "e(X,Y),nope(Y)")
+    assert sols == []
+    assert eng.stats.undefined_calls == 2
+
+
+@pytest.mark.parametrize("query,solved", [("e(1,Y)", 5), ("e(1,Y),e(Y,Z)", 1)])
+def test_step_budget_runs_out_mid_bucket(query, solved):
+    # a call pays one step, and one more per row of its bucket. e(1,Y)'s
+    # sixth row is step 7. In the join, row e(1,0) and the call e(0,Z) with
+    # its one row take steps 2-4; row e(1,1) and the call e(1,Z) take 5-6,
+    # so e(1,Z)'s first row is step 7
+    text = "".join(f"e(1,{i}).\n" for i in range(10)) + "e(0,0).\ne(1,1).\n"
+    eng = Engine(load_program(text), EngineOptions(step_budget=6))
+    got = []
+    with pytest.raises(StepBudgetExceeded):
+        for sol in eng.run(query):
+            got.append(sol)
+    assert len(got) == solved
+    assert eng.stats.steps == 7

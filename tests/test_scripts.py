@@ -65,5 +65,7 @@ def test_ab_query_smoke():
         "--workload", "sg-random", "--strategy", "lazy", "--reps", "1", "--instances", "2",
     )
     assert lines[0] == "workload=sg-random strategy=lazy seed=13 instances=2 reps=1"
-    assert lines[-1] == "counters identical: steps clause_resolutions answers_consumed answers_produced"
+    assert lines[-1] == (
+        "counters identical: steps clause_resolutions answers_consumed answers_produced subgoals max_its"
+    )
     assert lines[-2].startswith("median per-instance ratio change/parent = ")
