@@ -4,7 +4,10 @@
 With the new-answers-only gate (plus early promotion) the tabled matcher
 is linear in the string length; with the gate off, or with the recursion
 routed through a non-tabled helper, it is quadratic. Doubling n should
-double (resp. quadruple) answers_consumed.
+double (resp. quadruple) answers_consumed. The first four series run the
+lazy strategy; the last runs eager, which stays linear because the
+top-most pioneer p(0,_) hands each answer to its parent p(0,n) once,
+instead of replaying its whole table to it every round.
 
 With --analyze, instead time loading a chain of edge facts (parse, then
 analyze) and one point query tcl(k,Y) on it, where k has five successors.
@@ -28,6 +31,7 @@ CONFIGS = [
     ("tabled, gate on, no promotion", True, dict(semi_naive=True, early_promotion=False)),
     ("tabled, gate off", True, dict(semi_naive=False, early_promotion=False)),
     ("non-tabled helper, gate on", False, dict(semi_naive=True, early_promotion=True)),
+    ("eager, gate on, early promotion", True, dict(strategy="eager", semi_naive=True, early_promotion=True)),
 ]
 
 

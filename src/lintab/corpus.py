@@ -22,9 +22,13 @@ e(b,c).
 """
 LEFT_RECURSIVE_TC_QUERY = "p(a,Y0)"
 
-# Two tabled facts joined with themselves. Under the eager strategy the
-# conjunctive query p(X),p(Y) re-observes solutions across rounds; under
-# lazy it emits the four distinct pairs once each.
+# Two tabled facts joined with themselves: of the bench suites' programs,
+# the only one where an eager top-most subgoal replays its table. The
+# second call p(Y) is made by the continuation of an answer that the
+# pioneer p(X) is handing to the query, so it is a fake loop back into p's
+# cluster, and p(X)'s next round starts by replaying both answers: the
+# stream re-observes solutions (7 in all). Under lazy it emits the four
+# distinct pairs once each.
 TWO_FACT_SELF_JOIN = """\
 :- table p/1.
 p(1).
@@ -92,6 +96,24 @@ e(1,4).
 e(5,5).
 """
 LATE_LOOP_UNDER_RUNNING_CLUSTER_QUERY = "q(X,X)"
+
+# An eager top-most h(X) whose body calls t(X), an eager top-most of its own.
+# In round 1 the query's continuation calls t(Y) while both pioneers are
+# handing it an answer: a fake loop into t's cluster, nested in h's. h(X)
+# must replay its answers in round 2 too, or h(1),t(2) is lost: t(2) is
+# stored only after the continuation of h(1) consumed t's table. By round 2
+# t is complete, so no fake loop happens then and round 3 replays nothing.
+FAKE_LOOP_INTO_INNER_TOP = """\
+:- table h/1 eager.
+:- table t/1 eager.
+h(X) :- h(Y), u(Y,X).
+h(X) :- t(X).
+t(1).
+t(X) :- t(Y), s(Y,X).
+s(1,2).
+u(2,3).
+"""
+FAKE_LOOP_INTO_INNER_TOP_QUERY = "h(X),t(Y)"
 
 # Tabled string matcher for (a|b)*: linear with new-answers-only
 # consumption, quadratic without.

@@ -23,9 +23,15 @@ dispatch on the entry state:
     when answers are returned. A lazy pioneer drains the generator, so
     answers are withheld until clauses are exhausted (and for top-most
     looping subgoals until the whole cluster is complete), then returns
-    them from the table. An eager pioneer consumes existing answers at
-    the start of each round and hands each new answer to the parent the
-    moment it is stored.
+    them from the table. An eager pioneer hands each new answer to the
+    parent the moment it is stored, and at the start of each round
+    replays the answers stored so far: always when it is a member of a
+    cluster, but as the cluster's top-most subgoal only after a fake
+    loop, a follower call that the parent's continuation made while the
+    top was suspended handing it an answer, into a cluster whose own top
+    was handing too (the top's, or one nested in it). A continuation that
+    made no such call read no table that could still grow after it
+    finished, so running it again on an old answer would only redo work.
 
 Consumption walks the answer table by position and binds the call's
 variables to each stored substitution tuple, with no unification (see
@@ -174,6 +180,8 @@ class Engine:
         # the completion stack: incomplete entries in first-call order
         self.incomplete: list[SubgoalEntry] = []
         self._var_counter = 0
+        # follower calls whose cluster's top was handing an answer to its parent
+        self.fake_loops = 0
         self._started = False
 
     # -- public API ------------------------------------------------------
@@ -346,6 +354,8 @@ class Engine:
             top = entry.topmost or entry
             for e in self.incomplete[top.pos :]:
                 e.topmost = top  # a looping top points at itself
+            if top.handing:  # from the continuation of an answer the top handed out
+                self.fake_loops += 1
             yield from self._consume(call_vars, entry, gate, promote=True)
             return
         # pioneer
@@ -357,11 +367,20 @@ class Engine:
         try:
             pioneer = self._pioneer(goal, key, entry, call_vars, gate, eager)
             if eager:
-                yield from pioneer
+                for new in pioneer:
+                    fake_loops = self.fake_loops
+                    entry.handing = True
+                    yield new
+                    entry.handing = False
+                    # a fake loop into any cluster whose top was handing lies
+                    # in this continuation too, so this entry replays next round
+                    if self.fake_loops != fake_loops:
+                        entry.replay = True
                 return
             for _ in pioneer:
                 pass  # lazy: the memo fails, answers wait in the table
         finally:
+            entry.handing = False
             del self.active_pioneers[entry]
         yield from self._consume(call_vars, entry, gate, promote=False)
 
@@ -371,17 +390,21 @@ class Engine:
         Stores each answer as the canonical tuple of the call variables'
         bindings and yields True once per newly stored one, with the call
         still bound to it. The strategy only decides when answers are
-        returned: an eager pioneer first hands the table's answers to the
-        parent each round and forwards every yield, a lazy one drains the
-        generator and consumes afterwards.
+        returned: a lazy pioneer drains the generator and consumes
+        afterwards; an eager one forwards every yield to the parent, and
+        first replays the table's answers to it each round unless it is
+        its cluster's top-most subgoal and no fake loop (`replay`) came
+        back into the cluster since the previous round began.
         """
         b = self.bindings
         subst = tuple(map(Var, call_vars))
         while True:
             entry.round_counter += 1
-            if eager:
-                # answers first, then rules
-                yield from self._consume(call_vars, entry, gate, promote=False)
+            if eager:  # answers first, then rules
+                replay = entry.replay or entry.topmost is not entry
+                entry.replay = False  # a fake loop during this replay counts next round
+                if replay:
+                    yield from self._consume(call_vars, entry, gate, promote=False)
             # an entry joined to a top at another level (an eager fake loop) keeps base rules
             top, levels = entry.topmost, self.program.levels
             skip_base = self.opts.semi_naive and entry.round_counter >= 2 and (

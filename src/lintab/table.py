@@ -86,6 +86,8 @@ class SubgoalEntry:
         "round_counter",
         "topmost",
         "pos",
+        "handing",
+        "replay",
     )
 
     def __init__(self, key: Term):
@@ -105,6 +107,11 @@ class SubgoalEntry:
         self.topmost: Optional[SubgoalEntry] = None
         # its index on the engine's completion stack, set on its first call
         self.pos: Optional[int] = None
+        # an eager pioneer suspended at a yield to its parent
+        self.handing = False
+        # a fake loop happened while it was handing: its next round starts
+        # by replaying its answers to the parent
+        self.replay = False
 
     def __repr__(self):
         state = "complete" if self.complete else "incomplete"

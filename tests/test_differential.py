@@ -44,3 +44,12 @@ e(4,5). e(5,4). e(4,6).
 def test_eager_semi_naive_skips_a_joined_base_rule():
     gaps = model_gaps(SKIPPED_JOINED_BASE_RULE, "p(X,Y),q(Y,Z)")
     assert {label: g.missing for label, g in gaps.items() if g.missing} == {}
+
+
+def test_generated_fake_loops_into_inner_clusters_lose_no_answer():
+    # in both, the query's continuation makes a follower call into a cluster
+    # nested in the cluster of a top-most eager pioneer that is handing it an
+    # answer; the outer top must replay its answers next round too
+    for seed in (1229, 1430):
+        gaps = model_gaps(*mutual_recursion_program(seed))
+        assert {label: g.missing for label, g in gaps.items() if g.missing} == {}, seed

@@ -25,10 +25,14 @@ from lintab.oracle import OracleInapplicable, oracle_solve
 from lintab.parser import Clause
 from lintab.table import check_region_invariants
 from lintab.terms import Bindings, Struct, Var, unify
+from test_engine_golden import golden_instances
 
 
 def solve(text, query, **kw):
     return run_query(load_program(text), query, EngineOptions(**kw))
+
+
+EAGER_CONFIGS = [(label, opts) for label, opts in config_matrix() if opts.strategy == EAGER]
 
 
 def test_options_validation():
@@ -110,6 +114,73 @@ def test_fake_loop_under_eager_not_a_real_loop():
     sols, eng = solve(corpus.TWO_FACT_SELF_JOIN, "p(X),p(Y)", strategy=EAGER)
     assert len(sols) == 7
     check_region_invariants(eng.store)
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_eager_matcher_parent_sees_each_answer_once(n):
+    # p(0,_) is a top-most eager pioneer whose parent p(0,n) lies outside its
+    # cluster and makes no follower call, so no round replays its table there
+    text, query = corpus.string_matcher_program(n)
+    program = load_program(text)
+    for label, opts in EAGER_CONFIGS:
+        _, eager = run_query(program, query, opts)
+        _, lazy = run_query(program, query, dataclasses.replace(opts, strategy=LAZY))
+        assert eager.stats.max_iterations == lazy.stats.max_iterations, label
+        if opts.semi_naive:
+            assert eager.stats.answers_consumed <= 5 * n, label
+        else:  # with the gate off each round re-joins every answer under both strategies
+            assert eager.stats.answers_consumed <= lazy.stats.answers_consumed, label
+
+
+@pytest.mark.parametrize("label,opts", EAGER_CONFIGS, ids=[c[0] for c in EAGER_CONFIGS])
+def test_eager_left_recursion_streams_each_answer_once(label, opts):
+    sols, _ = run_query(load_program(corpus.LEFT_RECURSIVE_TC), corpus.LEFT_RECURSIVE_TC_QUERY, opts)
+    assert sols == ["p(a,b)", "p(a,c)"]
+
+
+def test_eager_streams_repeat_only_after_a_fake_loop():
+    repeated = set()
+    for name, text, query in golden_instances():
+        program = load_program(text)
+        for _, opts in EAGER_CONFIGS:
+            sols, _ = run_query(program, query, opts)
+            if len(sols) != len(set(sols)):
+                repeated.add(name)
+    assert repeated == {"two-fact-self-join"}
+
+
+def test_fake_loop_into_an_inner_top_replays_the_outer_top():
+    # the continuation of h(1) consumed t's table before t(2) was stored:
+    # only h's replay of h(1) in round 2 yields h(1),t(2); round 3 replays
+    # nothing, as t was complete when round 2 handed answers out
+    sols, eng = solve(corpus.FAKE_LOOP_INTO_INNER_TOP, corpus.FAKE_LOOP_INTO_INNER_TOP_QUERY)
+    assert set(sols) == {f"h({i}),t({j})" for i in (1, 2, 3) for j in (1, 2)}
+    assert len(sols) == 3 + 4 + 2  # round 1, round 2's replay, then h(3)
+    assert eng.stats.entry_rounds == {"h(_G0)": 3, "t(_G0)": 2}
+
+
+def test_fake_loop_during_a_replay_replays_again():
+    # only the continuation of p(a,b) calls p(a,W); in round 2 it does so
+    # while p replays p(a,b), before p(a,c) is stored, so round 3 replays
+    text = corpus.LEFT_RECURSIVE_TC + "g(b,W) :- p(a,W).\n"
+    sols, eng = solve(text, "p(a,Y),g(Y,W)", strategy=EAGER)
+    assert sols == ["p(a,b),g(b,b)"] * 3 + ["p(a,b),g(b,c)"]
+    assert eng.stats.entry_rounds == {"p(a,_G0)": 3}
+
+
+def test_loop_of_an_entry_first_called_in_a_continuation_is_no_fake_loop():
+    # q(b,W) loops on itself inside the continuation of p's answers, and is
+    # complete before p resumes: p(a,_) replays nothing, even after q has
+    # handed out an answer and resumed
+    text = (
+        ":- table p/2 eager.\n:- table q/2 eager.\n"
+        "p(X,Y) :- p(X,Z), e(Z,Y).\np(X,Y) :- e(X,Y).\n"
+        "q(X,Y) :- q(X,Z), e(Z,Y).\nq(X,Y) :- e(X,Y).\n"
+        "e(a,b).\ne(b,c).\n"
+    )
+    sols, eng = solve(text, "p(a,Y),q(b,W)")
+    assert sols == ["p(a,b),q(b,c)", "p(a,c),q(b,c)"]
+    assert eng.stats.entry_rounds == {"p(a,_G0)": 3, "q(b,_G0)": 2}
 
 
 def test_guard_program_keeps_late_answer_all_configs():
@@ -296,6 +367,27 @@ def test_abandoned_run_leaves_no_active_pioneer(label, opts, text, query):
     sols, eng = run_query(load_program(text), query, opts)
     assert len(sols) == 1
     assert not eng.active_pioneers
+    assert not any(e.handing for e in eng.store)
+
+
+@pytest.mark.parametrize("label,opts", EAGER_CONFIGS, ids=[c[0] for c in EAGER_CONFIGS])
+@pytest.mark.parametrize(
+    "text,query",
+    [
+        (corpus.LEFT_RECURSIVE_TC, corpus.LEFT_RECURSIVE_TC_QUERY),
+        (corpus.TWO_FACT_SELF_JOIN, corpus.TWO_FACT_SELF_JOIN_QUERY),
+        corpus.string_matcher_program(20, tabled_step=True),
+    ],
+    ids=["left-recursive-tc", "two-fact-self-join", "regex-warren-20"],
+)
+def test_closed_eager_run_leaves_no_pioneer_handing(label, opts, text, query):
+    eng = Engine(load_program(text), opts)
+    stream = eng.run(query)
+    next(stream)
+    assert any(e.handing for e in eng.store)  # suspended at its yield to the query
+    stream.close()
+    assert not eng.active_pioneers
+    assert not any(e.handing for e in eng.store)
 
 
 HEAD_UNIFICATION = [

@@ -59,31 +59,35 @@ def instance_digests(text, query) -> tuple[dict[str, str], dict[str, str]]:
 
 
 # late-loop-under-running-cluster's digests were generated on the
-# completion-stack engine: the engine before it raised TableError there
+# completion-stack engine: the engine before it raised TableError there.
+# The eager labels of 20 instances were regenerated when a top-most eager
+# pioneer stopped replaying its table to its parent without a fake loop:
+# each lost only stream duplicates, answers_consumed and steps; their
+# answer sets, entry_rounds and table dumps are unchanged.
 GOLDEN = {
     'tcl-chain-6': {
         'lazy,semi_naive=off,early_promotion=off': 'c0e22839ecd2',
         'lazy,semi_naive=on,early_promotion=off': '6f9c3f044115',
         'lazy,semi_naive=on,early_promotion=on': 'a01668b8b8c8',
-        'eager,semi_naive=off,early_promotion=off': '0c216b2698c3',
-        'eager,semi_naive=on,early_promotion=off': '27f63c5632fb',
-        'eager,semi_naive=on,early_promotion=on': '2fdf0aae23e8',
+        'eager,semi_naive=off,early_promotion=off': '6e999d1b0a53',
+        'eager,semi_naive=on,early_promotion=off': 'd514d9d1227c',
+        'eager,semi_naive=on,early_promotion=on': 'c406e2f6d822',
     },
     'tcl-cycle-6': {
         'lazy,semi_naive=off,early_promotion=off': '2cf8a33cb0cd',
         'lazy,semi_naive=on,early_promotion=off': '5a6c1477cef0',
         'lazy,semi_naive=on,early_promotion=on': 'c412a52ad7b0',
-        'eager,semi_naive=off,early_promotion=off': 'ba7b63c38b1d',
-        'eager,semi_naive=on,early_promotion=off': '68582011680f',
-        'eager,semi_naive=on,early_promotion=on': 'acfec99aa2a1',
+        'eager,semi_naive=off,early_promotion=off': '01662d4a429f',
+        'eager,semi_naive=on,early_promotion=off': '5c9cce3827f0',
+        'eager,semi_naive=on,early_promotion=on': '6a7832a9eb8f',
     },
     'tcl-random-6': {
         'lazy,semi_naive=off,early_promotion=off': 'da4b54a93149',
         'lazy,semi_naive=on,early_promotion=off': 'ba5908b4927e',
         'lazy,semi_naive=on,early_promotion=on': '4fdb1ec0862d',
-        'eager,semi_naive=off,early_promotion=off': '15f571bfa03a',
-        'eager,semi_naive=on,early_promotion=off': 'f04c1bd2027a',
-        'eager,semi_naive=on,early_promotion=on': '87224da46dbb',
+        'eager,semi_naive=off,early_promotion=off': 'e889e47d3fd3',
+        'eager,semi_naive=on,early_promotion=off': '5775b4840fca',
+        'eager,semi_naive=on,early_promotion=on': 'e3421fd049fd',
     },
     'tcr-chain-6': {
         'lazy,semi_naive=off,early_promotion=off': '1d85834db55e',
@@ -97,41 +101,41 @@ GOLDEN = {
         'lazy,semi_naive=off,early_promotion=off': 'bedc21ae8471',
         'lazy,semi_naive=on,early_promotion=off': 'd1237d6deaa0',
         'lazy,semi_naive=on,early_promotion=on': '2e4db8b13ee7',
-        'eager,semi_naive=off,early_promotion=off': '28444ecfd68b',
-        'eager,semi_naive=on,early_promotion=off': '889f996eeb03',
-        'eager,semi_naive=on,early_promotion=on': 'b61072d66487',
+        'eager,semi_naive=off,early_promotion=off': 'c336be9da785',
+        'eager,semi_naive=on,early_promotion=off': 'b61072d66487',
+        'eager,semi_naive=on,early_promotion=on': '7dfcf45c33a3',
     },
     'tcr-random-6': {
         'lazy,semi_naive=off,early_promotion=off': 'ca4b9afcc79c',
         'lazy,semi_naive=on,early_promotion=off': '605297a00a4e',
         'lazy,semi_naive=on,early_promotion=on': 'a0fd5c176361',
-        'eager,semi_naive=off,early_promotion=off': 'f0fb78e7f74d',
-        'eager,semi_naive=on,early_promotion=off': 'cfe725f1fd2d',
-        'eager,semi_naive=on,early_promotion=on': '0cee31e666d4',
+        'eager,semi_naive=off,early_promotion=off': 'ef5657e4fbf9',
+        'eager,semi_naive=on,early_promotion=off': 'c9862697d09b',
+        'eager,semi_naive=on,early_promotion=on': '7c5f1b4c756d',
     },
     'tcn-chain-6': {
         'lazy,semi_naive=off,early_promotion=off': '6ba244a8484a',
         'lazy,semi_naive=on,early_promotion=off': '661371ae1ad3',
         'lazy,semi_naive=on,early_promotion=on': 'e946f5f41091',
-        'eager,semi_naive=off,early_promotion=off': '214e02a9299b',
-        'eager,semi_naive=on,early_promotion=off': '14df3eb75a04',
-        'eager,semi_naive=on,early_promotion=on': 'ebcac1635144',
+        'eager,semi_naive=off,early_promotion=off': 'a9a14b020665',
+        'eager,semi_naive=on,early_promotion=off': '7ae22594fb57',
+        'eager,semi_naive=on,early_promotion=on': 'de8040d363f8',
     },
     'tcn-cycle-6': {
         'lazy,semi_naive=off,early_promotion=off': 'a62a29d8336f',
         'lazy,semi_naive=on,early_promotion=off': 'db53316fe6c8',
         'lazy,semi_naive=on,early_promotion=on': '781fa32328a2',
-        'eager,semi_naive=off,early_promotion=off': '69105c57e411',
-        'eager,semi_naive=on,early_promotion=off': '985d0efeaf69',
-        'eager,semi_naive=on,early_promotion=on': 'b817052d0da4',
+        'eager,semi_naive=off,early_promotion=off': '2eba7080c577',
+        'eager,semi_naive=on,early_promotion=off': '59d6e56dba43',
+        'eager,semi_naive=on,early_promotion=on': 'b88607abe242',
     },
     'tcn-random-6': {
         'lazy,semi_naive=off,early_promotion=off': '769156f5e3dd',
         'lazy,semi_naive=on,early_promotion=off': 'a2dc5993d762',
         'lazy,semi_naive=on,early_promotion=on': '572dd93bee19',
-        'eager,semi_naive=off,early_promotion=off': '7dccef74da18',
-        'eager,semi_naive=on,early_promotion=off': '9a1580e8ca72',
-        'eager,semi_naive=on,early_promotion=on': 'ca60ae015a91',
+        'eager,semi_naive=off,early_promotion=off': '4c1394de475a',
+        'eager,semi_naive=on,early_promotion=off': '17c0254f71e0',
+        'eager,semi_naive=on,early_promotion=on': 'ab1713a22bd3',
     },
     'sg-chain-6': {
         'lazy,semi_naive=off,early_promotion=off': '80873bdc0662',
@@ -145,17 +149,17 @@ GOLDEN = {
         'lazy,semi_naive=off,early_promotion=off': '218a0ef13098',
         'lazy,semi_naive=on,early_promotion=off': 'c68dcb098bff',
         'lazy,semi_naive=on,early_promotion=on': 'e95af78ce581',
-        'eager,semi_naive=off,early_promotion=off': 'bae41c13e605',
-        'eager,semi_naive=on,early_promotion=off': '1669f38e2e27',
-        'eager,semi_naive=on,early_promotion=on': 'd2dff319ee9d',
+        'eager,semi_naive=off,early_promotion=off': '093169c5e0bc',
+        'eager,semi_naive=on,early_promotion=off': 'd2dff319ee9d',
+        'eager,semi_naive=on,early_promotion=on': 'dead05ae3f8d',
     },
     'sg-random-6': {
         'lazy,semi_naive=off,early_promotion=off': '4ba75bed616d',
         'lazy,semi_naive=on,early_promotion=off': 'bb366680e046',
         'lazy,semi_naive=on,early_promotion=on': '011a6f56c7da',
-        'eager,semi_naive=off,early_promotion=off': 'fc0dce94c569',
-        'eager,semi_naive=on,early_promotion=off': '828567bc05d8',
-        'eager,semi_naive=on,early_promotion=on': 'f1d51412ad29',
+        'eager,semi_naive=off,early_promotion=off': 'fea89c156e50',
+        'eager,semi_naive=on,early_promotion=off': 'd2d854df13dc',
+        'eager,semi_naive=on,early_promotion=on': '51081856e764',
     },
     'sg-chain-12': {
         'lazy,semi_naive=off,early_promotion=off': 'b2fffea60173',
@@ -169,41 +173,41 @@ GOLDEN = {
         'lazy,semi_naive=off,early_promotion=off': '175fdcb23a09',
         'lazy,semi_naive=on,early_promotion=off': '62dce28b9314',
         'lazy,semi_naive=on,early_promotion=on': 'af88058a0f96',
-        'eager,semi_naive=off,early_promotion=off': '5e91e0ca67fe',
-        'eager,semi_naive=on,early_promotion=off': '405e2d52e878',
-        'eager,semi_naive=on,early_promotion=on': '5bb31b73676e',
+        'eager,semi_naive=off,early_promotion=off': '1f4f9973ec12',
+        'eager,semi_naive=on,early_promotion=off': '5bb31b73676e',
+        'eager,semi_naive=on,early_promotion=on': 'd4115ec316f4',
     },
     'sg-random-12': {
         'lazy,semi_naive=off,early_promotion=off': '30d56e4b750d',
         'lazy,semi_naive=on,early_promotion=off': 'a763fa506422',
         'lazy,semi_naive=on,early_promotion=on': 'fe87e4efd3d6',
-        'eager,semi_naive=off,early_promotion=off': '99142b0b56c3',
-        'eager,semi_naive=on,early_promotion=off': '70c454c002bf',
-        'eager,semi_naive=on,early_promotion=on': '3428f7285336',
+        'eager,semi_naive=off,early_promotion=off': 'a3e087cd3082',
+        'eager,semi_naive=on,early_promotion=off': 'b39bc354c01a',
+        'eager,semi_naive=on,early_promotion=on': 'e8bd10bf2171',
     },
     'regex-warren-20': {
         'lazy,semi_naive=off,early_promotion=off': '4597254824f1',
         'lazy,semi_naive=on,early_promotion=off': '9a9dbcedcd78',
         'lazy,semi_naive=on,early_promotion=on': '2ce75c6fe06d',
-        'eager,semi_naive=off,early_promotion=off': 'efae89588389',
-        'eager,semi_naive=on,early_promotion=off': '5e5b2731d9d6',
-        'eager,semi_naive=on,early_promotion=on': '17d547b9a9a5',
+        'eager,semi_naive=off,early_promotion=off': '0716453d5b83',
+        'eager,semi_naive=on,early_promotion=off': '66442867a974',
+        'eager,semi_naive=on,early_promotion=on': '788f9d2d4ca0',
     },
     'regex-warren-nontabled-20': {
         'lazy,semi_naive=off,early_promotion=off': 'de31ca7fde06',
         'lazy,semi_naive=on,early_promotion=off': '36467692ce6b',
         'lazy,semi_naive=on,early_promotion=on': '36467692ce6b',
-        'eager,semi_naive=off,early_promotion=off': 'b551368c7294',
-        'eager,semi_naive=on,early_promotion=off': '3510ab9b1e05',
-        'eager,semi_naive=on,early_promotion=on': '3510ab9b1e05',
+        'eager,semi_naive=off,early_promotion=off': '02376333b4c9',
+        'eager,semi_naive=on,early_promotion=off': 'cdb120595894',
+        'eager,semi_naive=on,early_promotion=on': 'cdb120595894',
     },
     'left-recursive-tc': {
         'lazy,semi_naive=off,early_promotion=off': 'b9b1adc9a1a2',
         'lazy,semi_naive=on,early_promotion=off': 'f0cb42f29e15',
         'lazy,semi_naive=on,early_promotion=on': '487d91b4684d',
-        'eager,semi_naive=off,early_promotion=off': 'c1d615c1b19d',
-        'eager,semi_naive=on,early_promotion=off': '06875729e59b',
-        'eager,semi_naive=on,early_promotion=on': 'b6363d13642e',
+        'eager,semi_naive=off,early_promotion=off': '6beb9d1f1608',
+        'eager,semi_naive=on,early_promotion=off': '42b334896171',
+        'eager,semi_naive=on,early_promotion=on': '223cbb880746',
     },
     'two-fact-self-join': {
         'lazy,semi_naive=off,early_promotion=off': 'e19ab4b0d956',
@@ -217,41 +221,41 @@ GOLDEN = {
         'lazy,semi_naive=off,early_promotion=off': '4fd189e7c2ed',
         'lazy,semi_naive=on,early_promotion=off': '6b32a2f5a4f6',
         'lazy,semi_naive=on,early_promotion=on': '6b32a2f5a4f6',
-        'eager,semi_naive=off,early_promotion=off': '4420c228cb6d',
-        'eager,semi_naive=on,early_promotion=off': '6ca8ca499726',
-        'eager,semi_naive=on,early_promotion=on': '02be645b894b',
+        'eager,semi_naive=off,early_promotion=off': 'dbcad5be9040',
+        'eager,semi_naive=on,early_promotion=off': 'ea766605c812',
+        'eager,semi_naive=on,early_promotion=on': '054123909b43',
     },
     'fresh-subgoal-guard-reordered': {
         'lazy,semi_naive=off,early_promotion=off': '6a3cb2e6a877',
         'lazy,semi_naive=on,early_promotion=off': '16044006056f',
         'lazy,semi_naive=on,early_promotion=on': 'b8820bedc908',
-        'eager,semi_naive=off,early_promotion=off': '3dae97fbd18b',
-        'eager,semi_naive=on,early_promotion=off': '967d40077f10',
-        'eager,semi_naive=on,early_promotion=on': 'e9fce68de6d6',
+        'eager,semi_naive=off,early_promotion=off': '5f338fe6599b',
+        'eager,semi_naive=on,early_promotion=off': '3f8285c82e29',
+        'eager,semi_naive=on,early_promotion=on': '7a0fbfa8bd36',
     },
     'self-feeding-pair': {
         'lazy,semi_naive=off,early_promotion=off': '160da01ce6eb',
         'lazy,semi_naive=on,early_promotion=off': '881e30bfe8c9',
         'lazy,semi_naive=on,early_promotion=on': '4cfbcaf354b3',
-        'eager,semi_naive=off,early_promotion=off': '741f91faa25f',
-        'eager,semi_naive=on,early_promotion=off': '66a3749fdcf8',
-        'eager,semi_naive=on,early_promotion=on': 'fc91b33190fd',
+        'eager,semi_naive=off,early_promotion=off': 'a58577998920',
+        'eager,semi_naive=on,early_promotion=off': '4cfbcaf354b3',
+        'eager,semi_naive=on,early_promotion=on': '91bb513c4f85',
     },
     'helper-routed-tc-point': {
         'lazy,semi_naive=off,early_promotion=off': '5fcf9f211981',
         'lazy,semi_naive=on,early_promotion=off': '09fcdbe8a3c8',
         'lazy,semi_naive=on,early_promotion=on': '081f843244b3',
-        'eager,semi_naive=off,early_promotion=off': '6f31e9fcd089',
-        'eager,semi_naive=on,early_promotion=off': '164ac25d322f',
-        'eager,semi_naive=on,early_promotion=on': 'd8932d51e94d',
+        'eager,semi_naive=off,early_promotion=off': 'e8cf8f9c9058',
+        'eager,semi_naive=on,early_promotion=off': '8a241c9d0fc0',
+        'eager,semi_naive=on,early_promotion=on': 'e75002875330',
     },
     'helper-routed-tc-open': {
         'lazy,semi_naive=off,early_promotion=off': '2e83aa562d3a',
         'lazy,semi_naive=on,early_promotion=off': '85661d6e186f',
         'lazy,semi_naive=on,early_promotion=on': '2dd95daf88e3',
-        'eager,semi_naive=off,early_promotion=off': '01e73527152e',
-        'eager,semi_naive=on,early_promotion=off': 'c5fe8d599a3b',
-        'eager,semi_naive=on,early_promotion=on': '871e3580dada',
+        'eager,semi_naive=off,early_promotion=off': '6d1a8c33d826',
+        'eager,semi_naive=on,early_promotion=off': '159c268afd74',
+        'eager,semi_naive=on,early_promotion=on': '9958c6d97486',
     },
     'late-loop-under-running-cluster': {
         'lazy,semi_naive=off,early_promotion=off': '7cdf6cfb9206',

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run against the current sources."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,14 +8,14 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, *args):
+def run_script(name, *args, code=0):
     out = subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert out.returncode == 0, out.stderr
+    assert out.returncode == code, out.stderr
     return out.stdout.splitlines()
 
 
@@ -29,6 +30,7 @@ def test_worked_traces():
         "== self-feeding pair  (query: p(X,Y))",
     ]
     assert "  lazy : stream = ['p(a,b)', 'p(a,c)']" in lines
+    assert "  eager: stream = ['p(a,b)', 'p(a,c)']" in lines
 
 
 def test_complexity_consumption():
@@ -38,9 +40,10 @@ def test_complexity_consumption():
         "== tabled, gate on, no promotion",
         "== tabled, gate off",
         "== non-tabled helper, gate on",
+        "== eager, gate on, early promotion",
     ]
-    assert sum(line.startswith("  n=   20  answers_consumed=") for line in lines) == 4
-    assert sum(line.startswith("  n=   40  answers_consumed=") for line in lines) == 4
+    assert sum(line.startswith("  n=   20  answers_consumed=") for line in lines) == 5
+    assert sum(line.startswith("  n=   40  answers_consumed=") for line in lines) == 5
 
 
 def test_complexity_analyze():
@@ -69,3 +72,42 @@ def test_ab_query_smoke():
         "counters identical: steps clause_resolutions answers_consumed answers_produced subgoals max_its"
     )
     assert lines[-2].startswith("median per-instance ratio change/parent = ")
+
+
+def run_ab_query_against_patched_copy(tmp_path, old, new, code):
+    """ab_query.py with, as the parent, a copy of src/lintab whose engine
+    has `old` replaced by `new`."""
+    shutil.copytree(SCRIPTS.parent / "src" / "lintab", tmp_path / "lintab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    engine = tmp_path / "lintab" / "engine.py"
+    text = engine.read_text()
+    assert text.count(old) == 1
+    engine.write_text(text.replace(old, new))
+    return run_script(
+        "ab_query.py", "--parent-src", str(tmp_path),
+        "--workload", "sg-random", "--strategy", "lazy", "--reps", "2", "--instances", "2",
+        code=code,
+    )
+
+
+def test_ab_query_times_a_counter_change(tmp_path):
+    # same answers, one counter increment doubled: all reps run, exit 3
+    lines = run_ab_query_against_patched_copy(
+        tmp_path, "self.stats.answers_consumed += 1", "self.stats.answers_consumed += 2", code=3
+    )
+    assert lines[-8].startswith("median per-instance ratio change/parent = ")
+    assert lines[-7].startswith("counters differ on 2 of 2 instances, first sg-random-0")
+    totals = {f[0]: (int(f[1].split("=")[1]), int(f[2].split("=")[1])) for f in map(str.split, lines[-6:])}
+    assert list(totals) == [
+        "steps", "clause_resolutions", "answers_consumed", "answers_produced", "subgoals", "max_its"
+    ]
+    parent, change = totals.pop("answers_consumed")
+    assert parent == 2 * change > 0
+    assert all(p == c for p, c in totals.values())
+    assert lines[-4].endswith("  differs") and not lines[-3].endswith("differs")
+
+
+def test_ab_query_stops_on_a_wrong_answer(tmp_path):
+    lines = run_ab_query_against_patched_copy(tmp_path, "yield text\n", "yield text + 'x'\n", code=1)
+    assert lines[1].startswith("FAILED sg-random-0") and lines[1].endswith("wrong answer from the parent")
+    assert not any(line.startswith("median per-instance ratio") for line in lines)
