@@ -17,15 +17,17 @@ separate processes noisy, hits both trees alike.
 Prints the p50 of the per-instance minima of each tree and the median of
 the per-instance ratios change/parent. Exit codes:
 
-    0  every answer is right and the counters steps, clause_resolutions,
-       answers_consumed, answers_produced, subgoals and max_its are
-       identical between the two trees;
+    0  every answer is right, each instance's solution stream (order and
+       duplicates) is the same in both trees, and so are the counters
+       steps, clause_resolutions, answers_consumed, answers_produced,
+       subgoals and max_its;
     1  an answer differs from the workload's reference (stops after the
        rep that found it, and prints no timings);
-    3  every answer is right but some counters differ, as a change that
-       cuts work on purpose makes them: all reps run, and the timings are
-       followed by each counter's total over one pass of the instances,
-       per tree.
+    3  every answer is right but some streams or counters differ, as a
+       change that cuts work on purpose makes them: all reps run, and the
+       timings are followed by the first instance whose stream differs,
+       if any, and by each counter's total over one pass of the
+       instances, per tree, if any counter differs.
 """
 
 import argparse
@@ -62,7 +64,8 @@ def import_tree(src: Path, name: str, tmp: Path):
 
 
 def query(tree, inst, strategy):
-    """One timed query op; returns (seconds, counters, wrong answer?)."""
+    """One timed query op; returns (seconds, counters, solution stream,
+    wrong answer?)."""
     parser, analysis, engine, terms = tree
     gc.collect()
     t0 = time.perf_counter()
@@ -79,7 +82,7 @@ def query(tree, inst, strategy):
             for e in eng.store
         }
         wrong = got.get(key) != want
-    return seconds, tuple(stats[c] for c in COUNTERS), wrong
+    return seconds, tuple(stats[c] for c in COUNTERS), sols, wrong
 
 
 def main(argv=None) -> int:
@@ -108,12 +111,13 @@ def main(argv=None) -> int:
         totals = [[0] * len(COUNTERS), [0] * len(COUNTERS)]  # per tree, over the first rep
         failures = []
         differ = []  # instances whose counters differ
+        streams_differ = []  # instances whose solution streams differ
         for rep in range(args.reps):
             for i, inst in enumerate(insts):
                 order = (0, 1) if (rep + i) % 2 == 0 else (1, 0)
-                counters = [None, None]
+                counters, streams = [None, None], [None, None]
                 for side in order:
-                    seconds, counters[side], wrong = query(trees[side], inst, args.strategy)
+                    seconds, counters[side], streams[side], wrong = query(trees[side], inst, args.strategy)
                     best[side][i] = min(best[side][i], seconds)
                     if wrong:
                         failures.append(f"{inst.name}: wrong answer from the {('parent', 'change')[side]}")
@@ -122,6 +126,8 @@ def main(argv=None) -> int:
                         totals[side] = [t + c for t, c in zip(totals[side], counters[side])]
                     if counters[0] != counters[1]:
                         differ.append(inst.name)
+                    if streams[0] != streams[1]:
+                        streams_differ.append(inst.name)
             if failures:
                 break
 
@@ -136,13 +142,16 @@ def main(argv=None) -> int:
     print(f"parent query_s p50 of minima = {parent:.6f}")
     print(f"change query_s p50 of minima = {change:.6f}")
     print(f"median per-instance ratio change/parent = {ratio:.4f}")
+    if streams_differ:
+        print(f"solution streams differ on {len(streams_differ)} of {len(insts)} instances, "
+              f"first {streams_differ[0]}")
     if differ:
         print(f"counters differ on {len(differ)} of {len(insts)} instances, first {differ[0]}; totals:")
         for name, p, c in zip(COUNTERS, *totals):
             print(f"  {name:18s} parent={p} change={c}" + ("" if p == c else "  differs"))
         return 3
     print("counters identical: " + " ".join(COUNTERS))
-    return 0
+    return 3 if streams_differ else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from . import corpus, generate, load_program, oracle
+from . import corpus, load_program, oracle
 from .engine import EAGER, LAZY, Engine, EngineOptions
 from .oracle import OracleInapplicable, answers_for_key, oracle_model
 from .parser import parse_program, parse_query
@@ -66,14 +66,13 @@ def run_instance(
     name: str,
     text: str,
     query: str,
-    configs: Optional[list[tuple[str, EngineOptions]]] = None,
     use_oracle: bool = True,
     step_budget: int = 10**8,
 ) -> InstanceResult:
     """Run one (program, query) under every config and self-check."""
     program = load_program(text)
     result = InstanceResult(name=name)
-    for label, opts in configs or config_matrix():
+    for label, opts in config_matrix():
         eng = Engine(program, replace(opts, step_budget=step_budget))
         t0 = time.monotonic()
         sols = list(eng.run(query))
@@ -169,8 +168,7 @@ def suite_instances(
         for n in sizes:
             for graph in ("chain", "cycle", "random"):
                 m = min(2 * n, n * (n - 1)) if graph == "random" else None
-                facts = generate.graph_facts(graph, n, seed, m)
-                text, query = corpus.datalog_program(suite, facts, n)
+                text, query = corpus.random_instance(seed, suite, graph, n, m)
                 instances.append((f"{suite}-{graph}-{n}", text, query))
     elif suite == "regex-warren":
         for n in sizes:
@@ -190,6 +188,7 @@ def suite_instances(
             ("helper-routed-tc-point", corpus.HELPER_ROUTED_TC, corpus.HELPER_ROUTED_TC_QUERIES[0]),
             ("helper-routed-tc-open", corpus.HELPER_ROUTED_TC, corpus.HELPER_ROUTED_TC_QUERIES[1]),
             ("late-loop-under-running-cluster", corpus.LATE_LOOP_UNDER_RUNNING_CLUSTER, corpus.LATE_LOOP_UNDER_RUNNING_CLUSTER_QUERY),
+            ("fake-loop-into-inner-top", corpus.FAKE_LOOP_INTO_INNER_TOP, corpus.FAKE_LOOP_INTO_INNER_TOP_QUERY),
         ]
     else:
         raise ValueError(f"unknown suite {suite!r}")

@@ -7,6 +7,7 @@ generated facts). Names describe the behavior the program exercises.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from . import generate
 
@@ -22,13 +23,13 @@ e(b,c).
 """
 LEFT_RECURSIVE_TC_QUERY = "p(a,Y0)"
 
-# Two tabled facts joined with themselves: of the bench suites' programs,
-# the only one where an eager top-most subgoal replays its table. The
-# second call p(Y) is made by the continuation of an answer that the
-# pioneer p(X) is handing to the query, so it is a fake loop back into p's
-# cluster, and p(X)'s next round starts by replaying both answers: the
-# stream re-observes solutions (7 in all). Under lazy it emits the four
-# distinct pairs once each.
+# Two tabled facts joined with themselves: with FAKE_LOOP_INTO_INNER_TOP,
+# one of the two bench-suite programs where an eager top-most subgoal
+# replays its table. The second call p(Y) is made by the continuation of
+# an answer that the pioneer p(X) is handing to the query, so it is a
+# fake loop back into p's cluster, and p(X)'s next round starts by
+# replaying both answers: the stream re-observes solutions (7 in all).
+# Under lazy it emits the four distinct pairs once each.
 TWO_FACT_SELF_JOIN = """\
 :- table p/1.
 p(1).
@@ -184,6 +185,21 @@ def datalog_program(kind: str, graph_facts: str, n_nodes: int) -> tuple[str, str
     if kind == "sg":
         text += generate.node_facts(n_nodes)
     return text, query
+
+
+def random_instance(
+    seed: int,
+    kind: str,
+    graph: str,
+    n: int,
+    m: Optional[int] = None,
+) -> tuple[str, str]:
+    """Deterministic (program text, query) for a Datalog benchmark shape.
+
+    kind in {tcl, tcr, tcn, sg}; graph in {chain, cycle, random} (random
+    needs the edge count m).
+    """
+    return datalog_program(kind, generate.graph_facts(graph, n, seed, m), n)
 
 
 def mutual_recursion_program(seed: int) -> tuple[str, str]:

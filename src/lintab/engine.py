@@ -3,14 +3,13 @@
 Depth-first resolution over generators: `_solve_seq` solves a body goal
 by goal, and each goal's clause loop or table loop is a generator that
 yields once per solution (bindings live in a shared trail and are undone
-on backtracking); a last goal's solutions, and a fact's, go straight to
-the caller with no further generator; a call to a row relation walks its
-index bucket in place, with no clause loop. Each yield carries one bool:
-whether the solution stands on a new answer, one past its entry's old
-region or just stored by a pioneer, at any depth below. A clause is
-resolved without copying its head: the call is unified with the stored
-head read at the offset of a fresh variable block (`terms.unify`), and
-only on a match is the body renamed into that block. Tabled calls
+on backtracking); a last goal's solutions go straight to the caller with
+no further generator; a call to a row relation walks its index bucket in
+place, with no clause loop. Each yield carries one bool: whether the
+solution stands on a new answer, one past its entry's old region or just
+stored by a pioneer, at any depth below. A clause is resolved by
+unifying the call with its head renamed into a fresh block of variables;
+only on a match is the body renamed into that block too. Tabled calls
 dispatch on the entry state:
 
   * a complete entry is resolved from the table;
@@ -29,9 +28,10 @@ dispatch on the entry state:
     cluster, but as the cluster's top-most subgoal only after a fake
     loop, a follower call that the parent's continuation made while the
     top was suspended handing it an answer, into a cluster whose own top
-    was handing too (the top's, or one nested in it). A continuation that
-    made no such call read no table that could still grow after it
-    finished, so running it again on an old answer would only redo work.
+    was handing too (the top's, or one nested in it): the call marks every
+    pioneer then handing. A continuation that made no such call read no
+    table that could still grow after it finished, so running it again on
+    an old answer would only redo work.
 
 Consumption walks the answer table by position and binds the call's
 variables to each stored substitution tuple, with no unification (see
@@ -44,9 +44,10 @@ entry from its top's stack position up at that top. Top-most looping
 subgoals are iterated in rounds until a round inserts nothing new, then
 complete their suffix and pop it. Between rounds the cluster's answer
 regions are promoted, which is what makes new-answers-only consumption (the
-semi-naive gate) possible. The gate is one bool decided at a tabled
-call site: open at the rule's last depending index when no earlier body
-goal stands on a new answer and the rule's entry is past round 1. It
+semi-naive gate) possible. The gate is decided per rule and per round:
+past round 1 (and with semi-naive on) a pioneer names each rule's last
+depending index as its one gate site, and the tabled call there opens
+the gate when no earlier body goal stands on a new answer. An open gate
 only moves the walk's start from 0 to the end of the old region.
 """
 
@@ -180,8 +181,6 @@ class Engine:
         # the completion stack: incomplete entries in first-call order
         self.incomplete: list[SubgoalEntry] = []
         self._var_counter = 0
-        # follower calls whose cluster's top was handing an answer to its parent
-        self.fake_loops = 0
         self._started = False
 
     # -- public API ------------------------------------------------------
@@ -214,10 +213,10 @@ class Engine:
 
     def _activate(self, goal, clause):
         """Unify goal with the clause's head renamed to a fresh block of
-        variables, read in place at an offset; on a match the body renamed
-        to that block, else None with the bindings rolled back."""
+        variables; on a match the body renamed to that block, else None
+        with the bindings rolled back."""
         off = self._fresh_block(clause.nvars)
-        if not unify(goal, clause.head, self.bindings, off):
+        if not unify(goal, renumber(clause.head, off), self.bindings):
             return None
         return renumber(clause.body, off) if clause.nvars else clause.body
 
@@ -241,7 +240,7 @@ class Engine:
         seen: set[str] = set()
         count = 0
         try:
-            for _ in self._solve_seq(goals, None, None, False, 0):
+            for _ in self._solve_seq(goals, None, False, 0):
                 text = render_goals(goals, self.bindings)
                 if self.opts.dedup_solutions:
                     if text in seen:
@@ -261,11 +260,11 @@ class Engine:
         finally:
             self.stats.finalize(self.store)
 
-    def _solve_seq(self, goals, last_dep, owner, fresh, i):
+    def _solve_seq(self, goals, gate_at, fresh, i):
         """Solve goals[i:], yielding per solution whether it stands on a
-        new answer; fresh says whether goals[:i] do. last_dep and owner are
-        the rule's last depending index and entry, None outside tabled
-        rule bodies; they and fresh decide the gate of a tabled call."""
+        new answer; fresh says whether goals[:i] do. gate_at is the index
+        whose tabled call may open the gate, None where none may: the gate
+        opens there when goals[:i] stand on no new answer."""
         if i == len(goals):
             yield fresh
             return
@@ -275,13 +274,7 @@ class Engine:
         self._step()
         key = pred_key(goal)
         if self.program.is_tabled(key):
-            gate = (
-                i == last_dep
-                and not fresh
-                and self.opts.semi_naive
-                and owner.round_counter >= 2
-            )
-            solutions = self._solve_tabled(goal, key, gate)
+            solutions = self._solve_tabled(goal, key, i == gate_at and not fresh)
         else:
             clauses = self._clauses_for(goal, key)  # decides if key is a row relation
             if key not in self.program.row_relations:
@@ -309,7 +302,7 @@ class Engine:
                         if i + 1 == len(goals):
                             yield fresh
                         else:
-                            yield from self._solve_seq(goals, last_dep, owner, fresh, i + 1)
+                            yield from self._solve_seq(goals, gate_at, fresh, i + 1)
                     while len(trail) > mark:
                         del m[trail.pop()]
                 return
@@ -318,7 +311,7 @@ class Engine:
                 yield fresh or new
         else:
             for new in solutions:
-                yield from self._solve_seq(goals, last_dep, owner, fresh or new, i + 1)
+                yield from self._solve_seq(goals, gate_at, fresh or new, i + 1)
 
     def _solve_plain(self, goal, key, clauses):
         if key not in self.program.rules:
@@ -333,10 +326,7 @@ class Engine:
             body = self._activate(goal, ar.clause)
             if body is None:
                 continue
-            if body:
-                yield from self._solve_seq(body, None, None, False, 0)
-            else:
-                yield False  # a fact
+            yield from self._solve_seq(body, None, False, 0)
             b.undo(mark)
 
     # -- tabled resolution ----------------------------------------------
@@ -354,8 +344,10 @@ class Engine:
             top = entry.topmost or entry
             for e in self.incomplete[top.pos :]:
                 e.topmost = top  # a looping top points at itself
-            if top.handing:  # from the continuation of an answer the top handed out
-                self.fake_loops += 1
+            if top.handing:  # a fake loop: every continuation it lies in replays next round
+                for e in self.active_pioneers:
+                    if e.handing:
+                        e.replay = True
             yield from self._consume(call_vars, entry, gate, promote=True)
             return
         # pioneer
@@ -368,14 +360,9 @@ class Engine:
             pioneer = self._pioneer(goal, key, entry, call_vars, gate, eager)
             if eager:
                 for new in pioneer:
-                    fake_loops = self.fake_loops
                     entry.handing = True
                     yield new
                     entry.handing = False
-                    # a fake loop into any cluster whose top was handing lies
-                    # in this continuation too, so this entry replays next round
-                    if self.fake_loops != fake_loops:
-                        entry.replay = True
                 return
             for _ in pioneer:
                 pass  # lazy: the memo fails, answers wait in the table
@@ -394,10 +381,13 @@ class Engine:
         afterwards; an eager one forwards every yield to the parent, and
         first replays the table's answers to it each round unless it is
         its cluster's top-most subgoal and no fake loop (`replay`) came
-        back into the cluster since the previous round began.
+        back into the cluster since the previous round began. Past round 1
+        with semi-naive on, base rules are skipped and each rule body gets
+        its last depending index as its gate site.
         """
         b = self.bindings
         subst = tuple(map(Var, call_vars))
+        clauses = self._clauses_for(goal, key)  # the call is bound alike every round
         while True:
             entry.round_counter += 1
             if eager:  # answers first, then rules
@@ -405,12 +395,12 @@ class Engine:
                 entry.replay = False  # a fake loop during this replay counts next round
                 if replay:
                     yield from self._consume(call_vars, entry, gate, promote=False)
-            # an entry joined to a top at another level (an eager fake loop) keeps base rules
-            top, levels = entry.topmost, self.program.levels
-            skip_base = self.opts.semi_naive and entry.round_counter >= 2 and (
-                top is None or levels[key] == levels[pred_key(top.key)]
-            )
-            for ar in self._clauses_for(goal, key):
+            later = self.opts.semi_naive and entry.round_counter >= 2
+            # a round past the first has a top; an entry joined to a top at
+            # another level (an eager fake loop) keeps its base rules
+            levels = self.program.levels
+            skip_base = later and levels[key] == levels[pred_key(entry.topmost.key)]
+            for ar in clauses:
                 last_dep = ar.last_depending_index
                 if skip_base and last_dep is None:
                     continue  # a base rule derives nothing new after round 1
@@ -420,7 +410,7 @@ class Engine:
                 body = self._activate(goal, ar.clause)
                 if body is None:
                     continue
-                for _ in self._solve_seq(body, last_dep, entry, False, 0):
+                for _ in self._solve_seq(body, last_dep if later else None, False, 0):
                     # memo: store the answer; only a new one is returned
                     if insert_answer(entry, canonicalize(subst, b)):
                         self.stats.answers_produced += 1

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .corpus import datalog_program
-from .generate import graph_facts
 from .parser import Clause, Item, parse_program, parse_query
 from .terms import (
     PredKey,
@@ -164,18 +162,3 @@ def answers_for_key(model: Model, key: Term) -> frozenset[Term]:
     """Model facts that are instances of a canonical subgoal key."""
     facts = model.get(pred_key(key), ())
     return frozenset(f for f in facts if subsumes(key, f))
-
-
-def random_instance(
-    seed: int,
-    kind: str,
-    graph: str,
-    n: int,
-    m: Optional[int] = None,
-) -> tuple[str, str]:
-    """Deterministic (program text, query) for a Datalog benchmark shape.
-
-    kind in {tcl, tcr, tcn, sg}; graph in {chain, cycle, random} (random
-    needs the edge count m).
-    """
-    return datalog_program(kind, graph_facts(graph, n, seed, m), n)

@@ -108,103 +108,51 @@ class Bindings:
         return len(self._map)
 
 
-def unify(t1: Term, t2: Term, b: Bindings, offset: int = 0) -> bool:
+def unify(t1: Term, t2: Term, b: Bindings) -> bool:
     """Extend b to a most-general unifier of t1 and t2.
 
     On failure the bindings are rolled back to the pre-call state. A
     variable is bound to a compound only if it does not occur in it, so
     no binding is ever cyclic. Binding to an atom, integer or variable
     needs no check, so Datalog terms pay one type test per binding.
-
-    A nonzero offset reads t2 as a clause head renamed apart: its variable
-    i stands for i + offset, and the result, bindings and trail are exactly
-    those of `unify(t1, renumber(t2, offset), b)`. The general loop pops
-    argument pairs last to first and finishes a pair's subterms before the
-    next pair, so when both sides are compounds of one functor and arity
-    the arguments are matched last to first here too: a variable or
-    atomic head argument inline, with the same cases, occurs check and
-    binding direction as the loop; a compound one renumbered and through
-    the loop. No copy of the head is made unless it has a compound
-    argument.
+    Argument pairs are popped last to first, each pair's subterms finished
+    before the next pair.
     """
-    mark = b.mark()
-    if not offset or type(t1) is not Struct or type(t2) is not Struct:
-        return _unify_loop([(t1, renumber(t2, offset) if offset else t2)], b, mark)
-    args1 = t1.args
-    args2 = t2.args
-    if t1.functor != t2.functor or len(args1) != len(args2):
-        return False
     m = b._map
-    for k in range(len(args1) - 1, -1, -1):
-        a = args1[k]
-        while type(a) is Var:
-            nxt = m.get(a.id)
-            if nxt is None:
-                break
-            a = nxt
-        ta = type(a)
-        c = args2[k]
-        tc = type(c)
-        if tc is Var:
-            vid = c.id + offset
-            c = m.get(vid)
-            if c is not None:  # a repeated head variable, already bound
-                if not _unify_loop([(a, c)], b, mark):
-                    return False
-            elif ta is Var:
-                if a.id != vid:
-                    b.bind(a.id, Var(vid))
-            elif ta is Struct and _occurs(vid, a, b):
-                b.undo(mark)
-                return False
-            else:
-                b.bind(vid, a)
-        elif tc is Struct:
-            if not _unify_loop([(a, renumber(c, offset))], b, mark):
-                return False
-        elif ta is Var:
-            b.bind(a.id, c)
-        elif ta is not tc or a != c:
-            b.undo(mark)
-            return False
-    return True
-
-
-def _unify_loop(stack: list, b: Bindings, mark: int) -> bool:
-    """unify's general loop over a stack of term pairs; on failure, undo
-    to mark."""
+    trail = b._trail
+    mark = len(trail)
+    stack = [(t1, t2)]
     while stack:
         a, c = stack.pop()
-        a = b.deref(a)
-        c = b.deref(c)
+        while type(a) is Var and a.id in m:
+            a = m[a.id]
+        while type(c) is Var and c.id in m:
+            c = m[c.id]
         ta = type(a)
         tc = type(c)
         if ta is Var:
             if tc is Var and c.id == a.id:
                 continue
             if tc is Struct and _occurs(a.id, c, b):
-                b.undo(mark)
-                return False
-            b.bind(a.id, c)
+                break
+            m[a.id] = c
+            trail.append(a.id)
         elif tc is Var:
             if ta is Struct and _occurs(c.id, a, b):
-                b.undo(mark)
-                return False
-            b.bind(c.id, a)
+                break
+            m[c.id] = a
+            trail.append(c.id)
         elif ta is not Struct:
             if tc is not ta or a != c:
-                b.undo(mark)
-                return False
-        else:
-            if (
-                tc is not Struct
-                or a.functor != c.functor
-                or len(a.args) != len(c.args)
-            ):
-                b.undo(mark)
-                return False
+                break
+        elif tc is Struct and a.functor == c.functor and len(a.args) == len(c.args):
             stack.extend(zip(a.args, c.args))
-    return True
+        else:
+            break
+    else:
+        return True
+    b.undo(mark)  # a clash or an occurs check failed
+    return False
 
 
 def _occurs(vid: int, t: Term, b: Bindings) -> bool:

@@ -9,7 +9,7 @@ import time
 import lintab.corpus as corpus
 from lintab import EngineOptions, load_program, run_query
 from lintab.bench import config_matrix, run_instance
-from lintab.oracle import random_instance
+from lintab.corpus import random_instance
 
 
 def _ok(n, text):

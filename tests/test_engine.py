@@ -146,7 +146,8 @@ def test_eager_streams_repeat_only_after_a_fake_loop():
             sols, _ = run_query(program, query, opts)
             if len(sols) != len(set(sols)):
                 repeated.add(name)
-    assert repeated == {"two-fact-self-join"}
+    # both are fake-loop programs: their top-most eager pioneers replay
+    assert repeated == {"two-fact-self-join", "fake-loop-into-inner-top"}
 
 
 def test_fake_loop_into_an_inner_top_replays_the_outer_top():
@@ -427,17 +428,16 @@ def _rows_and_calls(arity):
     )
 
 
-@example(([("1",), (1,)], [(Var(0),)]), [(0, 1)], 100)  # X = 1 meets "1" and 1
-@example(([(1, 1), (1, "1"), ("1", "1")], [(Var(0), Var(0))]), [], 100)  # p(X,X)
-@example(([("a", 0)], [(Struct("f", [Var(0)]), Var(1))]), [], 0)  # a compound call
-@example(([("a",), ("b",)], [(Var(0),)]), [(0, Var(1)), (1, "a")], 100)  # X -> Y -> a
+@example(([("1",), (1,)], [(Var(0),)]), [(0, 1)])  # X = 1 meets "1" and 1
+@example(([(1, 1), (1, "1"), ("1", "1")], [(Var(0), Var(0))]), [])  # p(X,X)
+@example(([("a", 0)], [(Struct("f", [Var(0)]), Var(1))]), [])  # a compound call
+@example(([("a",), ("b",)], [(Var(0),)]), [(0, Var(1)), (1, "a")])  # X -> Y -> a
 @given(
     st.integers(1, 3).flatmap(_rows_and_calls),
     st.lists(st.tuples(st.integers(0, 2), CALL_ARGS), max_size=3),
-    st.sampled_from([0, 100]),
 )
 @settings(max_examples=300)
-def test_row_walk_equals_unify_with_each_row(case, pre, off):
+def test_row_walk_equals_unify_with_each_row(case, pre):
     # a conjunction of calls to one row relation, some of their variables
     # bound beforehand, leaves per solution the same bindings and trail as
     # unifying each goal with every row's head in turn
@@ -461,7 +461,7 @@ def test_row_walk_equals_unify_with_each_row(case, pre, off):
             return
         for row in rows:
             mark = ref.mark()
-            if unify(goals[i], Struct("p", row), ref, off):
+            if unify(goals[i], Struct("p", row), ref):
                 walk(i + 1)
                 ref.undo(mark)
 

@@ -5,12 +5,12 @@ import pytest
 
 import lintab.corpus as corpus
 from lintab.analysis import pred_key
+from lintab.corpus import random_instance
 from lintab.oracle import (
     OracleInapplicable,
     answers_for_key,
     oracle_model,
     oracle_solve,
-    random_instance,
 )
 from lintab.parser import parse_program, parse_query
 
@@ -114,3 +114,22 @@ def test_iteration_bound_holds_on_corpus():
         corpus.SELF_FEEDING_PAIR,
     ):
         oracle_model(parse_program(text))
+
+
+def test_oracle_imports_only_the_term_and_parser_layers():
+    # the oracle stays an independent reference: no engine, table,
+    # analysis, corpus or generator code
+    import ast
+    from pathlib import Path
+
+    import lintab.oracle
+
+    tree = ast.parse(Path(lintab.oracle.__file__).read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import ...
+            used |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            assert all(name.split(".")[0] != "lintab" for name in names)
+    assert used == {"parser", "terms"}

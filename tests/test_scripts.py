@@ -107,6 +107,16 @@ def test_ab_query_times_a_counter_change(tmp_path):
     assert lines[-4].endswith("  differs") and not lines[-3].endswith("differs")
 
 
+def test_ab_query_reports_a_stream_change(tmp_path):
+    # same answer sets and counters, each solution yielded twice: exit 3
+    lines = run_ab_query_against_patched_copy(
+        tmp_path, "                yield text\n", "                yield text\n" * 2, code=3
+    )
+    assert lines[-3].startswith("median per-instance ratio change/parent = ")
+    assert lines[-2].startswith("solution streams differ on 2 of 2 instances, first sg-random-0")
+    assert lines[-1].startswith("counters identical: ")
+
+
 def test_ab_query_stops_on_a_wrong_answer(tmp_path):
     lines = run_ab_query_against_patched_copy(tmp_path, "yield text\n", "yield text + 'x'\n", code=1)
     assert lines[1].startswith("FAILED sg-random-0") and lines[1].endswith("wrong answer from the parent")

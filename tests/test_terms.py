@@ -1,7 +1,8 @@
 """Term layer: unification, canonicalization, variance, rendering."""
 
 import hypothesis.strategies as st
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import given, settings
 
 from lintab.terms import (
     Bindings,
@@ -46,8 +47,6 @@ def test_term_equality_and_hashing():
 
 
 def test_term_constructor_validation():
-    import pytest
-
     with pytest.raises(ValueError):
         Struct("f", [])
     with pytest.raises(ValueError):
@@ -186,50 +185,32 @@ def _bound(pre):
     return b
 
 
-def _clause_heads(max_vars):
-    """(call, head) pairs of one functor and arity, so that unify's
-    in-place head path runs on every example."""
-    pair = st.tuples(terms(max_vars), terms(max_vars))
-    return st.lists(pair, min_size=1, max_size=4).map(
-        lambda pairs: (
-            Struct("p", [a for a, _ in pairs]),
-            Struct("p", [c for _, c in pairs]),
-        )
-    )
-
-
-@example(  # q(X,f(X)) against q(A,A): the head's X meets A = f(X)
-    (Struct("q", [Var(0), Var(0)]), Struct("q", [Var(0), Struct("f", [Var(0)])])),
-    [],
-    100,
+@pytest.mark.parametrize(
+    "call,head,pre,ok",
+    [
+        # q(A,A) against q(X,f(X)): the head's X meets A = f(X)
+        (Struct("q", [Var(0), Var(0)]), Struct("q", [Var(0), Struct("f", [Var(0)])]), [], False),
+        # p(A,f(A)) against p(X,X)
+        (Struct("p", [Var(0), Struct("f", [Var(0)])]), Struct("p", [Var(0), Var(0)]), [], False),
+        # r(A,B,B) against r(X,Y,X), with A pre-bound
+        (
+            Struct("r", [Var(0), Var(1), Var(1)]),
+            Struct("r", [Var(0), Var(1), Var(0)]),
+            [(0, Struct("g", [Var(2)]))],
+            True,
+        ),
+    ],
 )
-@example(  # p(X,X) against p(A,f(A))
-    (Struct("p", [Var(0), Struct("f", [Var(0)])]), Struct("p", [Var(0), Var(0)])),
-    [],
-    100,
-)
-@example(  # r(X,Y,X) against r(A,B,B), with A pre-bound
-    (Struct("r", [Var(0), Var(1), Var(1)]), Struct("r", [Var(0), Var(1), Var(0)])),
-    [(0, Struct("g", [Var(2)]))],
-    100,
-)
-@given(
-    st.one_of(_clause_heads(2), _clause_heads(4), st.tuples(terms(), terms())),
-    st.lists(st.tuples(st.integers(0, 3), terms()), max_size=3),
-    st.sampled_from([1, 3, 100]),
-)
-@settings(max_examples=300)
-def test_unify_at_offset_equals_unify_with_renumbered_head(pair, pre, off):
-    # an offset smaller than the call's variables is not renamed apart;
-    # the bindings and trail must match exactly all the same
-    t1, t2 = pair
-    b1, b2 = _bound(pre), _bound(pre)
-    before = (dict(b1._map), list(b1._trail))
-    ok = unify(t1, t2, b1, off)
-    assert ok == unify(t1, renumber(t2, off), b2)
-    assert b1._map == b2._map and b1._trail == b2._trail
-    if not ok:
-        assert (b1._map, b1._trail) == before
+def test_unify_with_renamed_clause_head(call, head, pre, ok):
+    # a repeated head variable meets the occurs check, or a bound call variable
+    b = _bound(pre)
+    before = (dict(b._map), list(b._trail))
+    head = renumber(head, 100)
+    assert unify(call, head, b) == ok
+    if ok:
+        assert resolve(call, b) == resolve(head, b)
+    else:
+        assert (b._map, b._trail) == before
 
 
 @given(
