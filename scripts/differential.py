@@ -8,6 +8,10 @@ and table-entry answers lie outside the least model or are missing from
 it (with the number of programs affected in parentheses).
 
     python scripts/differential.py --seed 0 --programs 200
+
+Exits 1 when a run raised or an answer lies outside the model, the
+soundness properties the test suite asserts; else 0. Missing answers are
+only reported: eager evaluation can still complete a table early.
 """
 
 import argparse
@@ -20,11 +24,11 @@ from lintab.bench import config_matrix, model_gaps
 from lintab.corpus import mutual_recursion_program
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--programs", type=int, default=100)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     labels = [label for label, _ in config_matrix()]
     raised = {label: [] for label in labels}
     outside = {label: [0, []] for label in labels}
@@ -51,7 +55,8 @@ def main() -> int:
     ):
         if seeds:
             print(f"seeds {title}: {' '.join(map(str, sorted(seeds)))}")
-    return 0
+    unsound = any(raised.values()) or any(n for n, _ in outside.values())
+    return 1 if unsound else 0
 
 
 if __name__ == "__main__":

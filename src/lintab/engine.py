@@ -16,22 +16,22 @@ dispatch on the entry state:
   * a follower, which is a call whose entry has a live pioneer activation
     or is evaluated while its cluster still iterates, joins the cluster,
     consumes answers and then fails (early-promoting on exhaustion);
-  * anything else is a pioneer. One pioneer generator serves both
-    strategies: it runs rounds of rule resolution to the entry's fixpoint
-    and yields each new answer as it is stored. The strategy only decides
-    when answers are returned. A lazy pioneer drains the generator, so
-    answers are withheld until clauses are exhausted (and for top-most
-    looping subgoals until the whole cluster is complete), then returns
-    them from the table. An eager pioneer hands each new answer to the
-    parent the moment it is stored, and at the start of each round
-    replays the answers stored so far: always when it is a member of a
-    cluster, but as the cluster's top-most subgoal only after a fake
-    loop, a follower call that the parent's continuation made while the
-    top was suspended handing it an answer, into a cluster whose own top
-    was handing too (the top's, or one nested in it): the call marks every
-    pioneer then handing. A continuation that made no such call read no
-    table that could still grow after it finished, so running it again on
-    an old answer would only redo work.
+  * anything else is a pioneer. The tabled call's own generator runs
+    rounds of rule resolution to the entry's fixpoint, so an active tabled
+    call is one frame under either strategy. The strategy only decides
+    when answers are returned. A lazy pioneer yields nothing while it
+    stores answers, so they are withheld until clauses are exhausted (and
+    for top-most looping subgoals until the whole cluster is complete),
+    then returns them from the table. An eager pioneer hands each new
+    answer to the parent the moment it is stored, and at the start of
+    each round replays the answers stored so far: always when it is a
+    member of a cluster, but as the cluster's top-most subgoal only after
+    a fake loop, a follower call that the parent's continuation made
+    while the top was suspended handing it an answer, into a cluster
+    whose own top was handing too (the top's, or one nested in it): the
+    call marks every pioneer then handing. A continuation that made no
+    such call read no table that could still grow after it finished, so
+    running it again on an old answer would only redo work.
 
 Consumption walks the answer table by position and binds the call's
 variables to each stored substitution tuple, with no unification (see
@@ -350,91 +350,84 @@ class Engine:
                         e.replay = True
             yield from self._consume(call_vars, entry, gate, promote=True)
             return
-        # pioneer
+        # pioneer: rounds of rule resolution to the entry's fixpoint, each
+        # answer stored as the canonical tuple of the call variables'
+        # bindings. A lazy pioneer yields nothing and consumes the table
+        # after its rounds. An eager one yields True per newly stored
+        # answer, the call still bound to it, and first replays the table
+        # each round unless it is its cluster's top-most subgoal and no fake
+        # loop (`replay`) came back into the cluster since the previous
+        # round began; `handing` is set exactly while it is suspended at a
+        # yield to its parent (`_consume` calls no subgoal). Past round 1
+        # with semi-naive on, base rules are skipped and each rule body gets
+        # its last depending index as its gate site.
         eager = self.program.strategy(key, self.opts.strategy) == EAGER
         if entry.pos is None:  # first call: push it on the completion stack
             entry.pos = len(self.incomplete)
             self.incomplete.append(entry)
-        self.active_pioneers[entry] = None
-        try:
-            pioneer = self._pioneer(goal, key, entry, call_vars, gate, eager)
-            if eager:
-                for new in pioneer:
-                    entry.handing = True
-                    yield new
-                    entry.handing = False
-                return
-            for _ in pioneer:
-                pass  # lazy: the memo fails, answers wait in the table
-        finally:
-            entry.handing = False
-            del self.active_pioneers[entry]
-        yield from self._consume(call_vars, entry, gate, promote=False)
-
-    def _pioneer(self, goal, key, entry, call_vars, gate, eager):
-        """Rounds of rule resolution to the entry's fixpoint.
-
-        Stores each answer as the canonical tuple of the call variables'
-        bindings and yields True once per newly stored one, with the call
-        still bound to it. The strategy only decides when answers are
-        returned: a lazy pioneer drains the generator and consumes
-        afterwards; an eager one forwards every yield to the parent, and
-        first replays the table's answers to it each round unless it is
-        its cluster's top-most subgoal and no fake loop (`replay`) came
-        back into the cluster since the previous round began. Past round 1
-        with semi-naive on, base rules are skipped and each rule body gets
-        its last depending index as its gate site.
-        """
         b = self.bindings
         subst = tuple(map(Var, call_vars))
         clauses = self._clauses_for(goal, key)  # the call is bound alike every round
-        while True:
-            entry.round_counter += 1
-            if eager:  # answers first, then rules
-                replay = entry.replay or entry.topmost is not entry
-                entry.replay = False  # a fake loop during this replay counts next round
-                if replay:
-                    yield from self._consume(call_vars, entry, gate, promote=False)
-            later = self.opts.semi_naive and entry.round_counter >= 2
-            # a round past the first has a top; an entry joined to a top at
-            # another level (an eager fake loop) keeps its base rules
-            levels = self.program.levels
-            skip_base = later and levels[key] == levels[pred_key(entry.topmost.key)]
-            for ar in clauses:
-                last_dep = ar.last_depending_index
-                if skip_base and last_dep is None:
-                    continue  # a base rule derives nothing new after round 1
-                self._step()
-                self.stats.clause_resolutions += 1
-                mark = b.mark()
-                body = self._activate(goal, ar.clause)
-                if body is None:
+        levels = self.program.levels
+        self.active_pioneers[entry] = None
+        try:
+            while True:
+                entry.round_counter += 1
+                if eager:  # answers first, then rules
+                    replay = entry.replay or entry.topmost is not entry
+                    entry.replay = False  # a fake loop during this replay counts next round
+                    if replay:
+                        entry.handing = True
+                        yield from self._consume(call_vars, entry, gate, promote=False)
+                        entry.handing = False
+                later = self.opts.semi_naive and entry.round_counter >= 2
+                # a round past the first has a top; an entry joined to a top
+                # at another level (an eager fake loop) keeps its base rules
+                skip_base = later and levels[key] == levels[pred_key(entry.topmost.key)]
+                for ar in clauses:
+                    last_dep = ar.last_depending_index
+                    if skip_base and last_dep is None:
+                        continue  # a base rule derives nothing new after round 1
+                    self._step()
+                    self.stats.clause_resolutions += 1
+                    mark = b.mark()
+                    body = self._activate(goal, ar.clause)
+                    if body is None:
+                        continue
+                    for _ in self._solve_seq(body, last_dep if later else None, False, 0):
+                        # memo: store the answer; only a new one is returned
+                        if insert_answer(entry, canonicalize(subst, b)):
+                            self.stats.answers_produced += 1
+                            if eager:
+                                entry.handing = True
+                                yield True
+                                entry.handing = False
+                    b.undo(mark)
+                # check_completion. A top-most entry stays active from its
+                # first call until its cluster completes, so every incomplete
+                # entry first called after it has either joined its cluster
+                # or completed before the top resumed: the stack suffix from
+                # its position is its cluster (just the entry when it is not
+                # looping)
+                top = entry.topmost
+                if top is not None and top is not entry:
+                    entry.evaluated = True  # its top-most subgoal completes it
+                    break
+                cluster = self.incomplete[entry.pos :]
+                if top is entry and any(e.revised for e in cluster):
+                    for e in cluster:  # another round
+                        promote_regions(e)
+                        e.evaluated = False
+                        e.revised = False
                     continue
-                for _ in self._solve_seq(body, last_dep if later else None, False, 0):
-                    # memo: store the answer; only a new one is returned
-                    if insert_answer(entry, canonicalize(subst, b)):
-                        self.stats.answers_produced += 1
-                        yield True
-                b.undo(mark)
-            # check_completion. A top-most entry stays active from its first
-            # call until its cluster completes, so every incomplete entry
-            # first called after it has either joined its cluster or
-            # completed before the top resumed: the stack suffix from its
-            # position is its cluster (just the entry when it is not looping)
-            top = entry.topmost
-            if top is not None and top is not entry:
-                entry.evaluated = True  # its top-most subgoal completes it
-                return
-            cluster = self.incomplete[entry.pos :]
-            if top is entry and any(e.revised for e in cluster):
-                for e in cluster:  # another round
-                    promote_regions(e)
-                    e.evaluated = False
-                    e.revised = False
-                continue
-            mark_complete(*cluster)
-            del self.incomplete[entry.pos :]
-            return
+                mark_complete(*cluster)
+                del self.incomplete[entry.pos :]
+                break
+        finally:
+            entry.handing = False
+            del self.active_pioneers[entry]
+        if not eager:  # lazy: the memo failed, answers wait in the table
+            yield from self._consume(call_vars, entry, gate, promote=False)
 
     def _consume(self, call_vars, entry, gate, promote):
         """Walk the entry's answer tuples by position, seeing answers stored

@@ -220,14 +220,6 @@ def canonicalize(
     return walk(t)
 
 
-def resolve(t: Term, b: Bindings) -> Term:
-    """Apply b fully to t, returning a standalone copy."""
-    t = b.deref(t)
-    if type(t) is Struct:
-        return Struct(t.functor, [resolve(a, b) for a in t.args])
-    return t
-
-
 def variables(t: Term | tuple[Term, ...], b: Optional[Bindings] = None) -> list[int]:
     """Variable ids in first-occurrence order (after deref through b).
     t may also be a tuple of terms."""

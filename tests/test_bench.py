@@ -1,7 +1,10 @@
 """Bench harness: config matrix, agreement checks, suites."""
 
+import lintab.bench
 import lintab.corpus as corpus
 from lintab.bench import bench_suite, config_matrix, run_instance, suite_instances
+from lintab.oracle import oracle_model
+from lintab.terms import Struct
 
 
 def test_config_matrix_covers_valid_combinations():
@@ -23,10 +26,26 @@ def test_run_instance_agreement_and_rows():
     assert {"subgoals", "answers_consumed", "time"} <= set(r.rows[0])
 
 
-def test_run_instance_flags_engine_oracle_divergence():
+def test_run_instance_skips_the_oracle_outside_its_fragment():
     # a program outside the oracle's fragment is skipped, not flagged
     r = run_instance("free", ":- table p/1.\np(X).\n", "p(X)")
     assert r.divergences == []
+
+
+def test_run_instance_flags_a_planted_oracle_divergence(monkeypatch):
+    # an oracle model missing one fact disagrees with the engine on the
+    # query and on the entry that holds the fact
+    def model_without_p_a_c(items):
+        model = oracle_model(items)
+        model[("p", 2)].remove(Struct("p", ["a", "c"]))
+        return model
+
+    monkeypatch.setattr(lintab.bench, "oracle_model", model_without_p_a_c)
+    r = run_instance("tc", corpus.LEFT_RECURSIVE_TC, corpus.LEFT_RECURSIVE_TC_QUERY)
+    assert r.divergences == [
+        "tc: engine disagrees with the bottom-up oracle",
+        "tc: entry p(a,_G0) disagrees with the oracle",
+    ]
 
 
 def test_paper_examples_suite_clean():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import lintab.cli
 import lintab.corpus as corpus
 from lintab.cli import (
     EXIT_BUDGET,
@@ -13,6 +14,7 @@ from lintab.cli import (
     EXIT_USAGE,
     main,
 )
+from lintab.oracle import oracle_solve
 
 
 @pytest.fixture
@@ -115,6 +117,17 @@ def test_run_dump_table(tc_file, capsys):
 def test_run_oracle_agreement(tc_file, capsys):
     assert main(["run", tc_file, "p(a,Y)", "--oracle"]) == EXIT_OK
     assert "oracle: agreement on 2 solutions" in capsys.readouterr().out
+
+
+def test_run_oracle_divergence_exit_code(tc_file, capsys, monkeypatch):
+    # an oracle that swaps p(a,c) for p(a,d) disagrees with the engine
+    def planted(text, query):
+        return oracle_solve(text, query) - {"p(a,c)"} | {"p(a,d)"}
+
+    monkeypatch.setattr(lintab.cli, "oracle_solve", planted)
+    assert main(["run", tc_file, "p(a,Y)", "--oracle"]) == EXIT_USAGE
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:] == ["oracle: DIVERGENCE", "  missing: p(a,d)", "  extra:   p(a,c)"]
 
 
 def test_run_late_loop_under_running_cluster(tmp_path, capsys):

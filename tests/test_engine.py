@@ -346,6 +346,16 @@ def test_nontabled_path_over_300_edge_chain_answers_all():
     assert sols == [f"path(1,{i})" for i in range(2, 302)]
 
 
+@pytest.mark.parametrize("strategy", [LAZY, EAGER])
+def test_tabled_300_level_chain_answers(strategy):
+    # an active tabled call is one generator frame: 300 nested pioneers,
+    # each with one answer, fit in the default recursion limit
+    chain = "".join(f"e({i},{i + 1}).\n" for i in range(1, 301))
+    text = ":- table p/1.\n" + chain + "p(301).\np(X) :- e(X,Y), p(Y).\n"
+    sols, _ = solve(text, "p(1)", strategy=strategy)
+    assert sols == ["p(1)"]
+
+
 def test_deep_recursion_is_a_typed_engine_error():
     chain = "".join(f"edge({i},{i + 1}).\n" for i in range(1, 401))
     text = chain + "path(X,Y) :- edge(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\n"

@@ -1,6 +1,5 @@
 """Reference evaluator: fixpoint model, applicability, cross-checks."""
 
-import numpy as np
 import pytest
 
 import lintab.corpus as corpus
@@ -87,21 +86,25 @@ def test_fixpoint_matches_matrix_power_closure():
     text, query = random_instance(seed, "tcl", "random", n, m)
     sols = oracle_solve(text, query)
 
-    adj = np.zeros((n + 1, n + 1), dtype=bool)
+    nodes = range(n + 1)
+    adj = [[False] * (n + 1) for _ in nodes]
     from lintab.parser import Clause
 
     for item in parse_program(text):
         if isinstance(item, Clause) and not item.body and pred_key(item.head) == ("edge", 2):
             i, j = item.head.args
-            adj[i, j] = True
-    closure = adj.copy()
-    for _ in range(n):
-        closure = closure | (closure @ adj)
+            adj[i][j] = True
+    closure = adj
+    for _ in range(n):  # closure | closure @ adj, a boolean matrix product
+        closure = [
+            [closure[i][j] or any(closure[i][k] and adj[k][j] for k in nodes) for j in nodes]
+            for i in nodes
+        ]
     want = {
         f"tcl({i},{j})"
         for i in range(1, n + 1)
         for j in range(1, n + 1)
-        if closure[i, j]
+        if closure[i][j]
     }
     assert sols == want
 

@@ -1,9 +1,14 @@
 """The scripts under scripts/ run against the current sources."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from lintab.bench import ModelGaps
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -59,6 +64,38 @@ def test_differential_smoke():
     rows = [line for line in lines if " raised=" in line]
     assert len(rows) == 6
     assert all(" raised=0 outside=0 " in row for row in rows)
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "title,gaps,code",
+    [
+        ("raised", ModelGaps(error="EngineError: planted"), 1),
+        ("outside", ModelGaps(outside={"p(X): p(9)"}), 1),
+        ("missing", ModelGaps(missing={"p(X): p(9)"}), 0),  # reported, not failed
+    ],
+    ids=["raised", "outside", "missing"],
+)
+def test_differential_exit_code(monkeypatch, capsys, title, gaps, code):
+    # one config of seed 0 reports a planted gap
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the script prepends src/
+    differential = load_script("differential.py")
+    real = differential.model_gaps
+
+    def planted(text, query):
+        found = real(text, query)
+        found[next(iter(found))] = gaps
+        return found
+
+    monkeypatch.setattr(differential, "model_gaps", planted)
+    assert differential.main(["--seed", "0", "--programs", "1"]) == code
+    assert f"seeds {title}: 0" in capsys.readouterr().out.splitlines()
 
 
 def test_ab_query_smoke():

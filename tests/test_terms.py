@@ -14,11 +14,18 @@ from lintab.terms import (
     render,
     render_goals,
     renumber,
-    resolve,
     subsumes,
     unify,
     variables,
 )
+
+
+def resolve(t, b):
+    """t with b applied fully: a standalone copy to compare by equality."""
+    t = b.deref(t)
+    if type(t) is Struct:
+        return Struct(t.functor, [resolve(a, b) for a in t.args])
+    return t
 
 
 def terms(max_vars=4, max_depth=3):
