@@ -11,10 +11,10 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from . import corpus, load_program, oracle
+from . import analysis, corpus, oracle
 from .engine import EAGER, LAZY, Engine, EngineOptions
 from .oracle import OracleInapplicable, answers_for_key, oracle_model
-from .parser import parse_program, parse_query
+from .parser import parse_program
 from .table import check_region_invariants
 from .terms import render
 
@@ -70,7 +70,8 @@ def run_instance(
     step_budget: int = 10**8,
 ) -> InstanceResult:
     """Run one (program, query) under every config and self-check."""
-    program = load_program(text)
+    items = parse_program(text)
+    program = analysis.analyze(items)
     result = InstanceResult(name=name)
     for label, opts in config_matrix():
         eng = Engine(program, replace(opts, step_budget=step_budget))
@@ -78,6 +79,8 @@ def run_instance(
         sols = list(eng.run(query))
         elapsed = time.monotonic() - t0
         check_region_invariants(eng.store)
+        if not result.solutions:  # the base config's entries, for the oracle
+            keys = [e.key for e in eng.store]
         result.solutions[label] = frozenset(sols)
         result.entry_answers[label] = entry_answer_sets(eng)
         result.entry_rounds[label] = dict(eng.stats.entry_rounds)
@@ -100,19 +103,14 @@ def run_instance(
 
     if use_oracle:
         try:
-            items = parse_program(text)
             model = oracle_model(items)
             expected = oracle.oracle_solve(items, query, model)
             if frozenset(expected) != result.solutions[base]:
                 result.divergences.append(
                     f"{name}: engine disagrees with the bottom-up oracle"
                 )
-            program_keys = result.entry_answers[base]
-            for key_text, answers in program_keys.items():
-                key_term = parse_query(key_text)[0][0]
-                want = frozenset(
-                    render(f) for f in answers_for_key(model, key_term)
-                )
+            for key, (key_text, answers) in zip(keys, result.entry_answers[base].items()):
+                want = frozenset(render(f) for f in answers_for_key(model, key))
                 if answers != want:
                     result.divergences.append(
                         f"{name}: entry {key_text} disagrees with the oracle"
@@ -139,7 +137,7 @@ def model_gaps(text: str, query: str, step_budget: int = 10**6) -> dict[str, Mod
     items = parse_program(text)
     model = oracle_model(items)
     want = {query: oracle.oracle_solve(items, query, model)}
-    program = load_program(text)
+    program = analysis.analyze(items)
     out = {}
     for label, opts in config_matrix():
         eng = Engine(program, replace(opts, step_budget=step_budget))

@@ -10,13 +10,14 @@ solution stands on a new answer, one past its entry's old region or just
 stored by a pioneer, at any depth below. A clause is resolved by
 unifying the call with its head renamed into a fresh block of variables;
 only on a match is the body renamed into that block too. Tabled calls
-dispatch on the entry state:
+dispatch on the entry's lifecycle state (see table.py):
 
-  * a complete entry is resolved from the table;
-  * a follower, which is a call whose entry has a live pioneer activation
-    or is evaluated while its cluster still iterates, joins the cluster,
-    consumes answers and then fails (early-promoting on exhaustion);
-  * anything else is a pioneer. The tabled call's own generator runs
+  * a COMPLETE entry is resolved from the table;
+  * a follower, which is a call whose entry is RUNNING or HANDING (its
+    pioneer is active) or EVALUATED (its cluster still iterates), joins
+    the cluster, consumes answers and then fails (early-promoting on
+    exhaustion);
+  * a call to a NEW entry is a pioneer. The tabled call's own generator runs
     rounds of rule resolution to the entry's fixpoint, so an active tabled
     call is one frame under either strategy. The strategy only decides
     when answers are returned. A lazy pioneer yields nothing while it
@@ -27,9 +28,9 @@ dispatch on the entry state:
     each round replays the answers stored so far: always when it is a
     member of a cluster, but as the cluster's top-most subgoal only after
     a fake loop, a follower call that the parent's continuation made
-    while the top was suspended handing it an answer, into a cluster
-    whose own top was handing too (the top's, or one nested in it): the
-    call marks every pioneer then handing. A continuation that made no
+    while the top was HANDING it an answer, into a cluster whose own top
+    was HANDING too (the top's, or one nested in it): the call marks
+    every pioneer then HANDING. A continuation that made no
     such call read no table that could still grow after it finished, so
     running it again on an old answer would only redo work.
 
@@ -66,11 +67,15 @@ from .analysis import (
 )
 from .parser import parse_query
 from .table import (
+    COMPLETE,
+    EVALUATED,
+    HANDING,
+    NEW,
+    RUNNING,
     SubgoalEntry,
     SubgoalStore,
     early_promote,
     insert_answer,
-    mark_complete,
     promote_regions,
     register_subgoal,
 )
@@ -176,8 +181,6 @@ class Engine:
         self.bindings = Bindings()
         self.store = SubgoalStore()
         self.stats = RunStats()
-        # entries whose pioneer is running, outermost first
-        self.active_pioneers: dict[SubgoalEntry, None] = {}
         # the completion stack: incomplete entries in first-call order
         self.incomplete: list[SubgoalEntry] = []
         self._var_counter = 0
@@ -191,6 +194,9 @@ class Engine:
             goals, nvars = parse_query(query)
         else:
             goals = list(query)
+            for g in goals:  # a parsed goal or clause body is callable
+                if not isinstance(g, (str, Struct)):
+                    raise EngineError(f"goal is not callable: {render(g)}")
             ids = [v for g in goals for v in variables(g)]
             nvars = max(ids, default=-1) + 1
         off = self._fresh_block(nvars)
@@ -268,9 +274,7 @@ class Engine:
         if i == len(goals):
             yield fresh
             return
-        goal = self.bindings.deref(goals[i])
-        if not isinstance(goal, (str, Struct)):
-            raise EngineError(f"goal is not callable: {render(goal, self.bindings)}")
+        goal = goals[i]
         self._step()
         key = pred_key(goal)
         if self.program.is_tabled(key):
@@ -333,20 +337,21 @@ class Engine:
 
     def _solve_tabled(self, goal, key, gate):
         entry, call_vars = register_subgoal(self.store, goal, self.bindings)
-        if entry.complete:
+        state = entry.state
+        if state is COMPLETE:
             yield from self._consume(call_vars, entry, gate, promote=False)
             return
-        if entry in self.active_pioneers or entry.evaluated:
-            # a follower (a loop, possibly fake under eager, was found), or
-            # an entry whose cluster is still iterating: either way the
-            # caller must not complete before the cluster's top-most does:
-            # every entry first called since that top joins its cluster
+        if state is not NEW:
+            # a follower (RUNNING or HANDING: a loop, possibly fake under
+            # eager) or an EVALUATED entry whose cluster still iterates:
+            # either way the caller must not complete before the cluster's
+            # top-most does: every entry first called since that top joins
             top = entry.topmost or entry
             for e in self.incomplete[top.pos :]:
                 e.topmost = top  # a looping top points at itself
-            if top.handing:  # a fake loop: every continuation it lies in replays next round
-                for e in self.active_pioneers:
-                    if e.handing:
+            if top.state is HANDING:  # a fake loop: every continuation it lies in replays next round
+                for e in self.incomplete:  # which holds every active pioneer
+                    if e.state is HANDING:
                         e.replay = True
             yield from self._consume(call_vars, entry, gate, promote=True)
             return
@@ -357,7 +362,7 @@ class Engine:
         # answer, the call still bound to it, and first replays the table
         # each round unless it is its cluster's top-most subgoal and no fake
         # loop (`replay`) came back into the cluster since the previous
-        # round began; `handing` is set exactly while it is suspended at a
+        # round began; it is HANDING exactly while it is suspended at a
         # yield to its parent (`_consume` calls no subgoal). Past round 1
         # with semi-naive on, base rules are skipped and each rule body gets
         # its last depending index as its gate site.
@@ -369,7 +374,7 @@ class Engine:
         subst = tuple(map(Var, call_vars))
         clauses = self._clauses_for(goal, key)  # the call is bound alike every round
         levels = self.program.levels
-        self.active_pioneers[entry] = None
+        entry.state = RUNNING
         try:
             while True:
                 entry.round_counter += 1
@@ -377,9 +382,9 @@ class Engine:
                     replay = entry.replay or entry.topmost is not entry
                     entry.replay = False  # a fake loop during this replay counts next round
                     if replay:
-                        entry.handing = True
+                        entry.state = HANDING
                         yield from self._consume(call_vars, entry, gate, promote=False)
-                        entry.handing = False
+                        entry.state = RUNNING
                 later = self.opts.semi_naive and entry.round_counter >= 2
                 # a round past the first has a top; an entry joined to a top
                 # at another level (an eager fake loop) keeps its base rules
@@ -399,9 +404,9 @@ class Engine:
                         if insert_answer(entry, canonicalize(subst, b)):
                             self.stats.answers_produced += 1
                             if eager:
-                                entry.handing = True
+                                entry.state = HANDING
                                 yield True
-                                entry.handing = False
+                                entry.state = RUNNING
                     b.undo(mark)
                 # check_completion. A top-most entry stays active from its
                 # first call until its cluster completes, so every incomplete
@@ -411,21 +416,23 @@ class Engine:
                 # looping)
                 top = entry.topmost
                 if top is not None and top is not entry:
-                    entry.evaluated = True  # its top-most subgoal completes it
+                    entry.state = EVALUATED  # its top-most subgoal completes it
                     break
                 cluster = self.incomplete[entry.pos :]
                 if top is entry and any(e.revised for e in cluster):
-                    for e in cluster:  # another round
+                    for e in cluster:  # another round: the members pioneer anew
                         promote_regions(e)
-                        e.evaluated = False
                         e.revised = False
+                        if e is not entry:
+                            e.state = NEW
                     continue
-                mark_complete(*cluster)
+                for e in cluster:
+                    e.state = COMPLETE
                 del self.incomplete[entry.pos :]
                 break
         finally:
-            entry.handing = False
-            del self.active_pioneers[entry]
+            if entry.state is RUNNING or entry.state is HANDING:
+                entry.state = NEW  # abandoned: its next call pioneers it
         if not eager:  # lazy: the memo failed, answers wait in the table
             yield from self._consume(call_vars, entry, gate, promote=False)
 
@@ -456,7 +463,6 @@ class Engine:
         if (
             promote
             and self.opts.early_promotion
-            and not entry.complete
             and not entry.promoted_this_round
         ):
             early_promote(entry)

@@ -26,6 +26,14 @@ from .terms import Bindings, Struct, Term, Var, canonicalize, render, variables
 Subst = tuple[Term, ...]
 
 
+# An entry's lifecycle: NEW (its next call pioneers it), RUNNING (its
+# pioneer is active), HANDING (an eager pioneer suspended at a yield to its
+# parent), EVALUATED (a cluster member done for this round) and COMPLETE.
+NEW, RUNNING, HANDING, EVALUATED, COMPLETE = (
+    "new", "running", "handing", "evaluated", "complete"
+)
+
+
 class TableError(Exception):
     """Internal table misuse (engine bug), e.g. inserting when complete."""
 
@@ -72,21 +80,19 @@ class AnswerList:
 
 
 class SubgoalEntry:
-    """Per-variant table record: answers, region markers, state flags."""
+    """Per-variant table record: answers, region markers, lifecycle state."""
 
     __slots__ = (
         "key",
         "answers",
         "last_old",
         "last_prev",
-        "complete",
-        "evaluated",
+        "state",
         "revised",
         "promoted_this_round",
         "round_counter",
         "topmost",
         "pos",
-        "handing",
         "replay",
     )
 
@@ -97,8 +103,7 @@ class SubgoalEntry:
         # current = [last_prev:]
         self.last_old = 0
         self.last_prev = 0
-        self.complete = False
-        self.evaluated = False
+        self.state = NEW
         self.revised = False
         self.promoted_this_round = False
         self.round_counter = 0
@@ -107,15 +112,12 @@ class SubgoalEntry:
         self.topmost: Optional[SubgoalEntry] = None
         # its index on the engine's completion stack, set on its first call
         self.pos: Optional[int] = None
-        # an eager pioneer suspended at a yield to its parent
-        self.handing = False
-        # a fake loop happened while it was handing: its next round starts
+        # a fake loop happened while it was HANDING: its next round starts
         # by replaying its answers to the parent
         self.replay = False
 
     def __repr__(self):
-        state = "complete" if self.complete else "incomplete"
-        return f"<entry {render(self.key)} {state} {len(self.answers)} answers>"
+        return f"<entry {render(self.key)} {self.state} {len(self.answers)} answers>"
 
     def regions(self) -> tuple[list[Term], list[Term], list[Term]]:
         a = list(self.answers)
@@ -159,7 +161,7 @@ def insert_answer(entry: SubgoalEntry, tup: Subst) -> bool:
     Sets the revised flag on insertion so the governing top-most subgoal
     sees that its round produced something new.
     """
-    if entry.complete:
+    if entry.state is COMPLETE:
         raise TableError(f"insertion into complete entry {render(entry.key)}")
     inserted = entry.answers.add(tup)
     if inserted:
@@ -178,13 +180,6 @@ def early_promote(entry: SubgoalEntry) -> None:
     """Move current answers into previous, at most once per round."""
     entry.last_prev = len(entry.answers)
     entry.promoted_this_round = True
-
-
-def mark_complete(*entries: SubgoalEntry) -> None:
-    """Flag the entries of a completed cluster as complete."""
-    for entry in entries:
-        entry.complete = True
-        entry.evaluated = False
 
 
 def check_region_invariants(store: SubgoalStore) -> None:
@@ -211,7 +206,7 @@ def dump(store: SubgoalStore) -> str:
     """Deterministic table dump, one line per entry in registration order."""
     lines = []
     for entry in store:
-        state = "complete" if entry.complete else "incomplete"
+        state = "complete" if entry.state is COMPLETE else "incomplete"
         answers = ",".join(render(a) for a in entry.answers)
         lines.append(
             f"{render(entry.key)}  state={state} answers=[{answers}] "

@@ -23,7 +23,7 @@ from lintab.analysis import analyze
 from lintab.bench import config_matrix, run_instance, suite_instances
 from lintab.oracle import OracleInapplicable, oracle_solve
 from lintab.parser import Clause
-from lintab.table import check_region_invariants
+from lintab.table import COMPLETE, HANDING, RUNNING, check_region_invariants
 from lintab.terms import Bindings, Struct, Var, unify
 from test_engine_golden import golden_instances
 
@@ -364,6 +364,11 @@ def test_deep_recursion_is_a_typed_engine_error():
     assert type(info.value) is DepthExceeded
 
 
+def active_entries(eng):
+    """Entries whose pioneer is RUNNING or HANDING: none once a run ends."""
+    return [e for e in eng.store if e.state is RUNNING or e.state is HANDING]
+
+
 @pytest.mark.parametrize("label,opts", config_matrix(), ids=[c[0] for c in config_matrix()])
 @pytest.mark.parametrize(
     "text,query",
@@ -377,8 +382,7 @@ def test_abandoned_run_leaves_no_active_pioneer(label, opts, text, query):
     opts = dataclasses.replace(opts, limit=1)
     sols, eng = run_query(load_program(text), query, opts)
     assert len(sols) == 1
-    assert not eng.active_pioneers
-    assert not any(e.handing for e in eng.store)
+    assert not active_entries(eng)
 
 
 @pytest.mark.parametrize("label,opts", EAGER_CONFIGS, ids=[c[0] for c in EAGER_CONFIGS])
@@ -395,10 +399,33 @@ def test_closed_eager_run_leaves_no_pioneer_handing(label, opts, text, query):
     eng = Engine(load_program(text), opts)
     stream = eng.run(query)
     next(stream)
-    assert any(e.handing for e in eng.store)  # suspended at its yield to the query
+    assert any(e.state is HANDING for e in eng.store)  # suspended at its yield to the query
     stream.close()
-    assert not eng.active_pioneers
-    assert not any(e.handing for e in eng.store)
+    assert not active_entries(eng)
+
+
+@pytest.mark.parametrize("label,opts", config_matrix(), ids=[c[0] for c in config_matrix()])
+def test_entry_lifecycle_after_drained_limited_and_closed_runs(label, opts):
+    for name, text, query in golden_instances():
+        program = load_program(text)
+        _, eng = run_query(program, query, opts)
+        assert not eng.incomplete, name
+        assert all(e.state is COMPLETE for e in eng.store), name
+        _, eng = run_query(program, query, dataclasses.replace(opts, limit=1))
+        assert not active_entries(eng), name
+        eng = Engine(program, opts)
+        stream = eng.run(query)
+        next(stream, None)
+        stream.close()
+        assert not active_entries(eng), name
+
+
+def test_non_callable_goal_in_a_term_query_is_an_engine_error():
+    eng = Engine(load_program("p(1).\n"))
+    with pytest.raises(EngineError, match="goal is not callable: _G0"):
+        eng.run([Var(0)])
+    with pytest.raises(EngineError, match="goal is not callable: 3"):
+        Engine(load_program("p(1).\n")).run([Struct("p", [Var(0)]), 3])
 
 
 HEAD_UNIFICATION = [

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from lintab.table import (
+    COMPLETE,
     SubgoalStore,
     TableError,
     check_region_invariants,
     dump,
     early_promote,
     insert_answer,
-    mark_complete,
     promote_regions,
     register_subgoal,
 )
@@ -66,7 +66,7 @@ def test_insert_sets_revised():
 
 def test_insert_into_complete_raises():
     _, e = fresh_entry()
-    mark_complete(e)
+    e.state = COMPLETE
     with pytest.raises(TableError):
         insert_answer(e, sub("a"))
 
@@ -98,17 +98,6 @@ def test_early_promote_once_per_round():
     promote_regions(e)
     assert not e.promoted_this_round
     assert (e.last_old, e.last_prev) == (2, 2)
-
-
-def test_mark_complete_covers_dependents():
-    store = SubgoalStore()
-    top, _ = register_subgoal(store, Struct("p", [Var(0)]))
-    dep, _ = register_subgoal(store, Struct("q", [Var(0)]))
-    dep.topmost = top
-    dep.evaluated = True
-    mark_complete(top, dep)
-    assert top.complete and dep.complete
-    assert not dep.evaluated
 
 
 @given(
@@ -154,5 +143,5 @@ def test_dump_format():
     e, _ = register_subgoal(store, Struct("p", ["a", Var(3)]))
     insert_answer(e, sub("b"))
     promote_regions(e)
-    mark_complete(e)
+    e.state = COMPLETE
     assert dump(store) == "p(a,_G0)  state=complete answers=[p(a,b)] old=0 prev=1"
