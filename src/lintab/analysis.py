@@ -8,9 +8,10 @@ rightmost body goal at the head's level, or None for a base rule (no
 depending subgoal at all). The engine's semi-naive gate opens only at a
 tabled call in that position; rules of non-tabled predicates carry None.
 
-Clause indexes are demand-driven: a predicate's index plan is computed on
-its first call, and the index of one argument position on the first call
-that binds that position to an atom or integer.
+Dispatch is demand-driven: a predicate's dispatch record (its kind, index
+plan and rules) is built on its first call, and the index of one argument
+position on the first call that binds that position to an atom or
+integer. The record lives on the program, so every run of it shares it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,43 @@ PositionIndex = tuple[
 ]
 
 
+# A predicate's dispatch kind: how a call to it is resolved
+TABLED, ROWS, CLAUSES, UNDEFINED = "tabled", "rows", "clauses", "undefined"
+
+
+class Dispatch:
+    """What every call to one predicate shares: its kind, its index plan,
+    all its rules in program order and each plan position's index once
+    built."""
+
+    __slots__ = ("kind", "plan", "rules", "indexes")
+
+    def __init__(self, kind: str, plan: tuple[int, ...], rules: tuple[AnnotatedRule, ...]):
+        self.kind = kind
+        self.plan = plan
+        self.rules = rules
+        self.indexes: dict[int, PositionIndex] = {}
+
+    def index(self, pos: int) -> PositionIndex:
+        index = self.indexes.get(pos)
+        if index is None:
+            index = self.indexes[pos] = _index_position(self.rules, pos)
+        return index
+
+    def bucket(self, goal: Term, m: dict[int, Term]) -> tuple[AnnotatedRule, ...]:
+        """The rules a call can match under the binding map m: one index
+        bucket, at the first plan position where the call's argument
+        derefs to an atom or integer; all rules when there is none."""
+        for pos in self.plan:
+            a = goal.args[pos]
+            while type(a) is Var and a.id in m:
+                a = m[a.id]
+            if type(a) is not Var and type(a) is not Struct:
+                buckets, unindexed = self.indexes.get(pos) or self.index(pos)
+                return buckets.get(a, unindexed)
+        return self.rules
+
+
 @dataclass
 class AnnotatedProgram:
     rules: dict[PredKey, tuple[AnnotatedRule, ...]]
@@ -46,48 +84,45 @@ class AnnotatedProgram:
     levels: dict[PredKey, int]
 
     def __post_init__(self):
-        # all filled on demand by index_plan and rules_for
-        self._plans: dict[PredKey, tuple[int, ...]] = {}
-        self._indexes: dict[tuple[PredKey, int], PositionIndex] = {}
-        self.row_relations: set[PredKey] = set()
-
-    def is_tabled(self, key: PredKey) -> bool:
-        return key in self.tabled
+        # one dispatch record per predicate, filled on its first call
+        self.records: dict[PredKey, Dispatch] = {}
 
     def strategy(self, key: PredKey, default: str) -> str:
         declared = self.tabled.get(key)
         return declared if declared is not None else default
 
-    def index_plan(self, key: PredKey) -> tuple[int, ...]:
-        """Argument positions worth indexing, most distinct keys first.
-
-        A position qualifies when some clause head has an atom or integer
-        there; ties in the number of distinct keys go to the lower one.
-        The same pass adds key to row_relations when it is not tabled and
-        has clauses, all facts of arity >= 1 with atomic arguments.
-        """
-        plan = self._plans.get(key)
-        if plan is None:
-            distinct: dict[int, set] = {}
-            rules = self.rules.get(key, ())
-            rows = key[1] > 0 and bool(rules) and key not in self.tabled
-            for r in rules:
-                if r.clause.body:
-                    rows = False
-                head = r.clause.head
-                if type(head) is Struct:
-                    for pos, arg in enumerate(head.args):
-                        k = atomic_key(arg)
-                        if k is None:
-                            rows = False
-                        else:
-                            distinct.setdefault(pos, set()).add(k)
-            if rows:
-                self.row_relations.add(key)
-            plan = self._plans[key] = tuple(
-                sorted(distinct, key=lambda pos: (-len(distinct[pos]), pos))
-            )
-        return plan
+    def dispatch(self, key: PredKey) -> Dispatch:
+        """key's dispatch record, built on first use. Its plan ranks the
+        argument positions where some clause head has an atom or integer,
+        most distinct keys first, ties to the lower position. Its kind is
+        ROWS when key is not tabled and has clauses, all facts of arity
+        >= 1 with atomic arguments."""
+        record = self.records.get(key)
+        if record is not None:
+            return record
+        distinct: dict[int, set] = {}
+        rules = self.rules.get(key)
+        rows = key[1] > 0 and bool(rules)
+        for r in rules or ():
+            if r.clause.body:
+                rows = False
+            head = r.clause.head
+            if type(head) is Struct:
+                for pos, arg in enumerate(head.args):
+                    k = atomic_key(arg)
+                    if k is None:
+                        rows = False
+                    else:
+                        distinct.setdefault(pos, set()).add(k)
+        kind = (
+            TABLED if key in self.tabled
+            else UNDEFINED if rules is None
+            else ROWS if rows
+            else CLAUSES
+        )
+        plan = tuple(sorted(distinct, key=lambda pos: (-len(distinct[pos]), pos)))
+        record = self.records[key] = Dispatch(kind, plan, rules or ())
+        return record
 
     def rules_for(
         self, key: PredKey, first_key: Optional[Union[str, int]] = None, pos: int = 0
@@ -98,15 +133,10 @@ class AnnotatedProgram:
         and only clauses whose head argument there is the same constant or
         is not atomic are returned.
         """
-        rules = self.rules.get(key)
-        if rules is None:
-            return ()
+        record = self.dispatch(key)
         if first_key is None:
-            return rules
-        index = self._indexes.get((key, pos))
-        if index is None:
-            index = self._indexes[(key, pos)] = _index_position(rules, pos)
-        buckets, unindexed = index
+            return record.rules
+        buckets, unindexed = record.index(pos)
         return buckets.get(first_key, unindexed)
 
     def report(self) -> str:

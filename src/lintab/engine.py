@@ -5,7 +5,12 @@ by goal, and each goal's clause loop or table loop is a generator that
 yields once per solution (bindings live in a shared trail and are undone
 on backtracking); a last goal's solutions go straight to the caller with
 no further generator; a call to a row relation walks its index bucket in
-place, with no clause loop. Each yield carries one bool: whether the
+place, with no clause loop. A goal finds what its predicate's calls share
+in one lookup of the program's dispatch record for it (see analysis.py):
+the kind picks the path (tabled, row relation, clauses or undefined), and
+the record's `bucket` picks the clauses, for the pioneer too. Records are
+filled on a predicate's first call and kept on the program, so later runs
+of the same program reuse them. Each yield carries one bool: whether the
 solution stands on a new answer, one past its entry's old region or just
 stored by a pioneer, at any depth below. A clause is resolved by
 unifying the call with its head renamed into a fresh block of variables;
@@ -58,13 +63,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
-from .analysis import (
-    AnnotatedProgram,
-    AnnotatedRule,
-    PredKey,
-    atomic_key,
-    pred_key,
-)
+from .analysis import CLAUSES, TABLED, UNDEFINED, AnnotatedProgram, pred_key
 from .parser import parse_query
 from .table import (
     COMPLETE,
@@ -211,11 +210,13 @@ class Engine:
         return base
 
     def _step(self) -> None:
+        # inlined where it runs once per goal, row or consumed answer
         self.stats.steps += 1
         if self.stats.steps > self.opts.step_budget:
-            raise StepBudgetExceeded(
-                f"step budget {self.opts.step_budget} exhausted"
-            )
+            raise self._out_of_steps()
+
+    def _out_of_steps(self) -> StepBudgetExceeded:
+        return StepBudgetExceeded(f"step budget {self.opts.step_budget} exhausted")
 
     def _activate(self, goal, clause):
         """Unify goal with the clause's head renamed to a fresh block of
@@ -225,17 +226,6 @@ class Engine:
         if not unify(goal, renumber(clause.head, off), self.bindings):
             return None
         return renumber(clause.body, off) if clause.nvars else clause.body
-
-    def _clauses_for(self, goal: Term, key: PredKey) -> tuple[AnnotatedRule, ...]:
-        """The clauses a call can match: one index bucket, looked up at the
-        first position of the predicate's plan where the call's argument
-        is bound to an atom or integer; all clauses when there is none."""
-        program = self.program
-        for pos in program.index_plan(key):
-            k = atomic_key(self.bindings.deref(goal.args[pos]))
-            if k is not None:
-                return program.rules_for(key, k, pos)
-        return program.rules_for(key)
 
     # -- resolution ------------------------------------------------------
 
@@ -275,21 +265,33 @@ class Engine:
             yield fresh
             return
         goal = goals[i]
-        self._step()
-        key = pred_key(goal)
-        if self.program.is_tabled(key):
-            solutions = self._solve_tabled(goal, key, i == gate_at and not fresh)
+        stats = self.stats
+        stats.steps += 1
+        if stats.steps > self.opts.step_budget:
+            raise self._out_of_steps()
+        key = (goal.functor, len(goal.args)) if type(goal) is Struct else (goal, 0)
+        record = self.program.records.get(key) or self.program.dispatch(key)
+        kind = record.kind
+        if kind is TABLED:
+            solutions = self._solve_tabled(goal, key, record, i == gate_at and not fresh)
+        elif kind is UNDEFINED:  # finite failure
+            stats.undefined_calls += 1
+            return
         else:
-            clauses = self._clauses_for(goal, key)  # decides if key is a row relation
-            if key not in self.program.row_relations:
-                solutions = self._solve_plain(goal, key, clauses)
+            m = self.bindings._map
+            clauses = record.bucket(goal, m)
+            if kind is CLAUSES:
+                solutions = self._solve_plain(goal, clauses)
             else:  # a row relation: match each row of constants in place
                 args = goal.args
-                m, trail = self.bindings._map, self.bindings._trail
+                trail = self.bindings._trail
                 last_to_first = range(len(args) - 1, -1, -1)  # unify's order
+                budget = self.opts.step_budget
                 for ar in clauses:
-                    self._step()
-                    self.stats.clause_resolutions += 1
+                    stats.steps += 1
+                    if stats.steps > budget:
+                        raise self._out_of_steps()
+                    stats.clause_resolutions += 1
                     mark = len(trail)
                     row = ar.clause.head.args
                     for k in last_to_first:
@@ -317,11 +319,7 @@ class Engine:
             for new in solutions:
                 yield from self._solve_seq(goals, gate_at, fresh or new, i + 1)
 
-    def _solve_plain(self, goal, key, clauses):
-        if key not in self.program.rules:
-            # call to an undefined predicate: finite failure
-            self.stats.undefined_calls += 1
-            return
+    def _solve_plain(self, goal, clauses):
         b = self.bindings
         for ar in clauses:
             self._step()
@@ -335,7 +333,7 @@ class Engine:
 
     # -- tabled resolution ----------------------------------------------
 
-    def _solve_tabled(self, goal, key, gate):
+    def _solve_tabled(self, goal, key, record, gate):
         entry, call_vars = register_subgoal(self.store, goal, self.bindings)
         state = entry.state
         if state is COMPLETE:
@@ -372,7 +370,7 @@ class Engine:
             self.incomplete.append(entry)
         b = self.bindings
         subst = tuple(map(Var, call_vars))
-        clauses = self._clauses_for(goal, key)  # the call is bound alike every round
+        clauses = record.bucket(goal, b._map)  # the call is bound alike every round
         levels = self.program.levels
         entry.state = RUNNING
         try:
@@ -440,25 +438,34 @@ class Engine:
         """Walk the entry's answer tuples by position, seeing answers stored
         meanwhile, and yield per answer whether it is new (past the old
         region). Each answer binds the i-th call variable to the tuple's
-        i-th element, renamed apart first if the tuple has variables; a
+        i-th element straight in the binding map and trail, as the row walk
+        does, renamed apart first if the tuple has variables; a
         call is a variant of the key, so this is the unifier and cannot
         fail. An open gate starts the walk at the end of the old region
         instead of at 0."""
-        b = self.bindings
+        m, trail = self.bindings._map, self.bindings._trail
+        # a bound variable is never re-bound without an intervening undo, so
+        # no call variable is bound as the walk starts
+        assert not any(vid in m for vid in call_vars)
         tuples = entry.answers.tuples
         nvars = entry.answers.nvars
         pos = entry.last_old if gate else 0
+        stats, budget = self.stats, self.opts.step_budget
         while pos < len(tuples):
-            self._step()
+            stats.steps += 1
+            if stats.steps > budget:
+                raise self._out_of_steps()
             tup = tuples[pos]
             if nvars[pos]:
                 tup = renumber(tup, self._fresh_block(nvars[pos]))
-            mark = b.mark()
+            mark = len(trail)
             for vid, t in zip(call_vars, tup):
-                b.bind(vid, t)
+                m[vid] = t
+            trail.extend(call_vars)
             self.stats.answers_consumed += 1
             yield pos >= entry.last_old
-            b.undo(mark)
+            while len(trail) > mark:
+                del m[trail.pop()]
             pos += 1
         if (
             promote

@@ -86,12 +86,6 @@ class Bindings:
         while len(trail) > mark:
             del m[trail.pop()]
 
-    def bind(self, vid: int, t: Term) -> None:
-        # a bound variable is never re-bound without an intervening undo
-        assert vid not in self._map
-        self._map[vid] = t
-        self._trail.append(vid)
-
     def deref(self, t: Term) -> Term:
         m = self._map
         while type(t) is Var:

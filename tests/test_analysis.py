@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import lintab
 import lintab.corpus as corpus
@@ -58,7 +58,7 @@ def test_level_mapping_verifier_rejects_wrong_levels():
 
 
 def _tabled_goals(prog, rule):
-    return tuple(prog.is_tabled(pred_key(g)) for g in rule.clause.body)
+    return tuple(pred_key(g) in prog.tabled for g in rule.clause.body)
 
 
 def test_annotations_left_recursive_tc():
@@ -67,7 +67,7 @@ def test_annotations_left_recursive_tc():
     assert rec.last_depending_index == 0
     assert _tabled_goals(prog, rec) == (True, False)
     assert base.last_depending_index is None
-    assert prog.is_tabled(("p", 2)) and not prog.is_tabled(("e", 2))
+    assert ("p", 2) in prog.tabled and ("e", 2) not in prog.tabled
 
 
 def test_annotation_untabled_helper_blocks_gate():
@@ -78,7 +78,7 @@ def test_annotation_untabled_helper_blocks_gate():
     assert len(rec) == 2
     for r in rec:
         assert pred_key(r.clause.body[r.last_depending_index]) == ("q", 2)
-    assert not prog.is_tabled(("q", 2))
+    assert ("q", 2) not in prog.tabled
     # whereas the directly-tabled twin gates its first body goal
     prog2 = analyze(parse_program(corpus.STRING_MATCHER + "c(0,a,1).\n"))
     gated = [
@@ -116,7 +116,7 @@ def test_duplicate_declarations_later_explicit_wins():
 
 def test_declared_predicate_without_clauses():
     prog = analyze(parse_program(":- table p/2.\nq(a).\n"))
-    assert prog.is_tabled(("p", 2))
+    assert ("p", 2) in prog.tabled
     assert prog.rules_for(("p", 2), None) == ()
 
 
@@ -140,12 +140,18 @@ HEAD_ARGS = st.one_of(
 CALL_KEYS = ["a", "b", "0", "zz"] + list(range(4))
 
 
+# the atom "0" and the integer 0 each have a bucket; f(a) and a variable
+# fall back to the unindexed rules, which also answer keys no head holds
+@example([["0", 0, Var(0)], [0, "0", Struct("f", ["a"])], [Var(1), 0, "a"]])
 @given(st.lists(st.lists(HEAD_ARGS, min_size=3, max_size=3), max_size=8))
 @settings(max_examples=300)
 def test_indexed_lookup_is_the_ordered_filter(heads):
     prog = analyze([Clause(Struct("p", args), (), 2) for args in heads])
     key = ("p", 3)
     rules = prog.rules_for(key)
+    record = prog.dispatch(key)
+    unbound = [Var(10), Var(11), Var(12)]
+    assert record.bucket(Struct("p", unbound), {}) == rules
     for pos in range(3):
         for k in CALL_KEYS:
             want = [
@@ -158,8 +164,16 @@ def test_indexed_lookup_is_the_ordered_filter(heads):
             ]
             got = prog.rules_for(key, atomic_key(k), pos)
             assert [id(r) for r in got] == [id(r) for r in want]
+            # the engine's bucket picker on a call that binds only pos, to k
+            # through a variable, and to the compound f(k), which no index keys
+            args = list(unbound)
+            args[pos] = Var(9)
+            got = record.bucket(Struct("p", args), {9: k})
+            assert [id(r) for r in got] == [id(r) for r in want]
+            args[pos] = Struct("f", [k])
+            assert record.bucket(Struct("p", args), {}) == rules
     distinct = [{a for a in col if type(a) in (str, int)} for col in zip(*heads)]
-    assert list(prog.index_plan(key)) == sorted(
+    assert list(prog.dispatch(key).plan) == sorted(
         (pos for pos, ks in enumerate(distinct) if ks),
         key=lambda pos: (-len(distinct[pos]), pos),
     )

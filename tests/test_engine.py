@@ -19,11 +19,12 @@ from lintab import (
     load_program,
     run_query,
 )
-from lintab.analysis import analyze
+from lintab.analysis import ROWS, analyze
 from lintab.bench import config_matrix, run_instance, suite_instances
+from lintab.corpus import mutual_recursion_program
 from lintab.oracle import OracleInapplicable, oracle_solve
 from lintab.parser import Clause
-from lintab.table import COMPLETE, HANDING, RUNNING, check_region_invariants
+from lintab.table import COMPLETE, HANDING, RUNNING, check_region_invariants, dump
 from lintab.terms import Bindings, Struct, Var, unify
 from test_engine_golden import golden_instances
 
@@ -507,7 +508,7 @@ def test_row_walk_equals_unify_with_each_row(case, pre):
     b = eng.bindings = bound()
     assert [(dict(b._map), list(b._trail)) for _ in eng.run(goals)] == want
     assert (b._map, b._trail) == before
-    assert program.row_relations == {("p", len(rows[0]))}
+    assert {k for k, r in program.records.items() if r.kind is ROWS} == {("p", len(rows[0]))}
 
 
 ROW_BOUNDARY = [
@@ -537,7 +538,7 @@ def test_row_relation_boundary(monkeypatch, text, query, key, expected, unify_ca
     program = load_program(text)
     sols, eng = run_query(program, query)
     assert sols == expected
-    assert (key in program.row_relations) == (unify_calls == 0)
+    assert (program.records[key].kind is ROWS) == (unify_calls == 0)
     assert len(calls) == unify_calls
     # every clause tried counts, on the row walk and the general path alike
     assert eng.stats.clause_resolutions == resolutions
@@ -563,3 +564,47 @@ def test_step_budget_runs_out_mid_bucket(query, solved):
             got.append(sol)
     assert len(got) == solved
     assert eng.stats.steps == 7
+
+
+@pytest.mark.parametrize(
+    "strategy,budget,solved",
+    [(LAZY, 8, ["p(1),p(1)", "p(1),p(2)"]), (EAGER, 7, ["p(1),p(1)", "p(2),p(1)"])],
+)
+def test_step_budget_runs_out_mid_table_walk(strategy, budget, solved):
+    # a call, a clause and a consumed answer are one step each. Lazy: p(X)
+    # is step 1, its clauses 2-4 and its first answer 5; p(Y), step 6, walks
+    # the COMPLETE entry, so its third answer is step 9. Eager: p(X) hands
+    # each answer on as it is stored, at clause steps 2 and 5; each time
+    # p(Y) follows the HANDING pioneer, walking one answer (steps 3-4) and
+    # then two (steps 6-8), so the second walk's second answer is step 8
+    text = ":- table p/1.\np(1).\np(2).\np(3).\n"
+    opts = EngineOptions(strategy=strategy, step_budget=budget)
+    eng = Engine(load_program(text), opts)
+    got = []
+    with pytest.raises(StepBudgetExceeded):
+        for sol in eng.run("p(X),p(Y)"):
+            got.append(sol)
+    assert got == solved
+    assert eng.stats.steps == budget + 1
+
+
+def _six_runs(program_for, query):
+    runs = []
+    for _, opts in config_matrix():
+        eng = Engine(program_for(), opts)
+        sols = list(eng.run(query))
+        runs.append((sols, eng.stats.as_dict(), eng.stats.entry_rounds, dump(eng.store)))
+    return runs
+
+
+SHARED_PROGRAMS = [(name, text, query) for name, text, query in suite_instances("paper-examples", [], 0)]
+SHARED_PROGRAMS += [(f"mutual-recursion-{seed}", *mutual_recursion_program(seed)) for seed in range(60)]
+
+
+@pytest.mark.parametrize("name,text,query", SHARED_PROGRAMS, ids=[c[0] for c in SHARED_PROGRAMS])
+def test_one_shared_program_runs_as_fresh_programs(name, text, query):
+    # bench.run_instance runs one program under all six configs, so from the
+    # second run on each call finds its dispatch record, indexes included,
+    # filled by an earlier run
+    shared = load_program(text)
+    assert _six_runs(lambda: shared, query) == _six_runs(lambda: load_program(text), query)
