@@ -4,6 +4,10 @@ Ground truth for answer sets on desk-scale instances. Deliberately naive
 (every pass re-derives everything from the model so far) to stay as
 independent as possible from the engine: the only shared code is the
 term/parser layer.
+
+A body goal reads facts through an index by (predicate, argument
+position, ground argument) whose buckets are ordered sublists of the
+model's lists: a plain dict built here, sharing no code with the engine.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ class OracleInapplicable(Exception):
 
 
 Model = dict[PredKey, list[Term]]
+Index = dict[tuple[PredKey, int, Term], list[Term]]
 
 
 def _check_range_restricted(clauses: Iterable[Clause]) -> None:
@@ -74,35 +79,62 @@ def _match(pattern: Term, fact: Term, theta: dict[int, Term], bound: list[int]) 
     )
 
 
+def _index_fact(index: Index, hk: PredKey, fact: Term) -> None:
+    if type(fact) is Struct:
+        for pos, arg in enumerate(fact.args):
+            index.setdefault((hk, pos, arg), []).append(fact)
+
+
+def _index(model: Model) -> Index:
+    index: Index = {}
+    for hk, facts in model.items():
+        for fact in facts:
+            _index_fact(index, hk, fact)
+    return index
+
+
 def _match_body(
-    goals: tuple[Term, ...], i: int, model: Model, theta: dict[int, Term]
+    goals: tuple[Term, ...], i: int, model: Model, index: Index, theta: dict[int, Term]
 ):
     if i == len(goals):
         yield theta
         return
     goal = goals[i]
-    for fact in model.get(pred_key(goal), ()):
+    hk = pred_key(goal)
+    facts = model.get(hk, ())
+    if type(goal) is Struct:  # theta binds variables to ground terms only
+        for pos, arg in enumerate(goal.args):
+            arg = _substitute(arg, theta)
+            if is_ground(arg):
+                facts = index.get((hk, pos, arg), ())
+                break
+    for fact in facts:
         bound: list[int] = []
         if _match(goal, fact, theta, bound):
-            yield from _match_body(goals, i + 1, model, theta)
+            yield from _match_body(goals, i + 1, model, index, theta)
         for vid in bound:
             del theta[vid]
 
 
-def _herbrand_bound(clauses: list[Clause]) -> int:
+def _herbrand_bound(clauses: list[Clause]) -> tuple[int, bool]:
+    """Ground atoms over the program's constants (bound + 1 passes suffice
+    without function symbols), and whether a function symbol occurs."""
     consts = set()
     preds = set()
+    functions = False
     for c in clauses:
         for t in (c.head, *c.body):
             preds.add(pred_key(t))
             for s in iter_subterms(t):
-                if type(s) is not Var and type(s) is not Struct:
+                if type(s) is Struct:
+                    functions = functions or s is not t
+                elif type(s) is not Var:
                     consts.add(s)
     k = max(len(consts), 1)
     bound = 0
     for _, arity in preds:
         bound += k ** min(arity, 8)
-    return bound
+    return bound, functions
 
 
 def oracle_model(items: Iterable[Item]) -> Model:
@@ -110,19 +142,25 @@ def oracle_model(items: Iterable[Item]) -> Model:
     clauses = [i for i in items if isinstance(i, Clause)]
     _check_range_restricted(clauses)
     model: Model = {}
+    index: Index = {}
     seen: set[tuple[PredKey, Term]] = set()
-    bound = _herbrand_bound(clauses)
+    bound, functions = _herbrand_bound(clauses)
     iterations = 0
     changed = True
     while changed:
         iterations += 1
         if iterations > bound + 1:
+            if functions:
+                raise OracleInapplicable(
+                    f"function symbols: the naive fixpoint ran past {bound + 1}"
+                    " passes, the bound over the program's constants"
+                )
             raise AssertionError("naive fixpoint exceeded the Herbrand bound")
         changed = False
         new_facts: list[tuple[PredKey, Term]] = []
         for c in clauses:
             hk = pred_key(c.head)
-            for theta in _match_body(c.body, 0, model, {}):
+            for theta in _match_body(c.body, 0, model, index, {}):
                 fact = _substitute(c.head, theta)
                 assert is_ground(fact)
                 if (hk, fact) not in seen:
@@ -130,6 +168,7 @@ def oracle_model(items: Iterable[Item]) -> Model:
                     new_facts.append((hk, fact))
         for hk, fact in new_facts:
             model.setdefault(hk, []).append(fact)
+            _index_fact(index, hk, fact)
             changed = True
     return model
 
@@ -142,7 +181,7 @@ def oracle_solve(
     """Ground solutions of the query against the least model, rendered.
 
     Pass the program's model, if already built by oracle_model, to skip
-    building it again.
+    building it again; the query reads the model as passed.
     """
     if model is None:
         items = (
@@ -153,7 +192,7 @@ def oracle_solve(
         model = oracle_model(items)
     goals = parse_query(query)[0] if isinstance(query, str) else list(query)
     out = set()
-    for theta in _match_body(tuple(goals), 0, model, {}):
+    for theta in _match_body(tuple(goals), 0, model, _index(model), {}):
         out.add(render_goals([_substitute(g, theta) for g in goals]))
     return out
 

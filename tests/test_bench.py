@@ -1,9 +1,11 @@
 """Bench harness: config matrix, agreement checks, suites."""
 
+import pytest
+
 import lintab.bench
 import lintab.corpus as corpus
 from lintab.bench import bench_suite, config_matrix, run_instance, suite_instances
-from lintab.oracle import oracle_model
+from lintab.oracle import oracle_model, oracle_solve
 from lintab.terms import Struct
 
 
@@ -63,6 +65,19 @@ def test_tcl_chain_suite_counts_and_rounds():
     assert all(row["solutions"] == 1225 for row in chain.rows)
     for rounds in chain.entry_rounds.values():
         assert rounds["tcl(_G0,_G1)"] == 2
+
+
+@pytest.mark.parametrize("suite,n", [("tcr", 40), ("tcn", 30)])
+def test_right_and_double_recursive_suites_agree_with_the_oracle(suite, n):
+    # sizes the scan-based oracle made too slow for every run
+    results, report = bench_suite(suite, [n], seed=0)
+    assert "DIVERGENCE" not in report
+    chain = next(r for r in results if r.name == f"{suite}-chain-{n}")
+    # the oracle applies (it is skipped silently where it does not), and
+    # an n-chain's closure has n(n-1)/2 pairs in the model and every config
+    _, text, query = suite_instances(suite, [n], seed=0)[0]
+    assert len(oracle_solve(text, query)) == n * (n - 1) // 2
+    assert all(row["solutions"] == n * (n - 1) // 2 for row in chain.rows)
 
 
 def test_regex_suite_reports_ratios():

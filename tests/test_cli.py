@@ -130,6 +130,23 @@ def test_run_oracle_divergence_exit_code(tc_file, capsys, monkeypatch):
     assert out[2:] == ["oracle: DIVERGENCE", "  missing: p(a,d)", "  extra:   p(a,c)"]
 
 
+def test_run_oracle_inapplicable_past_the_bound_with_function_symbols(tmp_path, capsys):
+    # a finite 4-fact model whose naive fixpoint outruns the bound over
+    # constants: the oracle declines and the run still exits 0
+    path = tmp_path / "d.pl"
+    path.write_text(
+        ":- table d/1.\nd(a).\nd(f(X)) :- d(X), small(X).\n"
+        "small(a).\nsmall(f(a)).\nsmall(f(f(a))).\n"
+    )
+    assert main(["run", str(path), "d(X)", "--oracle"]) == EXIT_OK
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert sorted(out[:4]) == ["d(a)", "d(f(a))", "d(f(f(a)))", "d(f(f(f(a))))"]
+    assert out[4].startswith("oracle: inapplicable (function symbols: ")
+    assert len(out) == 5
+    assert "Traceback" not in captured.err
+
+
 def test_run_late_loop_under_running_cluster(tmp_path, capsys):
     path = tmp_path / "late.pl"
     path.write_text(corpus.LATE_LOOP_UNDER_RUNNING_CLUSTER)

@@ -4,14 +4,18 @@ import pytest
 
 import lintab.corpus as corpus
 from lintab.analysis import pred_key
+from lintab.bench import suite_instances
 from lintab.corpus import random_instance
 from lintab.oracle import (
     OracleInapplicable,
+    _match,
+    _substitute,
     answers_for_key,
     oracle_model,
     oracle_solve,
 )
-from lintab.parser import parse_program, parse_query
+from lintab.parser import Clause, parse_program, parse_query
+from lintab.terms import Struct, Var
 
 
 def test_transitive_closure_model():
@@ -136,3 +140,118 @@ def test_oracle_imports_only_the_term_and_parser_layers():
             names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
             assert all(name.split(".")[0] != "lintab" for name in names)
     assert used == {"parser", "terms"}
+
+
+# The scan the argument-position index replaced, kept as a reference:
+# every body goal reads every model fact of its predicate.
+def _scan_match_body(goals, i, model, theta):
+    if i == len(goals):
+        yield theta
+        return
+    for fact in model.get(pred_key(goals[i]), ()):
+        bound = []
+        if _match(goals[i], fact, theta, bound):
+            yield from _scan_match_body(goals, i + 1, model, theta)
+        for vid in bound:
+            del theta[vid]
+
+
+def _scan_model(items):
+    clauses = [i for i in items if isinstance(i, Clause)]
+    model, seen, changed = {}, set(), True
+    while changed:
+        new_facts = []
+        for c in clauses:
+            for theta in _scan_match_body(c.body, 0, model, {}):
+                fact = (pred_key(c.head), _substitute(c.head, theta))
+                if fact not in seen:
+                    seen.add(fact)
+                    new_facts.append(fact)
+        for hk, fact in new_facts:
+            model.setdefault(hk, []).append(fact)
+        changed = bool(new_facts)
+    return model
+
+
+def _fact(functor, *args):
+    return Clause(Struct(functor, args), (), 0)
+
+
+# One program per case the index must get right. The atom "0" and the
+# integer 0 share a position; a goal bound to one must find only its own.
+_ZERO_ATOM_VERSUS_INTEGER = [
+    _fact("e", 0, "int"),
+    _fact("e", "0", "atom"),
+    _fact("k", 0),
+    *parse_program("r(Y) :- k(X), e(X,Y).\n"),
+    Clause(Struct("s", [Var(0)]), (Struct("e", ["0", Var(0)]),), 1),
+]
+_HAND_WRITTEN = [
+    # a goal argument bound through theta to a ground compound
+    "b(f(a)).\nb(f(b)).\nc(f(a)).\nc(g(a)).\nq(X) :- b(X), c(X).\n",
+    # a non-ground compound pattern, alone and before a ground argument
+    "s(f(a),1).\ns(f(b),2).\ns(g(a),1).\nt(Y) :- s(f(Y),Z).\nu(Y) :- s(f(Y),1).\n",
+    # a repeated variable
+    "e(1,1).\ne(1,2).\ne(2,1).\ne(2,2).\ne(3,1).\nl(X) :- e(X,X).\n"
+    "m(X) :- e(X,Y), e(Y,X), e(X,X).\n",
+    # a 0-arity body goal, and a body predicate with no facts
+    "go.\ne(1,2).\np(X) :- go, e(X,Y).\nn(X) :- e(X,Y), none(Y).\nv(X) :- e(X,Y), stop.\n",
+]
+
+
+def _index_cases():
+    for name, text, _ in suite_instances("paper-examples", [], 0):
+        yield name, parse_program(text)
+    for kind in ("tcl", "tcr", "tcn", "sg"):
+        for graph in ("chain", "cycle", "random"):
+            text, _ = random_instance(3, kind, graph, 7, 14 if graph == "random" else None)
+            yield f"{kind}-{graph}", parse_program(text)
+    for seed in range(60):
+        yield f"mutual-{seed}", parse_program(corpus.mutual_recursion_program(seed)[0])
+    yield "zero-atom-versus-integer", _ZERO_ATOM_VERSUS_INTEGER
+    for i, text in enumerate(_HAND_WRITTEN):
+        yield f"hand-{i}", parse_program(text)
+
+
+def test_indexed_model_equals_the_scan():
+    # same facts per predicate in the same order, so every caller that
+    # iterates the model sees what the scan gave it
+    for name, items in _index_cases():
+        assert oracle_model(items) == _scan_model(items), name
+
+
+def test_hand_written_index_cases():
+    model = oracle_model(_ZERO_ATOM_VERSUS_INTEGER)
+    assert model[("r", 1)] == [Struct("r", ["int"])]
+    assert model[("s", 1)] == [Struct("s", ["atom"])]
+    for text, query, want in (
+        (_HAND_WRITTEN[0], "q(X)", {"q(f(a))"}),
+        (_HAND_WRITTEN[1], "t(Y)", {"t(a)", "t(b)"}),
+        (_HAND_WRITTEN[1], "u(Y)", {"u(a)"}),
+        (_HAND_WRITTEN[2], "l(X)", {"l(1)", "l(2)"}),
+        (_HAND_WRITTEN[2], "m(X)", {"m(1)", "m(2)"}),
+        (_HAND_WRITTEN[3], "p(X)", {"p(1)"}),
+        (_HAND_WRITTEN[3], "n(X)", set()),
+        (_HAND_WRITTEN[3], "v(X)", set()),
+    ):
+        assert oracle_solve(text, query) == want, query
+
+
+def test_oracle_solve_reads_the_model_it_is_passed():
+    # a caller's edit to the model shows through a bound argument
+    items = parse_program(corpus.LEFT_RECURSIVE_TC)
+    model = oracle_model(items)
+    model[("p", 2)].remove(Struct("p", ["a", "c"]))
+    assert oracle_solve(items, "p(a,Y)", model) == {"p(a,b)"}
+    assert oracle_solve(items, "p(X,c)", model) == {"p(b,c)"}
+
+
+def test_function_symbols_past_the_bound_are_inapplicable():
+    # a finite model, but the bound counts only constants: the oracle
+    # declines rather than failing an assertion
+    text = (
+        ":- table d/1.\nd(a).\nd(f(X)) :- d(X), small(X).\n"
+        "small(a).\nsmall(f(a)).\nsmall(f(f(a))).\n"
+    )
+    with pytest.raises(OracleInapplicable, match="function symbols"):
+        oracle_model(parse_program(text))
