@@ -12,6 +12,9 @@ Dispatch is demand-driven: a predicate's dispatch record (its kind, index
 plan and rules) is built on its first call, and the index of one argument
 position on the first call that binds that position to an atom or
 integer. The record lives on the program, so every run of it shares it.
+The record reads the clause heads column by column: one set of argument
+values per position gives that position's distinct keys, and the row
+test is a type scan of the same columns.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .terms import PredKey, Struct, Term, Var, pred_key
 CallGraph = dict[PredKey, dict[PredKey, None]]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)  # slotted like parser.Clause
 class AnnotatedRule:
     clause: Clause
     last_depending_index: Optional[int]  # None: a base or non-tabled rule
@@ -103,17 +106,16 @@ class AnnotatedProgram:
         distinct: dict[int, set] = {}
         rules = self.rules.get(key)
         rows = key[1] > 0 and bool(rules)
-        for r in rules or ():
-            if r.clause.body:
-                rows = False
-            head = r.clause.head
-            if type(head) is Struct:
-                for pos, arg in enumerate(head.args):
-                    k = atomic_key(arg)
-                    if k is None:
-                        rows = False
-                    else:
-                        distinct.setdefault(pos, set()).add(k)
+        if rows:  # arity >= 1: every head is a compound
+            clauses = [r.clause for r in rules]
+            rows = not any(c.body for c in clauses)
+            for pos, column in enumerate(zip(*[c.head.args for c in clauses])):
+                types = set(map(type, column))
+                if Var in types or Struct in types:
+                    rows = False
+                    column = [a for a in column if type(a) is not Var and type(a) is not Struct]
+                if column:
+                    distinct[pos] = set(column)
         kind = (
             TABLED if key in self.tabled
             else UNDEFINED if rules is None
@@ -159,7 +161,11 @@ def build_call_graph(clauses: Iterable[Clause]) -> CallGraph:
     """Predicate adjacency: q is a successor of p iff q occurs in a body of p."""
     graph: CallGraph = {}
     for c in clauses:
-        succs = graph.setdefault(pred_key(c.head), {})
+        head = c.head
+        hk = (head, 0) if type(head) is str else (head.functor, len(head.args))
+        succs = graph.get(hk)
+        if succs is None:
+            succs = graph[hk] = {}
         for goal in c.body:
             bk = pred_key(goal)
             graph.setdefault(bk, {})
@@ -231,8 +237,8 @@ def _index_position(rules: tuple[AnnotatedRule, ...], pos: int) -> PositionIndex
     buckets: dict[Union[str, int], list[AnnotatedRule]] = {}
     unindexed: list[AnnotatedRule] = []
     for r in rules:
-        k = atomic_key(r.clause.head.args[pos])
-        if k is None:
+        k = r.clause.head.args[pos]
+        if type(k) is Var or type(k) is Struct:
             unindexed.append(r)
             for bucket in buckets.values():
                 bucket.append(r)
@@ -263,13 +269,17 @@ def annotate(
 
     grouped: dict[PredKey, list[AnnotatedRule]] = {}
     for c in clauses:
-        hk = pred_key(c.head)
+        head = c.head
+        hk = (head, 0) if type(head) is str else (head.functor, len(head.args))
         last_dep = None
-        if hk in tabled:
+        if c.body and hk in tabled:
             for i, goal in enumerate(c.body):
                 if levels.get(pred_key(goal), 0) == levels[hk]:
                     last_dep = i
-        grouped.setdefault(hk, []).append(AnnotatedRule(c, last_dep))
+        group = grouped.get(hk)
+        if group is None:
+            group = grouped[hk] = []
+        group.append(AnnotatedRule(c, last_dep))
 
     for key in tabled:
         grouped.setdefault(key, [])
@@ -290,35 +300,3 @@ def analyze(items: Iterable[Item]) -> AnnotatedProgram:
     levels = level_mapping(graph)
     return annotate(clauses, decls, levels)
 
-
-def verify_level_mapping(
-    clauses: Iterable[Clause], levels: dict[PredKey, int]
-) -> bool:
-    """Check the defining bidirectional property on every rule."""
-    graph = build_call_graph(clauses)
-    reach: dict[PredKey, set] = {}
-
-    def reachable(start: PredKey) -> set:
-        seen = reach.get(start)
-        if seen is None:
-            seen = reach[start] = {start}
-            todo = [start]
-            while todo:
-                for s in graph[todo.pop()]:
-                    if s not in seen:
-                        seen.add(s)
-                        todo.append(s)
-        return seen
-
-    for c in clauses:
-        hk = pred_key(c.head)
-        for goal in c.body:
-            bk = pred_key(goal)
-            calls_back = hk in reachable(bk)
-            mh = levels[hk]
-            mb = levels[bk]
-            if (mh > mb) != (not calls_back):
-                return False
-            if (mh == mb) != calls_back:
-                return False
-    return True

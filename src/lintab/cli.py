@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Optional
 
-from . import bench, generate, load_program
+from . import analyze, bench, generate, load_program, parse_program
 from .engine import (
     EAGER,
     LAZY,
@@ -122,15 +123,23 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     opts = _options(args)
     text = args.program.read_text()
-    engine = Engine(load_program(text), opts)
+    t0 = time.perf_counter()
+    items = parse_program(text)
+    t1 = time.perf_counter()
+    program = analyze(items)
+    t2 = time.perf_counter()
+    engine = Engine(program, opts)
     solutions = []
     for sol in engine.run(args.query):
         solutions.append(sol)
         print(sol)
+    t3 = time.perf_counter()
     if args.stats:
         print("-- stats --")
         for line in engine.stats.as_lines():
             print(line)
+        # wall-clock seconds per phase; evaluate_s includes printing solutions
+        print(f"parse_s={t1 - t0:.6f}\nanalyze_s={t2 - t1:.6f}\nevaluate_s={t3 - t2:.6f}")
     if args.dump_table:
         print("-- table --")
         print(dump(engine.store))

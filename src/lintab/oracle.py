@@ -85,10 +85,11 @@ def _index_fact(index: Index, hk: PredKey, fact: Term) -> None:
             index.setdefault((hk, pos, arg), []).append(fact)
 
 
-def _index(model: Model) -> Index:
+def _index(model: Model, preds: Iterable[PredKey]) -> Index:
+    """The index of the model's facts of preds only."""
     index: Index = {}
-    for hk, facts in model.items():
-        for fact in facts:
+    for hk in preds:
+        for fact in model.get(hk, ()):
             _index_fact(index, hk, fact)
     return index
 
@@ -191,8 +192,9 @@ def oracle_solve(
         )
         model = oracle_model(items)
     goals = parse_query(query)[0] if isinstance(query, str) else list(query)
+    index = _index(model, {pred_key(g) for g in goals})
     out = set()
-    for theta in _match_body(tuple(goals), 0, model, _index(model), {}):
+    for theta in _match_body(tuple(goals), 0, model, index, {}):
         out.add(render_goals([_substitute(g, theta) for g in goals]))
     return out
 

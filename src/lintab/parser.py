@@ -12,6 +12,9 @@ upper-case letter or underscore, integers are optionally signed digit
 runs. Within one clause, variables get ids 0..n-1 in first-occurrence
 order; `_` is fresh at every occurrence. Clauses are renamed apart at
 activation time, not here.
+
+Constant and variable arguments are read in place and only a compound
+argument recurses: one Python frame per nesting level.
 """
 
 from __future__ import annotations
@@ -40,24 +43,29 @@ class TableDeclaration:
     strategy: Optional[str] = None  # None = engine default, else "lazy"/"eager"
 
 
-@dataclass(frozen=True)
+# slotted, not frozen, to build faster: nothing assigns its fields later
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Clause:
     head: Term
     body: tuple[Term, ...]
     nvars: int
 
-    def __post_init__(self):
-        if not isinstance(self.head, (str, Struct)):
+    def __init__(self, head: Term, body: tuple[Term, ...], nvars: int):
+        if type(head) is not Struct and type(head) is not str:
             raise ValueError("clause head must be an atom or compound")
+        self.head = head
+        self.body = body
+        self.nvars = nvars
 
 
 Item = Union[Clause, TableDeclaration]
 
 # One scan yields every token as a string; the kind is read off its first
 # character. `\S` catches any character no token starts with, so the
-# parser meets it as a stray and reports it.
+# parser meets it as a stray and reports it. The alternatives before it
+# share no first character, so punctuation, the commonest, goes first.
 _TOKEN_RE = re.compile(
-    r":-|-?\d+|[a-z][A-Za-z0-9_]*|[A-Z_][A-Za-z0-9_]*|[(),./]|%[^\n]*|\S"
+    r"[(),./]|-?\d+|[a-z][A-Za-z0-9_]*|[A-Z_][A-Za-z0-9_]*|:-|%[^\n]*|\S"
 )
 _ATOM_START = frozenset("abcdefghijklmnopqrstuvwxyz")
 _VAR_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -104,12 +112,6 @@ class _Parser:
                     f"unexpected character {t!r}", *_position(self.text, k)
                 )
 
-    def accept(self, text: str) -> bool:
-        if self.tokens[self.i] != text:
-            return False
-        self.i += 1
-        return True
-
     def expect(self, text: str) -> None:
         tok = self.tokens[self.i]
         if tok != text:
@@ -117,31 +119,46 @@ class _Parser:
         self.i += 1
 
     def fresh_var(self, name: str) -> Var:
-        if name == "_":
-            vid = self.nvars
-            self.nvars += 1
-            return Var(vid)
-        vid = self.varmap.get(name)
+        vid = self.varmap.get(name)  # never "_", which is fresh each time
         if vid is None:
             vid = self.nvars
-            self.varmap[name] = vid
             self.nvars += 1
+            if name != "_":
+                self.varmap[name] = vid
         return Var(vid)
 
     def parse_term(self) -> Term:
         tokens = self.tokens
-        tok = tokens[self.i]
+        i = self.i
+        tok = tokens[i]
         c = tok[:1]
         if c in _ATOM_START:
-            self.i += 1
-            if tokens[self.i] != "(":
+            if tokens[i + 1] != "(":
+                self.i = i + 1
                 return tok
-            self.i += 1
-            args = [self.parse_term()]
-            while tokens[self.i] == ",":
-                self.i += 1
-                args.append(self.parse_term())
-            self.expect(")")
+            args = []
+            i += 1  # at the "("
+            sep = ","
+            while sep == ",":  # i is at the "(" or "," before an argument
+                i += 1
+                a = tokens[i]
+                c = a[:1]
+                if c in _VAR_START:
+                    args.append(self.fresh_var(a))
+                elif c in _ATOM_START and tokens[i + 1] != "(":
+                    args.append(a)
+                elif c.isdecimal() or (c == "-" and len(a) > 1):  # _is_int
+                    args.append(int(a))
+                else:  # a compound, or no term at all
+                    self.i = i
+                    args.append(self.parse_term())
+                    i = self.i - 1  # at the compound's ")"
+                i += 1
+                sep = tokens[i]
+            if sep != ")":
+                self.i = i
+                self.expect(")")
+            self.i = i + 1
             return Struct(tok, args)
         if c in _VAR_START:
             self.i += 1
@@ -157,6 +174,14 @@ class _Parser:
         if not isinstance(t, (str, Struct)):
             self.error("goal must be an atom or compound", at)
         return t
+
+    def parse_goals(self) -> list[Term]:
+        """A goal, and one more after each ","."""
+        goals = [self.parse_goal()]
+        while self.tokens[self.i] == ",":
+            self.i += 1
+            goals.append(self.parse_goal())
+        return goals
 
     def parse_declaration(self) -> TableDeclaration:
         self.expect("table")
@@ -183,28 +208,29 @@ class _Parser:
         head = self.parse_term()
         if not isinstance(head, (str, Struct)):
             self.error("clause head must be an atom or compound", at)
-        body: list[Term] = []
-        if self.accept(":-"):
-            body.append(self.parse_goal())
-            while self.accept(","):
-                body.append(self.parse_goal())
-        self.expect(".")
-        return Clause(head, tuple(body), self.nvars)
+        body: tuple[Term, ...] = ()
+        if self.tokens[self.i] == ":-":
+            self.i += 1
+            body = tuple(self.parse_goals())
+        if self.tokens[self.i] != ".":
+            self.expect(".")
+        self.i += 1
+        return Clause(head, body, self.nvars)
 
     def parse_items(self) -> list[Item]:
         items: list[Item] = []
-        while self.tokens[self.i] != "":
-            if self.accept(":-"):
+        while (tok := self.tokens[self.i]) != "":
+            if tok == ":-":
+                self.i += 1
                 items.append(self.parse_declaration())
             else:
                 items.append(self.parse_clause())
         return items
 
     def parse_query(self) -> tuple[list[Term], int]:
-        goals = [self.parse_goal()]
-        while self.accept(","):
-            goals.append(self.parse_goal())
-        self.accept(".")
+        goals = self.parse_goals()
+        if self.tokens[self.i] == ".":
+            self.i += 1
         if self.tokens[self.i] != "":
             self.error("trailing input after query")
         return goals, self.nvars

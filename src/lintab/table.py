@@ -7,8 +7,8 @@ key's variables, in key order (Ramakrishnan, Rao, Sagonas, Swift and
 Warren, "Efficient access mechanisms for tabled logic programs", JLP
 38(1), 1999). Two answers are variants iff their tuples are equal, and
 a consumer binds its call's i-th variable to a tuple's i-th element,
-with no unification. Iteration, `regions()` and `dump()` rebuild full
-answers from key + tuple.
+with no unification. Iteration and `dump()` rebuild full answers from
+key + tuple.
 
 Tuples are stored append-only; two integer boundaries split the list
 into the old / previous / current regions. Promotion slides the
@@ -118,10 +118,6 @@ class SubgoalEntry:
 
     def __repr__(self):
         return f"<entry {render(self.key)} {self.state} {len(self.answers)} answers>"
-
-    def regions(self) -> tuple[list[Term], list[Term], list[Term]]:
-        a = list(self.answers)
-        return a[: self.last_old], a[self.last_old : self.last_prev], a[self.last_prev :]
 
 
 class SubgoalStore:

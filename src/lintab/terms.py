@@ -95,12 +95,6 @@ class Bindings:
             t = nxt
         return t
 
-    def snapshot(self) -> dict[int, Term]:
-        return dict(self._map)
-
-    def __len__(self):
-        return len(self._map)
-
 
 def unify(t1: Term, t2: Term, b: Bindings) -> bool:
     """Extend b to a most-general unifier of t1 and t2.
@@ -242,11 +236,6 @@ def is_ground(t: Term) -> bool:
     if tt is Struct:
         return all(is_ground(a) for a in t.args)
     return True
-
-
-def is_variant(t1: Term, t2: Term) -> bool:
-    """True iff t1 and t2 are identical up to variable renaming."""
-    return canonicalize(t1) == canonicalize(t2)
 
 
 def subsumes(t1: Term, t2: Term) -> bool:

@@ -11,15 +11,50 @@ from hypothesis import example, given, settings
 import lintab
 import lintab.corpus as corpus
 from lintab.analysis import (
+    CLAUSES,
+    ROWS,
+    TABLED,
+    UNDEFINED,
     analyze,
     atomic_key,
     build_call_graph,
     level_mapping,
     pred_key,
-    verify_level_mapping,
 )
+from lintab.bench import suite_instances
 from lintab.parser import Clause, TableDeclaration, parse_program
 from lintab.terms import Struct, Var
+
+
+def verify_level_mapping(clauses, levels):
+    """Check the defining bidirectional property on every rule."""
+    graph = build_call_graph(clauses)
+    reach = {}
+
+    def reachable(start):
+        seen = reach.get(start)
+        if seen is None:
+            seen = reach[start] = {start}
+            todo = [start]
+            while todo:
+                for s in graph[todo.pop()]:
+                    if s not in seen:
+                        seen.add(s)
+                        todo.append(s)
+        return seen
+
+    for c in clauses:
+        hk = pred_key(c.head)
+        for goal in c.body:
+            bk = pred_key(goal)
+            calls_back = hk in reachable(bk)
+            mh = levels[hk]
+            mb = levels[bk]
+            if (mh > mb) != (not calls_back):
+                return False
+            if (mh == mb) != calls_back:
+                return False
+    return True
 
 
 def _clauses(text):
@@ -177,6 +212,128 @@ def test_indexed_lookup_is_the_ordered_filter(heads):
         (pos for pos, ks in enumerate(distinct) if ks),
         key=lambda pos: (-len(distinct[pos]), pos),
     )
+
+
+# The per-rule dispatch loop and index build that the column-wise ones
+# replaced, kept as a reference: one atomic_key call per head argument.
+def _reference_dispatch(prog, key):
+    distinct = {}
+    rules = prog.rules.get(key)
+    rows = key[1] > 0 and bool(rules)
+    for r in rules or ():
+        if r.clause.body:
+            rows = False
+        head = r.clause.head
+        if type(head) is Struct:
+            for pos, arg in enumerate(head.args):
+                k = atomic_key(arg)
+                if k is None:
+                    rows = False
+                else:
+                    distinct.setdefault(pos, set()).add(k)
+    kind = (
+        TABLED if key in prog.tabled
+        else UNDEFINED if rules is None
+        else ROWS if rows
+        else CLAUSES
+    )
+    return kind, tuple(sorted(distinct, key=lambda pos: (-len(distinct[pos]), pos)))
+
+
+def _reference_index(rules, pos):
+    buckets, unindexed = {}, []
+    for r in rules:
+        k = atomic_key(r.clause.head.args[pos])
+        if k is None:
+            unindexed.append(r)
+            for bucket in buckets.values():
+                bucket.append(r)
+        else:
+            bucket = buckets.get(k)
+            if bucket is None:
+                bucket = buckets[k] = list(unindexed)
+            bucket.append(r)
+    return {k: tuple(v) for k, v in buckets.items()}, tuple(unindexed)
+
+
+def _ids(rules):
+    return [id(r) for r in rules]
+
+
+def _fact(functor, *args):
+    return Clause(Struct(functor, args), (), 0)
+
+
+_DISPATCH_CASES = {
+    # the atom "0" and the integer 0 in one column keep apart
+    "zero-atom-versus-integer": [_fact("z", "0", "a"), _fact("z", 0, "b"), _fact("z", "0", 0)],
+    "variable-argument": "e(a,b).\ne(X,c).\ne(b,Y).\n",
+    "compound-argument": "e(a,b).\ne(f(a),c).\ne(b,g(X)).\n",
+    "facts-and-rules": "q(a,b).\nq(X,Y) :- e(X,Y).\nq(c,d).\ne(a,c).\n",
+    "repeated-variable": "e(X,X).\ne(a,b).\n",
+    "duplicate-facts": "d(a,b).\nd(a,b).\nd(b,a).\nd(a,b).\n",
+    "arity-zero": "go.\ngo :- go.\nstop.\n",
+    # no head of w has an atom or integer in its first column
+    "no-atomic-key": "w(X,a).\nw(f(b),b).\nw(Y,c).\nw(g(Y),a).\n",
+    "tabled-facts": ":- table t/2.\nt(a,b).\nt(b,c).\n",
+}
+
+
+def _dispatch_cases():
+    for name, text, _ in suite_instances("paper-examples", [], 0):
+        yield name, parse_program(text)
+    for kind in ("tcl", "tcr", "tcn", "sg"):
+        for graph in ("chain", "cycle", "random"):
+            text, _ = corpus.random_instance(3, kind, graph, 7, 14 if graph == "random" else None)
+            yield f"{kind}-{graph}", parse_program(text)
+    for seed in range(60):
+        yield f"mutual-{seed}", parse_program(corpus.mutual_recursion_program(seed)[0])
+    for name, case in _DISPATCH_CASES.items():
+        yield name, parse_program(case) if type(case) is str else case
+
+
+def test_dispatch_records_equal_the_per_rule_reference():
+    kinds = set()
+    for name, items in _dispatch_cases():
+        prog = analyze(items)
+        for key in [*prog.levels, *prog.rules, ("undefined", 2)]:
+            record = prog.dispatch(key)
+            kind, plan = _reference_dispatch(prog, key)
+            assert (record.kind, record.plan) == (kind, plan), (name, key)
+            assert _ids(record.rules) == _ids(prog.rules.get(key, ())), (name, key)
+            kinds.add(kind)
+            for pos in plan:
+                buckets, unindexed = record.index(pos)
+                want_buckets, want_unindexed = _reference_index(record.rules, pos)
+                assert list(buckets) == list(want_buckets), (name, key, pos)
+                for k, rules in want_buckets.items():
+                    assert _ids(buckets[k]) == _ids(rules), (name, key, pos, k)
+                assert _ids(unindexed) == _ids(want_unindexed), (name, key, pos)
+    assert kinds == {TABLED, ROWS, CLAUSES, UNDEFINED}
+
+
+def test_dispatch_hand_written_cases():
+    def record(case, key):
+        prog = analyze(parse_program(case) if type(case) is str else case)
+        return prog.dispatch(key)
+
+    zero = record(_DISPATCH_CASES["zero-atom-versus-integer"], ("z", 2))
+    assert (zero.kind, zero.plan) == (ROWS, (1, 0))  # three keys in column 1, two in 0
+    buckets, _ = zero.index(0)
+    assert [r.clause.head.args[1] for r in buckets["0"]] == ["a", 0]
+    assert [r.clause.head.args[1] for r in buckets[0]] == ["b"]
+    assert record(_DISPATCH_CASES["variable-argument"], ("e", 2)).kind == CLAUSES
+    assert record(_DISPATCH_CASES["compound-argument"], ("e", 2)).plan == (0, 1)
+    assert record(_DISPATCH_CASES["facts-and-rules"], ("q", 2)).kind == CLAUSES
+    assert record(_DISPATCH_CASES["repeated-variable"], ("e", 2)).plan == (0, 1)
+    dup = record(_DISPATCH_CASES["duplicate-facts"], ("d", 2))
+    assert (dup.kind, dup.plan, len(dup.index(0)[0]["a"])) == (ROWS, (0, 1), 3)
+    go = record(_DISPATCH_CASES["arity-zero"], ("go", 0))
+    assert (go.kind, go.plan, len(go.rules)) == (CLAUSES, (), 2)
+    assert record(_DISPATCH_CASES["arity-zero"], ("stop", 0)).kind == CLAUSES
+    none = record(_DISPATCH_CASES["no-atomic-key"], ("w", 2))
+    assert (none.kind, none.plan) == (CLAUSES, (1,))
+    assert record(_DISPATCH_CASES["tabled-facts"], ("t", 2)).kind == TABLED
 
 
 def test_report_format_and_determinism():

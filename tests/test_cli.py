@@ -106,6 +106,10 @@ def test_run_stats_block(tc_file, capsys):
     assert "-- stats --" in out
     assert "answers_produced=2" in out
     assert "ave_its=3.00" in out
+    # per-phase seconds follow the counters
+    stats = out.split("-- stats --\n")[1].splitlines()
+    assert [line.split("=")[0] for line in stats[-3:]] == ["parse_s", "analyze_s", "evaluate_s"]
+    assert all(float(line.split("=")[1]) >= 0 for line in stats[-3:])
 
 
 def test_run_dump_table(tc_file, capsys):

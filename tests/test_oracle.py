@@ -15,7 +15,7 @@ from lintab.oracle import (
     oracle_solve,
 )
 from lintab.parser import Clause, parse_program, parse_query
-from lintab.terms import Struct, Var
+from lintab.terms import Struct, Var, render_goals
 
 
 def test_transitive_closure_model():
@@ -244,6 +244,21 @@ def test_oracle_solve_reads_the_model_it_is_passed():
     model[("p", 2)].remove(Struct("p", ["a", "c"]))
     assert oracle_solve(items, "p(a,Y)", model) == {"p(a,b)"}
     assert oracle_solve(items, "p(X,c)", model) == {"p(b,c)"}
+
+
+def test_oracle_solve_indexes_each_predicate_the_query_names():
+    # a query indexes only its own predicates, so a ground argument of any
+    # of its goals must still find that goal's facts
+    items = parse_program(corpus.LEFT_RECURSIVE_TC)
+    model = oracle_model(items)
+    for query in ("e(a,Y), p(Y,Z)", "p(X,Y), e(Y,c)", "p(X,b), e(b,Y), p(Y,Z)", "p(c,Y), e(X,Y)"):
+        goals = tuple(parse_query(query)[0])
+        want = {
+            render_goals([_substitute(g, theta) for g in goals])
+            for theta in _scan_match_body(goals, 0, model, {})
+        }
+        assert oracle_solve(items, query, model) == want, query
+    assert oracle_solve(items, "p(X,Y), e(Y,c)", model) == {"p(a,b),e(b,c)"}
 
 
 def test_function_symbols_past_the_bound_are_inapplicable():

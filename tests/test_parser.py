@@ -91,6 +91,51 @@ def test_error_positions():
         parse_query("p(X), ")
 
 
+# (text, message, line, column), each recorded before the parser read
+# constant and variable arguments in place
+SYNTAX_ERRORS = [
+    ("e(a b).", "expected ')', found 'b'", 1, 5),
+    ("e(a,).", "expected a term", 1, 5),
+    ("e(,a).", "expected a term", 1, 3),
+    ("e(a,b", "expected ')', found 'end of input'", 1, 6),
+    ("e(a,b)", "expected '.', found 'end of input'", 1, 7),
+    ("e(a,b) q.", "expected '.', found 'q'", 1, 8),
+    ("e(a,b) :- .", "expected a term", 1, 11),
+    ("e(a,b) :- f(X,.", "expected a term", 1, 15),
+    ("e(a(b,c).", "expected ')', found '.'", 1, 9),
+    ("e(a)).", "expected '.', found ')'", 1, 5),
+    (":- table e/2 lazy", "expected '.', found 'end of input'", 1, 18),
+    ("e(-,a).", "unexpected character '-'", 1, 3),
+    ("e(a,$).", "unexpected character '$'", 1, 5),
+    ("e(a,b).\np(X) :- e(X,Y).\nq(X :- p(X).\n", "expected ')', found ':-'", 3, 5),
+    ("e(a,b).\n% note\n  p(X) :- e(X, Y) Z.\n", "expected '.', found 'Z'", 3, 19),
+    ("p(X) :- q(X), .", "expected a term", 1, 15),
+    ("e(a,b) :- 7.", "goal must be an atom or compound", 1, 11),
+    ("p((a)).", "expected a term", 1, 3),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", SYNTAX_ERRORS)
+def test_syntax_error_message_line_and_column(text, message, line, col):
+    with pytest.raises(ProgramSyntaxError) as e:
+        parse_program(text)
+    assert str(e.value) == f"{message} at line {line}, column {col}"
+    assert (e.value.line, e.value.col) == (line, col)
+
+
+def test_clause_is_a_value():
+    c = Clause(Struct("e", ["a", 1]), (Struct("q", [Var(0)]),), 1)
+    same = Clause(Struct("e", ["a", 1]), (Struct("q", [Var(0)]),), 1)
+    assert c == same and hash(c) == hash(same) and len({c, same}) == 1
+    assert c != Clause(Struct("e", ["a", 1]), (Struct("q", [Var(0)]),), 2)
+    assert c != Clause(Struct("e", ["a", 2]), (Struct("q", [Var(0)]),), 1)
+    assert repr(c) == "Clause(head=e(a,1), body=(q(_0),), nvars=1)"
+    assert Clause("go", (), 0) == parse_program("go.")[0]
+    for head in (5, Var(0)):
+        with pytest.raises(ValueError, match="clause head must be an atom or compound"):
+            Clause(head, (), 0)
+
+
 def test_head_must_be_callable():
     with pytest.raises(ProgramSyntaxError):
         parse_program("5 :- p(a).")

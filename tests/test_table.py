@@ -27,6 +27,12 @@ def goal(*names):
     return Struct("p", sub(*names))
 
 
+def regions(entry):
+    """The entry's old, previous and current answers."""
+    a = list(entry.answers)
+    return a[: entry.last_old], a[entry.last_old : entry.last_prev], a[entry.last_prev :]
+
+
 def fresh_entry():
     store = SubgoalStore()
     entry, call_vars = register_subgoal(store, Struct("p", [Var(0)]))
@@ -78,10 +84,10 @@ def test_promotion_slides_regions():
     promote_regions(e)
     assert (e.last_old, e.last_prev) == (0, 2)
     insert_answer(e, sub("c"))
-    old, prev, cur = e.regions()
+    old, prev, cur = regions(e)
     assert (old, prev, cur) == ([], [goal("a"), goal("b")], [goal("c")])
     promote_regions(e)
-    old, prev, cur = e.regions()
+    old, prev, cur = regions(e)
     assert (old, prev, cur) == ([goal("a"), goal("b")], [goal("c")], [])
 
 
@@ -118,7 +124,7 @@ def test_region_boundaries_monotone_and_partition(script):
         assert e.last_old <= e.last_prev <= len(e.answers)
         prev_boundaries = (e.last_old, e.last_prev)
         check_region_invariants(store)
-        old, prev, cur = e.regions()
+        old, prev, cur = regions(e)
         assert old + prev + cur == list(e.answers)
 
 
