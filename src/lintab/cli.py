@@ -145,7 +145,7 @@ def _cmd_run(args) -> int:
         print(dump(engine.store))
     if args.oracle:
         try:
-            expected = oracle_solve(text, args.query)
+            expected = oracle_solve(items, args.query)
         except OracleInapplicable as exc:
             print(f"oracle: inapplicable ({exc})")
         else:

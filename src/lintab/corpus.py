@@ -178,15 +178,6 @@ DATALOG_RULES = {
 }
 
 
-def datalog_program(kind: str, graph_facts: str, n_nodes: int) -> tuple[str, str]:
-    """Rules for `kind` plus the given edge facts; returns (text, query)."""
-    rules, query = DATALOG_RULES[kind]
-    text = rules + graph_facts
-    if kind == "sg":
-        text += generate.node_facts(n_nodes)
-    return text, query
-
-
 def random_instance(
     seed: int,
     kind: str,
@@ -199,7 +190,11 @@ def random_instance(
     kind in {tcl, tcr, tcn, sg}; graph in {chain, cycle, random} (random
     needs the edge count m).
     """
-    return datalog_program(kind, generate.graph_facts(graph, n, seed, m), n)
+    rules, query = DATALOG_RULES[kind]
+    text = rules + generate.graph_facts(graph, n, seed, m)
+    if kind == "sg":
+        text += generate.node_facts(n)
+    return text, query
 
 
 def mutual_recursion_program(seed: int) -> tuple[str, str]:

@@ -129,9 +129,6 @@ class SubgoalStore:
     def __iter__(self) -> Iterator[SubgoalEntry]:
         return iter(self.entries.values())
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def register_subgoal(
     store: SubgoalStore, goal: Term, b: Optional[Bindings] = None

@@ -123,6 +123,16 @@ def test_run_oracle_agreement(tc_file, capsys):
     assert "oracle: agreement on 2 solutions" in capsys.readouterr().out
 
 
+def test_run_oracle_parses_the_program_once(tc_file, capsys, monkeypatch):
+    # the oracle gets the items the run parsed, not the text to parse again
+    def fail(text):
+        raise AssertionError("the oracle parsed the program again")
+
+    monkeypatch.setattr(lintab.oracle, "parse_program", fail)
+    assert main(["run", tc_file, "p(a,Y)", "--oracle"]) == EXIT_OK
+    assert "oracle: agreement on 2 solutions" in capsys.readouterr().out
+
+
 def test_run_oracle_divergence_exit_code(tc_file, capsys, monkeypatch):
     # an oracle that swaps p(a,c) for p(a,d) disagrees with the engine
     def planted(text, query):

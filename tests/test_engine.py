@@ -447,7 +447,7 @@ def test_head_unification_with_repeated_and_nested_variables(pred, fact, query, 
     text = f":- table {pred}.\n{fact}" if tabled else fact
     sols, eng = solve(text, query, strategy=strategy)
     assert sols == expected
-    assert len(eng.store) == int(tabled)
+    assert len(eng.store.entries) == int(tabled)
 
 
 # the atom "1" and the integer 1 look alike in text but are different terms

@@ -98,63 +98,45 @@ def test_differential_exit_code(monkeypatch, capsys, title, gaps, code):
     assert f"seeds {title}: 0" in capsys.readouterr().out.splitlines()
 
 
-def test_ab_query_smoke():
-    # the current sources against themselves: same answers and counters
-    lines = run_script(
-        "ab_query.py", "--parent-src", str(SCRIPTS.parent / "src"),
-        "--workload", "sg-random", "--strategy", "lazy", "--reps", "1", "--instances", "2",
-    )
-    assert lines[0] == "workload=sg-random strategy=lazy seed=13 instances=2 reps=1"
-    assert lines[-1] == (
-        "counters identical: steps clause_resolutions answers_consumed answers_produced subgoals max_its"
-    )
-    assert lines[-2].startswith("median per-instance ratio change/parent = ")
-
-
-def run_ab_query_against_patched_copy(tmp_path, old, new, code):
-    """ab_query.py with, as the parent, a copy of src/lintab whose engine
-    has `old` replaced by `new`."""
+def run_ab_query_against_patched_copy(tmp_path, code, module="engine.py", old="", new=""):
+    """ab_query.py with, as the parent, a copy of src/lintab whose `module`
+    has `old` replaced by `new`; returns the runs that differ per part and
+    the last line."""
     shutil.copytree(SCRIPTS.parent / "src" / "lintab", tmp_path / "lintab",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    engine = tmp_path / "lintab" / "engine.py"
-    text = engine.read_text()
-    assert text.count(old) == 1
-    engine.write_text(text.replace(old, new))
-    return run_script(
-        "ab_query.py", "--parent-src", str(tmp_path),
-        "--workload", "sg-random", "--strategy", "lazy", "--reps", "2", "--instances", "2",
-        code=code,
-    )
+    if old:
+        path = tmp_path / "lintab" / module
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+    lines = run_script("ab_query.py", "--parent-src", str(tmp_path), "--seed", "1", "--programs", "1",
+                       code=code)
+    assert bool(code) == lines[0].startswith("first difference: ")
+    differ = {f[0]: int(f[1]) for f in map(str.split, lines[1:-1])}
+    return differ, lines[-1]
 
 
-def test_ab_query_times_a_counter_change(tmp_path):
-    # same answers, one counter increment doubled: all reps run, exit 3
-    lines = run_ab_query_against_patched_copy(
-        tmp_path, "self.stats.answers_consumed += 1", "self.stats.answers_consumed += 2", code=3
-    )
-    assert lines[-8].startswith("median per-instance ratio change/parent = ")
-    assert lines[-7].startswith("counters differ on 2 of 2 instances, first sg-random-0")
-    totals = {f[0]: (int(f[1].split("=")[1]), int(f[2].split("=")[1])) for f in map(str.split, lines[-6:])}
-    assert list(totals) == [
-        "steps", "clause_resolutions", "answers_consumed", "answers_produced", "subgoals", "max_its"
-    ]
-    parent, change = totals.pop("answers_consumed")
-    assert parent == 2 * change > 0
-    assert all(p == c for p, c in totals.values())
-    assert lines[-4].endswith("  differs") and not lines[-3].endswith("differs")
+def test_ab_query_against_itself(tmp_path):
+    differ, last = run_ab_query_against_patched_copy(tmp_path, code=0)
+    assert differ == {}
+    assert last == "instances=27 configs=6 runs differ=0"
 
 
-def test_ab_query_reports_a_stream_change(tmp_path):
-    # same answer sets and counters, each solution yielded twice: exit 3
-    lines = run_ab_query_against_patched_copy(
-        tmp_path, "                yield text\n", "                yield text\n" * 2, code=3
-    )
-    assert lines[-3].startswith("median per-instance ratio change/parent = ")
-    assert lines[-2].startswith("solution streams differ on 2 of 2 instances, first sg-random-0")
-    assert lines[-1].startswith("counters identical: ")
-
-
-def test_ab_query_stops_on_a_wrong_answer(tmp_path):
-    lines = run_ab_query_against_patched_copy(tmp_path, "yield text\n", "yield text + 'x'\n", code=1)
-    assert lines[1].startswith("FAILED sg-random-0") and lines[1].endswith("wrong answer from the parent")
-    assert not any(line.startswith("median per-instance ratio") for line in lines)
+@pytest.mark.parametrize(
+    "module,old,new,parts",
+    [
+        ("engine.py", "self.stats.answers_consumed += 1", "self.stats.answers_consumed += 2", {"counters"}),
+        ("engine.py", "                yield text\n", "                yield text\n" * 2, {"stream"}),
+        ("table.py", '"complete" if entry.state', '"done" if entry.state', {"tables"}),
+        # the semi-naive skip of a base rule past round 1 raises instead
+        ("engine.py", "continue  # a base rule derives nothing new after round 1",
+         'raise EngineError("planted")', {"raised", "stream", "rounds", "counters", "tables"}),
+    ],
+    ids=["counters", "stream", "tables", "raised"],
+)
+def test_ab_query_names_the_part_that_differs(tmp_path, module, old, new, parts):
+    differ, last = run_ab_query_against_patched_copy(tmp_path, 1, module, old, new)
+    runs = int(last.rsplit("=", 1)[1])
+    assert last.startswith("instances=27 configs=6 runs differ=") and runs > 0
+    assert {part for part, n in differ.items() if n} == parts
+    assert all(differ[part] <= runs for part in parts)

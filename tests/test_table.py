@@ -36,19 +36,19 @@ def regions(entry):
 def fresh_entry():
     store = SubgoalStore()
     entry, call_vars = register_subgoal(store, Struct("p", [Var(0)]))
-    assert len(store) == 1 and call_vars == (0,)
+    assert len(store.entries) == 1 and call_vars == (0,)
     return store, entry
 
 
 def test_register_is_variant_keyed():
     store = SubgoalStore()
     e1, vars1 = register_subgoal(store, Struct("p", [Var(5), Var(5), Var(9)]))
-    assert len(store) == 1
+    assert len(store.entries) == 1
     e2, vars2 = register_subgoal(store, Struct("p", [Var(0), Var(0), Var(2)]))
-    assert len(store) == 1 and e1 is e2
+    assert len(store.entries) == 1 and e1 is e2
     e3, _ = register_subgoal(store, Struct("p", [Var(0), Var(1), Var(2)]))
     assert e3 is not e1
-    assert len(store) == 2
+    assert len(store.entries) == 2
     # the call's variables, in key order
     assert (vars1, vars2) == ((5, 9), (0, 2))
 
