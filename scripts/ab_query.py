@@ -6,9 +6,10 @@
 
 Both `<parent-src>/lintab` and this checkout's `src/lintab` are copied
 under two package names into a temporary directory and imported side by
-side. The programs come from this checkout: the golden corpus of
-tests/test_engine_golden.py and `corpus.mutual_recursion_program` seeds
---seed .. --seed+--programs-1. Each tree parses and analyzes each program
+side. The programs come from this checkout: the golden corpus
+`bench.golden_instances()`, whose digests tests/test_engine_golden.py
+pins, and `corpus.mutual_recursion_program` seeds --seed ..
+--seed+--programs-1. Each tree parses and analyzes each program
 and runs its query under the six `bench.config_matrix()` configs, with a
 step budget of 10**6. Per run, the parts compared are the program's
 `report()`, the solution stream (order and duplicates), `entry_rounds`,
@@ -34,8 +35,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("parser", "analysis", "engine", "table", "bench", "corpus")
 PARTS = ("report", "stream", "rounds", "counters", "tables", "raised")
-GOLDEN = [("tcl", [6]), ("tcr", [6]), ("tcn", [6]), ("sg", [6]), ("sg", [12]),
-          ("regex-warren", [20]), ("regex-warren-nontabled", [20]), ("paper-examples", [])]
 
 
 def import_tree(src: Path, name: str, tmp: Path):
@@ -77,7 +76,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         parent = import_tree(args.parent_src, "lintab_ab_parent", Path(tmp))
         change = import_tree(ROOT / "src", "lintab_ab_change", Path(tmp))
-        instances = [i for suite, sizes in GOLDEN for i in change.bench.suite_instances(suite, sizes, 0)]
+        instances = change.bench.golden_instances()
         for seed in range(args.seed, args.seed + args.programs):
             instances.append((f"mutual-recursion-{seed}", *change.corpus.mutual_recursion_program(seed)))
         configs = [label for label, _ in change.bench.config_matrix()]

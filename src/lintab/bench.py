@@ -193,6 +193,14 @@ def suite_instances(
     return instances
 
 
+def golden_instances() -> list[tuple[str, str, str]]:
+    """The golden corpus at seed 0: tests/test_engine_golden.py pins its
+    digests and scripts/ab_query.py compares two trees on it."""
+    suites = [("tcl", [6]), ("tcr", [6]), ("tcn", [6]), ("sg", [6, 12]), ("regex-warren", [20]),
+              ("regex-warren-nontabled", [20]), ("paper-examples", [])]
+    return [i for suite, sizes in suites for i in suite_instances(suite, sizes, 0)]
+
+
 def bench_suite(
     suite: str,
     sizes: list[int],

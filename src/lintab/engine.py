@@ -2,7 +2,7 @@
 
 Depth-first resolution over generators: `_solve_seq` solves a body goal
 by goal, and each goal's clause loop or table loop is a generator that
-yields once per solution (bindings live in a shared trail and are undone
+yields once per solution (bindings live in one map and trail, undone
 on backtracking); a last goal's solutions go straight to the caller with
 no further generator; a call to a row relation walks its index bucket in
 place, with no clause loop. A goal finds what its predicate's calls share
@@ -79,7 +79,6 @@ from .table import (
     register_subgoal,
 )
 from .terms import (
-    Bindings,
     Struct,
     Term,
     Var,
@@ -87,6 +86,7 @@ from .terms import (
     render,
     render_goals,
     renumber,
+    undo,
     unify,
     variables,
 )
@@ -172,12 +172,14 @@ Query = Union[str, Iterable[Term]]
 
 
 class Engine:
-    """One evaluation run: owns the bindings trail, table store and stats."""
+    """One evaluation run: owns the binding map `bound` (variable id to
+    term), its `trail` of bound ids, the table store and the stats."""
 
     def __init__(self, program: AnnotatedProgram, options: Optional[EngineOptions] = None):
         self.program = program
         self.opts = options or EngineOptions()
-        self.bindings = Bindings()
+        self.bound: dict[int, Term] = {}
+        self.trail: list[int] = []
         self.store = SubgoalStore()
         self.stats = RunStats()
         # the completion stack: incomplete entries in first-call order
@@ -223,7 +225,7 @@ class Engine:
         variables; on a match the body renamed to that block, else None
         with the bindings rolled back."""
         off = self._fresh_block(clause.nvars)
-        if not unify(goal, renumber(clause.head, off), self.bindings):
+        if not unify(goal, renumber(clause.head, off), self.bound, self.trail):
             return None
         return renumber(clause.body, off) if clause.nvars else clause.body
 
@@ -237,7 +239,7 @@ class Engine:
         count = 0
         try:
             for _ in self._solve_seq(goals, None, False, 0):
-                text = render_goals(goals, self.bindings)
+                text = render_goals(goals, self.bound)
                 if self.opts.dedup_solutions:
                     if text in seen:
                         continue
@@ -278,13 +280,13 @@ class Engine:
             stats.undefined_calls += 1
             return
         else:
-            m = self.bindings._map
+            m = self.bound
             clauses = record.bucket(goal, m)
             if kind is CLAUSES:
                 solutions = self._solve_plain(goal, clauses)
             else:  # a row relation: match each row of constants in place
                 args = goal.args
-                trail = self.bindings._trail
+                trail = self.trail
                 last_to_first = range(len(args) - 1, -1, -1)  # unify's order
                 budget = self.opts.step_budget
                 for ar in clauses:
@@ -320,21 +322,21 @@ class Engine:
                 yield from self._solve_seq(goals, gate_at, fresh or new, i + 1)
 
     def _solve_plain(self, goal, clauses):
-        b = self.bindings
+        m, trail = self.bound, self.trail
         for ar in clauses:
             self._step()
             self.stats.clause_resolutions += 1
-            mark = b.mark()
+            mark = len(trail)
             body = self._activate(goal, ar.clause)
             if body is None:
                 continue
             yield from self._solve_seq(body, None, False, 0)
-            b.undo(mark)
+            undo(m, trail, mark)
 
     # -- tabled resolution ----------------------------------------------
 
     def _solve_tabled(self, goal, key, record, gate):
-        entry, call_vars = register_subgoal(self.store, goal, self.bindings)
+        entry, call_vars = register_subgoal(self.store, goal, self.bound)
         state = entry.state
         if state is COMPLETE:
             yield from self._consume(call_vars, entry, gate, promote=False)
@@ -368,9 +370,9 @@ class Engine:
         if entry.pos is None:  # first call: push it on the completion stack
             entry.pos = len(self.incomplete)
             self.incomplete.append(entry)
-        b = self.bindings
+        m, trail = self.bound, self.trail
         subst = tuple(map(Var, call_vars))
-        clauses = record.bucket(goal, b._map)  # the call is bound alike every round
+        clauses = record.bucket(goal, m)  # the call is bound alike every round
         levels = self.program.levels
         entry.state = RUNNING
         try:
@@ -393,19 +395,19 @@ class Engine:
                         continue  # a base rule derives nothing new after round 1
                     self._step()
                     self.stats.clause_resolutions += 1
-                    mark = b.mark()
+                    mark = len(trail)
                     body = self._activate(goal, ar.clause)
                     if body is None:
                         continue
                     for _ in self._solve_seq(body, last_dep if later else None, False, 0):
                         # memo: store the answer; only a new one is returned
-                        if insert_answer(entry, canonicalize(subst, b)):
+                        if insert_answer(entry, canonicalize(subst, m)):
                             self.stats.answers_produced += 1
                             if eager:
                                 entry.state = HANDING
                                 yield True
                                 entry.state = RUNNING
-                    b.undo(mark)
+                    undo(m, trail, mark)
                 # check_completion. A top-most entry stays active from its
                 # first call until its cluster completes, so every incomplete
                 # entry first called after it has either joined its cluster
@@ -443,7 +445,7 @@ class Engine:
         call is a variant of the key, so this is the unifier and cannot
         fail. An open gate starts the walk at the end of the old region
         instead of at 0."""
-        m, trail = self.bindings._map, self.bindings._trail
+        m, trail = self.bound, self.trail
         # a bound variable is never re-bound without an intervening undo, so
         # no call variable is bound as the walk starts
         assert not any(vid in m for vid in call_vars)

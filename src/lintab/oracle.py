@@ -140,38 +140,41 @@ def _herbrand_bound(clauses: list[Clause]) -> tuple[int, bool]:
 
 def oracle_model(items: Iterable[Item]) -> Model:
     """Least model of all predicates by naive iteration to fixpoint."""
-    clauses = [i for i in items if isinstance(i, Clause)]
-    _check_range_restricted(clauses)
-    model: Model = {}
-    index: Index = {}
-    seen: set[tuple[PredKey, Term]] = set()
-    bound, functions = _herbrand_bound(clauses)
-    iterations = 0
-    changed = True
-    while changed:
-        iterations += 1
-        if iterations > bound + 1:
-            if functions:
-                raise OracleInapplicable(
-                    f"function symbols: the naive fixpoint ran past {bound + 1}"
-                    " passes, the bound over the program's constants"
-                )
-            raise AssertionError("naive fixpoint exceeded the Herbrand bound")
-        changed = False
-        new_facts: list[tuple[PredKey, Term]] = []
-        for c in clauses:
-            hk = pred_key(c.head)
-            for theta in _match_body(c.body, 0, model, index, {}):
-                fact = _substitute(c.head, theta)
-                assert is_ground(fact)
-                if (hk, fact) not in seen:
-                    seen.add((hk, fact))
-                    new_facts.append((hk, fact))
-        for hk, fact in new_facts:
-            model.setdefault(hk, []).append(fact)
-            _index_fact(index, hk, fact)
-            changed = True
-    return model
+    try:
+        clauses = [i for i in items if isinstance(i, Clause)]
+        _check_range_restricted(clauses)
+        model: Model = {}
+        index: Index = {}
+        seen: set[tuple[PredKey, Term]] = set()
+        bound, functions = _herbrand_bound(clauses)
+        iterations = 0
+        changed = True
+        while changed:
+            iterations += 1
+            if iterations > bound + 1:
+                if functions:
+                    raise OracleInapplicable(
+                        f"function symbols: the naive fixpoint ran past {bound + 1}"
+                        " passes, the bound over the program's constants"
+                    )
+                raise AssertionError("naive fixpoint exceeded the Herbrand bound")
+            changed = False
+            new_facts: list[tuple[PredKey, Term]] = []
+            for c in clauses:
+                hk = pred_key(c.head)
+                for theta in _match_body(c.body, 0, model, index, {}):
+                    fact = _substitute(c.head, theta)
+                    assert is_ground(fact)
+                    if (hk, fact) not in seen:
+                        seen.add((hk, fact))
+                        new_facts.append((hk, fact))
+            for hk, fact in new_facts:
+                model.setdefault(hk, []).append(fact)
+                _index_fact(index, hk, fact)
+                changed = True
+        return model
+    except RecursionError:  # the recursive term walks cannot follow a term
+        raise OracleInapplicable("a term nested too deeply") from None
 
 
 def oracle_solve(
@@ -184,19 +187,22 @@ def oracle_solve(
     Pass the program's model, if already built by oracle_model, to skip
     building it again; the query reads the model as passed.
     """
-    if model is None:
-        items = (
-            parse_program(items_or_text)
-            if isinstance(items_or_text, str)
-            else list(items_or_text)
-        )
-        model = oracle_model(items)
-    goals = parse_query(query)[0] if isinstance(query, str) else list(query)
-    index = _index(model, {pred_key(g) for g in goals})
-    out = set()
-    for theta in _match_body(tuple(goals), 0, model, index, {}):
-        out.add(render_goals([_substitute(g, theta) for g in goals]))
-    return out
+    try:
+        if model is None:
+            items = (
+                parse_program(items_or_text)
+                if isinstance(items_or_text, str)
+                else list(items_or_text)
+            )
+            model = oracle_model(items)
+        goals = parse_query(query)[0] if isinstance(query, str) else list(query)
+        index = _index(model, {pred_key(g) for g in goals})
+        out = set()
+        for theta in _match_body(tuple(goals), 0, model, index, {}):
+            out.add(render_goals([_substitute(g, theta) for g in goals]))
+        return out
+    except RecursionError:  # the recursive term walks cannot follow a term
+        raise OracleInapplicable("a term nested too deeply") from None
 
 
 def answers_for_key(model: Model, key: Term) -> frozenset[Term]:

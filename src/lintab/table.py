@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .terms import Bindings, Struct, Term, Var, canonicalize, render, variables
+from .terms import Struct, Term, Var, canonicalize, render, variables
 
 Subst = tuple[Term, ...]
 
@@ -131,16 +131,16 @@ class SubgoalStore:
 
 
 def register_subgoal(
-    store: SubgoalStore, goal: Term, b: Optional[Bindings] = None
+    store: SubgoalStore, goal: Term, m: Optional[dict[int, Term]] = None
 ) -> tuple[SubgoalEntry, tuple[int, ...]]:
-    """Find or create the entry for goal's variant class.
+    """Find or create the entry for goal's variant class under map m.
 
     Also returns the call's free variable ids in key order, found in the
     walk that canonicalizes the key: an answer binds the i-th of them to
     its tuple's i-th element.
     """
     mapping: dict[int, Var] = {}
-    key = canonicalize(goal, b, mapping)
+    key = canonicalize(goal, m, mapping)
     entry = store.entries.get(key)
     if entry is None:
         entry = store.entries[key] = SubgoalEntry(key)

@@ -4,8 +4,8 @@ A term is a `Var` (an integer id), a `Struct` (a functor and argument
 terms), an atom or an integer. An atom is the Python `str` of its name and
 an integer is a Python `int`: the built-in type is the constant's tag, so
 the atom "0" and the integer 0 are different terms. Terms are immutable
-values. All mutation lives in a `Bindings` object that records a trail so
-the engine can undo bindings on backtracking.
+values. The bindings live in a plain dict from variable id to term, with
+a plain list of the bound ids, the trail, so backtracking can undo them.
 """
 
 from __future__ import annotations
@@ -68,46 +68,32 @@ def pred_key(t: Term) -> PredKey:
     raise TypeError(f"not a callable term: {t!r}")
 
 
-class Bindings:
-    """A substitution plus a trail supporting rollback to a checkpoint."""
-
-    __slots__ = ("_map", "_trail")
-
-    def __init__(self):
-        self._map: dict[int, Term] = {}
-        self._trail: list[int] = []
-
-    def mark(self) -> int:
-        return len(self._trail)
-
-    def undo(self, mark: int) -> None:
-        trail = self._trail
-        m = self._map
-        while len(trail) > mark:
-            del m[trail.pop()]
-
-    def deref(self, t: Term) -> Term:
-        m = self._map
-        while type(t) is Var:
-            nxt = m.get(t.id)
-            if nxt is None:
-                return t
-            t = nxt
-        return t
+def deref(t: Term, m: dict[int, Term]) -> Term:
+    """Follow t's bindings in m to an unbound variable or a non-variable."""
+    while type(t) is Var:
+        nxt = m.get(t.id)
+        if nxt is None:
+            return t
+        t = nxt
+    return t
 
 
-def unify(t1: Term, t2: Term, b: Bindings) -> bool:
-    """Extend b to a most-general unifier of t1 and t2.
+def undo(m: dict[int, Term], trail: list[int], mark: int) -> None:
+    """Unbind the variables trailed since the trail was mark long."""
+    while len(trail) > mark:
+        del m[trail.pop()]
 
-    On failure the bindings are rolled back to the pre-call state. A
+
+def unify(t1: Term, t2: Term, m: dict[int, Term], trail: list[int]) -> bool:
+    """Extend m to a most-general unifier of t1 and t2, trailing each binding.
+
+    On failure m and the trail are rolled back to the pre-call state. A
     variable is bound to a compound only if it does not occur in it, so
     no binding is ever cyclic. Binding to an atom, integer or variable
     needs no check, so Datalog terms pay one type test per binding.
     Argument pairs are popped last to first, each pair's subterms finished
     before the next pair.
     """
-    m = b._map
-    trail = b._trail
     mark = len(trail)
     stack = [(t1, t2)]
     while stack:
@@ -121,12 +107,12 @@ def unify(t1: Term, t2: Term, b: Bindings) -> bool:
         if ta is Var:
             if tc is Var and c.id == a.id:
                 continue
-            if tc is Struct and _occurs(a.id, c, b):
+            if tc is Struct and _occurs(a.id, c, m):
                 break
             m[a.id] = c
             trail.append(a.id)
         elif tc is Var:
-            if ta is Struct and _occurs(c.id, a, b):
+            if ta is Struct and _occurs(c.id, a, m):
                 break
             m[c.id] = a
             trail.append(c.id)
@@ -139,15 +125,15 @@ def unify(t1: Term, t2: Term, b: Bindings) -> bool:
             break
     else:
         return True
-    b.undo(mark)  # a clash or an occurs check failed
+    undo(m, trail, mark)  # a clash or an occurs check failed
     return False
 
 
-def _occurs(vid: int, t: Term, b: Bindings) -> bool:
-    """Does variable vid occur in t under b?"""
+def _occurs(vid: int, t: Term, m: dict[int, Term]) -> bool:
+    """Does variable vid occur in t under m?"""
     stack = [t]
     while stack:
-        t = b.deref(stack.pop())
+        t = deref(stack.pop(), m)
         if type(t) is Var:
             if t.id == vid:
                 return True
@@ -158,25 +144,25 @@ def _occurs(vid: int, t: Term, b: Bindings) -> bool:
 
 def canonicalize(
     t: Term | tuple[Term, ...],
-    b: Optional[Bindings] = None,
+    m: Optional[dict[int, Term]] = None,
     mapping: Optional[dict[int, Var]] = None,
 ) -> Term | tuple[Term, ...]:
     """Renumber variables 0,1,2,... in first-occurrence order.
 
-    Dereferences through b when given, so the result is a standalone copy
-    usable as a table key or stored answer. Idempotent. t may also be a
-    tuple of terms, numbered as one sequence. A `mapping` dict passed in
-    is filled with original variable id -> canonical variable, in
-    numbering order. A tuple whose elements all deref to atoms or integers
-    (a ground answer of flat terms) is returned as the tuple of those
-    values, with no walk.
+    Dereferences in the binding map m when given, so the result is a
+    standalone copy usable as a table key or stored answer. Idempotent. t
+    may also be a tuple of terms, numbered as one sequence. A `mapping`
+    dict passed in is filled with original variable id -> canonical
+    variable, in numbering order. A tuple whose elements all deref to
+    atoms or integers (a ground answer of flat terms) is returned as the
+    tuple of those values, with no walk.
     """
     if type(t) is tuple:
-        m = b._map if b is not None else {}
+        bound = m if m is not None else {}
         flat = []
         for a in t:
             while type(a) is Var:
-                nxt = m.get(a.id)
+                nxt = bound.get(a.id)
                 if nxt is None:
                     break
                 a = nxt
@@ -190,8 +176,8 @@ def canonicalize(
         mapping = {}
 
     def walk(t):
-        if b is not None:
-            t = b.deref(t)
+        if m is not None:
+            t = deref(t, m)
         tt = type(t)
         if tt is Var:
             v = mapping.get(t.id)
@@ -208,14 +194,11 @@ def canonicalize(
     return walk(t)
 
 
-def variables(t: Term | tuple[Term, ...], b: Optional[Bindings] = None) -> list[int]:
-    """Variable ids in first-occurrence order (after deref through b).
-    t may also be a tuple of terms."""
+def variables(t: Term | tuple[Term, ...]) -> list[int]:
+    """Variable ids in first-occurrence order; t may be a tuple of terms."""
     seen: list[int] = []
 
     def walk(t: Term) -> None:
-        if b is not None:
-            t = b.deref(t)
         tt = type(t)
         if tt is Var:
             if t.id not in seen:
@@ -269,10 +252,10 @@ def subsumes(t1: Term, t2: Term) -> bool:
 
 def render(
     t: Term,
-    b: Optional[Bindings] = None,
+    m: Optional[dict[int, Term]] = None,
     names: Optional[dict[int, str]] = None,
 ) -> str:
-    """Deterministic text form after applying b.
+    """Deterministic text form after applying the binding map m.
 
     Unbound variables print as _G<n>, numbered in first-occurrence order;
     pass a shared `names` dict to keep numbering stable across several
@@ -283,8 +266,8 @@ def render(
     parts: list[str] = []
 
     def walk(t: Term) -> None:
-        if b is not None:
-            t = b.deref(t)
+        if m is not None:
+            t = deref(t, m)
         tt = type(t)
         if tt is Var:
             name = names.get(t.id)
@@ -307,10 +290,10 @@ def render(
     return "".join(parts)
 
 
-def render_goals(goals, b: Optional[Bindings] = None) -> str:
+def render_goals(goals, m: Optional[dict[int, Term]] = None) -> str:
     """Render a conjunction with one shared unbound-variable numbering."""
     names: dict[int, str] = {}
-    return ",".join(render(g, b, names) for g in goals)
+    return ",".join(render(g, m, names) for g in goals)
 
 
 def renumber(t: Term | tuple[Term, ...], offset: int) -> Term | tuple[Term, ...]:

@@ -100,6 +100,17 @@ def test_deeply_nested_term_is_a_usage_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_oracle_declines_a_fact_nested_past_its_recursion(tmp_path, capsys):
+    # the engine answers a fact nested 400 deep; the oracle's recursive
+    # walks cannot follow it, so the oracle is inapplicable
+    path = tmp_path / "deep.pl"
+    path.write_text("p(" + "f(" * 400 + "a" + ")" * 400 + ").\n")
+    assert main(["run", str(path), "p(X)", "--oracle"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert "oracle: inapplicable (" in out
+    assert "Traceback" not in err
+
+
 def test_run_stats_block(tc_file, capsys):
     assert main(["run", tc_file, "p(a,Y)", "--stats"]) == EXIT_OK
     out = capsys.readouterr().out

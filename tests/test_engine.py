@@ -20,13 +20,12 @@ from lintab import (
     run_query,
 )
 from lintab.analysis import ROWS, analyze
-from lintab.bench import config_matrix, run_instance, suite_instances
+from lintab.bench import config_matrix, golden_instances, run_instance, suite_instances
 from lintab.corpus import mutual_recursion_program
 from lintab.oracle import OracleInapplicable, oracle_solve
 from lintab.parser import Clause
 from lintab.table import COMPLETE, HANDING, RUNNING, check_region_invariants, dump
-from lintab.terms import Bindings, Struct, Var, unify
-from test_engine_golden import golden_instances
+from lintab.terms import Struct, Var, undo, unify
 
 
 def solve(text, query, **kw):
@@ -412,6 +411,9 @@ def test_entry_lifecycle_after_drained_limited_and_closed_runs(label, opts):
         _, eng = run_query(program, query, opts)
         assert not eng.incomplete, name
         assert all(e.state is COMPLETE for e in eng.store), name
+        # a drained run has undone every binding (a limited or closed one
+        # skips the undo loops of the generators it abandons)
+        assert eng.bound == {} and eng.trail == [], name
         _, eng = run_query(program, query, dataclasses.replace(opts, limit=1))
         assert not active_entries(eng), name
         eng = Engine(program, opts)
@@ -483,31 +485,30 @@ def test_row_walk_equals_unify_with_each_row(case, pre):
     program = analyze([Clause(Struct("p", row), (), 0) for row in rows])
     goals = [Struct("p", args) for args in calls]
 
-    def bound():
-        b = Bindings()
+    def bind(m, trail):
         for vid, t in pre:
-            unify(Var(vid), t, b)
-        return b
+            unify(Var(vid), t, m, trail)
 
-    ref = bound()
-    before = (dict(ref._map), list(ref._trail))
+    m, trail = {}, []
+    bind(m, trail)
+    before = (dict(m), list(trail))
     want = []
 
     def walk(i):
         if i == len(goals):
-            want.append((dict(ref._map), list(ref._trail)))
+            want.append((dict(m), list(trail)))
             return
         for row in rows:
-            mark = ref.mark()
-            if unify(goals[i], Struct("p", row), ref):
+            mark = len(trail)
+            if unify(goals[i], Struct("p", row), m, trail):
                 walk(i + 1)
-                ref.undo(mark)
+                undo(m, trail, mark)
 
     walk(0)
     eng = Engine(program)
-    b = eng.bindings = bound()
-    assert [(dict(b._map), list(b._trail)) for _ in eng.run(goals)] == want
-    assert (b._map, b._trail) == before
+    bind(eng.bound, eng.trail)
+    assert [(dict(eng.bound), list(eng.trail)) for _ in eng.run(goals)] == want
+    assert (eng.bound, eng.trail) == before
     assert {k for k, r in program.records.items() if r.kind is ROWS} == {("p", len(rows[0]))}
 
 

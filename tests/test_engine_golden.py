@@ -19,21 +19,8 @@ import json
 import pytest
 
 from lintab import Engine, load_program
-from lintab.bench import config_matrix, suite_instances
+from lintab.bench import config_matrix, golden_instances
 from lintab.table import dump
-
-SEED = 0
-
-
-def golden_instances():
-    out = []
-    for suite in ("tcl", "tcr", "tcn", "sg"):
-        out += suite_instances(suite, [6], SEED)
-    out += suite_instances("sg", [12], SEED)
-    out += suite_instances("regex-warren", [20], SEED)
-    out += suite_instances("regex-warren-nontabled", [20], SEED)
-    out += suite_instances("paper-examples", [], SEED)
-    return out
 
 
 def _digest(blob: bytes) -> str:

@@ -270,3 +270,13 @@ def test_function_symbols_past_the_bound_are_inapplicable():
     )
     with pytest.raises(OracleInapplicable, match="function symbols"):
         oracle_model(parse_program(text))
+
+
+def test_terms_nested_past_the_recursion_limit_are_inapplicable():
+    # the oracle's term walks recurse per nesting level; a RecursionError
+    # in the model or in the query becomes OracleInapplicable
+    deep = "f(" * 600 + "a" + ")" * 600
+    with pytest.raises(OracleInapplicable, match="nested too deeply"):
+        oracle_model(parse_program(f"p({deep}).\n"))
+    with pytest.raises(OracleInapplicable, match="nested too deeply"):
+        oracle_solve("q(a).\n", f"q({deep})")

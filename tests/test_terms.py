@@ -5,25 +5,27 @@ import pytest
 from hypothesis import given, settings
 
 from lintab.terms import (
-    Bindings,
     Struct,
     Var,
     canonicalize,
+    deref,
     is_ground,
     render,
     render_goals,
     renumber,
     subsumes,
+    undo,
     unify,
     variables,
 )
 
 
-def resolve(t, b):
-    """t with b applied fully: a standalone copy to compare by equality."""
-    t = b.deref(t)
+def resolve(t, m):
+    """t with the binding map m applied fully: a standalone copy to compare
+    by equality."""
+    t = deref(t, m)
     if type(t) is Struct:
-        return Struct(t.functor, [resolve(a, b) for a in t.args])
+        return Struct(t.functor, [resolve(a, m) for a in t.args])
     return t
 
 
@@ -32,9 +34,9 @@ def is_variant(t1, t2):
     return canonicalize(t1) == canonicalize(t2)
 
 
-def snapshot(b):
-    """A copy of b's substitution."""
-    return dict(b._map)
+def snapshot(m):
+    """A copy of the binding map m."""
+    return dict(m)
 
 
 def terms(max_vars=4, max_depth=3):
@@ -70,50 +72,50 @@ def test_term_constructor_validation():
 
 
 def test_unify_basic():
-    b = Bindings()
-    assert unify(Struct("f", [Var(0), "a"]), Struct("f", ["b", Var(1)]), b)
-    assert b.deref(Var(0)) == "b"
-    assert b.deref(Var(1)) == "a"
+    m, trail = {}, []
+    assert unify(Struct("f", [Var(0), "a"]), Struct("f", ["b", Var(1)]), m, trail)
+    assert deref(Var(0), m) == "b"
+    assert deref(Var(1), m) == "a"
 
 
 def test_unify_failure_rolls_back():
-    b = Bindings()
+    m, trail = {}, []
     t1 = Struct("f", [Var(0), "a"])
     t2 = Struct("f", ["b", "c"])
-    before = snapshot(b)
-    assert not unify(t1, t2, b)
-    assert snapshot(b) == before
+    before = snapshot(m)
+    assert not unify(t1, t2, m, trail)
+    assert snapshot(m) == before
 
 
 def test_unify_occurs_check():
     # X = f(X), directly and through an earlier binding, would be cyclic
-    b = Bindings()
-    assert not unify(Var(0), Struct("f", [Var(0)]), b)
+    m, trail = {}, []
+    assert not unify(Var(0), Struct("f", [Var(0)]), m, trail)
     x, y = Var(0), Var(100)
-    assert not unify(Struct("g", [x, x]), Struct("g", [y, Struct("f", [y])]), b)
-    assert snapshot(b) == {}
+    assert not unify(Struct("g", [x, x]), Struct("g", [y, Struct("f", [y])]), m, trail)
+    assert snapshot(m) == {}
 
 
 def test_trail_undo_restores_snapshot():
-    b = Bindings()
-    unify(Var(0), "a", b)
-    snap = snapshot(b)
-    mark = b.mark()
-    unify(Var(1), Struct("f", [Var(2)]), b)
-    unify(Var(2), 3, b)
-    b.undo(mark)
-    assert snapshot(b) == snap
+    m, trail = {}, []
+    unify(Var(0), "a", m, trail)
+    snap = snapshot(m)
+    mark = len(trail)
+    unify(Var(1), Struct("f", [Var(2)]), m, trail)
+    unify(Var(2), 3, m, trail)
+    undo(m, trail, mark)
+    assert snapshot(m) == snap
 
 
 @given(terms(), terms())
 @settings(max_examples=300)
 def test_unify_produces_common_instance(t1, t2):
     t2 = renumber(t2, 100)  # rename apart
-    b = Bindings()
-    if unify(t1, t2, b):
-        assert resolve(t1, b) == resolve(t2, b)
+    m, trail = {}, []
+    if unify(t1, t2, m, trail):
+        assert resolve(t1, m) == resolve(t2, m)
     else:
-        assert snapshot(b) == {}
+        assert snapshot(m) == {}
 
 
 @given(terms())
@@ -174,9 +176,9 @@ def test_render_goals_shares_names():
 
 
 def test_render_through_bindings():
-    b = Bindings()
-    unify(Var(0), Struct("f", [1, Var(2)]), b)
-    assert render(Var(0), b) == "f(1,_G0)"
+    m, trail = {}, []
+    unify(Var(0), Struct("f", [1, Var(2)]), m, trail)
+    assert render(Var(0), m) == "f(1,_G0)"
 
 
 @given(terms())
@@ -193,12 +195,12 @@ FLAT = st.one_of(st.integers(0, 3).map(Var), st.sampled_from("ab"), st.integers(
 
 
 def _bound(pre):
-    """A Bindings holding pre's pairs, each bound through unify (so never
-    cyclic); a pair that does not unify is skipped."""
-    b = Bindings()
+    """A binding map and trail holding pre's pairs, each bound through
+    unify (so never cyclic); a pair that does not unify is skipped."""
+    m, trail = {}, []
     for vid, t in pre:
-        unify(Var(vid), t, b)
-    return b
+        unify(Var(vid), t, m, trail)
+    return m, trail
 
 
 @pytest.mark.parametrize(
@@ -219,14 +221,14 @@ def _bound(pre):
 )
 def test_unify_with_renamed_clause_head(call, head, pre, ok):
     # a repeated head variable meets the occurs check, or a bound call variable
-    b = _bound(pre)
-    before = (dict(b._map), list(b._trail))
+    m, trail = _bound(pre)
+    before = (dict(m), list(trail))
     head = renumber(head, 100)
-    assert unify(call, head, b) == ok
+    assert unify(call, head, m, trail) == ok
     if ok:
-        assert resolve(call, b) == resolve(head, b)
+        assert resolve(call, m) == resolve(head, m)
     else:
-        assert (b._map, b._trail) == before
+        assert (m, trail) == before
 
 
 @given(
@@ -237,9 +239,9 @@ def test_unify_with_renamed_clause_head(call, head, pre, ok):
 def test_canonicalize_tuple_under_bindings(tup, pre):
     # a tuple whose elements deref to atoms and integers takes the flat path
     tup = tuple(tup)
-    b = _bound(pre)
-    resolved = tuple(resolve(a, b) for a in tup)
-    got = canonicalize(tup, b)
+    m, _ = _bound(pre)
+    resolved = tuple(resolve(a, m) for a in tup)
+    got = canonicalize(tup, m)
     assert got == canonicalize(resolved)
     # a compound is always walked, so wrapping the tuple checks the flat path
     assert got == (canonicalize(Struct("t", resolved)).args if tup else ())
