@@ -13,8 +13,9 @@ pins, and `corpus.mutual_recursion_program` seeds --seed ..
 and runs its query under the six `bench.config_matrix()` configs, with a
 step budget of 10**6. Per run, the parts compared are the program's
 `report()`, the solution stream (order and duplicates), `entry_rounds`,
-`RunStats.as_dict()` and `table.dump`, or else the type and message of
-what the run raised.
+`RunStats.as_dict()`, `table.dump` and each entry's `answers.nvars` (a
+wrong variable count changes renaming, which a stream does not always
+show), or else the type and message of what the run raised.
 
 Exits 0 when every run is the same in both trees. Otherwise prints the
 first differing run and, per part, how many runs differ in it, and exits
@@ -34,7 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("parser", "analysis", "engine", "table", "bench", "corpus")
-PARTS = ("report", "stream", "rounds", "counters", "tables", "raised")
+PARTS = ("report", "stream", "rounds", "counters", "tables", "nvars", "raised")
 
 
 def import_tree(src: Path, name: str, tmp: Path):
@@ -60,7 +61,8 @@ def outcomes(tree, text, query):
             eng = tree.engine.Engine(program, replace(opts, step_budget=10**6))
             out[label] = dict(report, stream=list(eng.run(query)),
                               rounds=list(eng.stats.entry_rounds.items()),
-                              counters=eng.stats.as_dict(), tables=tree.table.dump(eng.store))
+                              counters=eng.stats.as_dict(), tables=tree.table.dump(eng.store),
+                              nvars=[e.answers.nvars for e in eng.store])
         except Exception as exc:
             out[label] = dict(report, **raised(exc))
     return out

@@ -39,14 +39,17 @@ dispatch on the entry's lifecycle state (see table.py):
     such call read no table that could still grow after it finished, so
     running it again on an old answer would only redo work.
 
-Consumption walks the answer table by position and binds the call's
-variables to each stored substitution tuple, with no unification (see
-table.py). Incomplete entries sit on one completion stack, `incomplete`,
-in the order of their first call (as in the SLG-WAM; Sagonas and Swift,
-TOPLAS 20(3), 1998), and a cluster of inter-dependent subgoals is always
-a suffix of it. An entry found looping points `topmost` at its cluster's
-top-most subgoal, which points at itself; a follower call points every
-entry from its top's stack position up at that top. Top-most looping
+A pioneer stores each answer as the substitution tuple of its call's
+variables (Ramakrishnan et al., JLP 38(1), 1999; see table.py), built in
+place when they are bound to atoms and integers and canonicalized
+otherwise. Consumption walks the answer table by position and binds the
+call's variables to each stored tuple, with no unification. Incomplete
+entries sit on one completion stack, `incomplete`, in the order of their
+first call (as in the SLG-WAM; Sagonas and Swift, TOPLAS 20(3), 1998),
+and a cluster of inter-dependent subgoals is always a suffix of it. An
+entry found looping points `topmost` at its cluster's top-most subgoal,
+which points at itself; a follower call points every entry from its
+top's stack position up at that top. Top-most looping
 subgoals are iterated in rounds until a round inserts nothing new, then
 complete their suffix and pop it. Between rounds the cluster's answer
 regions are promoted, which is what makes new-answers-only consumption (the
@@ -235,6 +238,7 @@ class Engine:
         if self._started:
             raise EngineError("an Engine instance supports a single run")
         self._started = True
+        mark = len(self.trail)  # 0 unless the caller bound variables first
         seen: set[str] = set()
         count = 0
         try:
@@ -256,6 +260,8 @@ class Engine:
                 f"({sys.getrecursionlimit()})"
             ) from None
         finally:
+            # a limited or closed run abandons generators before their undo
+            undo(self.bound, self.trail, mark)
             self.stats.finalize(self.store)
 
     def _solve_seq(self, goals, gate_at, fresh, i):
@@ -400,8 +406,20 @@ class Engine:
                     if body is None:
                         continue
                     for _ in self._solve_seq(body, last_dep if later else None, False, 0):
-                        # memo: store the answer; only a new one is returned
-                        if insert_answer(entry, canonicalize(subst, m)):
+                        # memo: store the answer; only a new one is returned.
+                        # Bindings to atoms and integers are the tuple as
+                        # they stand; any other answer is canonicalized
+                        tup = []
+                        for a in subst:
+                            while type(a) is Var and a.id in m:
+                                a = m[a.id]
+                            if type(a) is Var or type(a) is Struct:
+                                tup = canonicalize(subst, m)
+                                break
+                            tup.append(a)
+                        else:
+                            tup = tuple(tup)
+                        if insert_answer(entry, tup):
                             self.stats.answers_produced += 1
                             if eager:
                                 entry.state = HANDING

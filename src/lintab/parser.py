@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Union
 
-from .terms import Struct, Term, Var
+from .terms import Struct, Term, Var, new_struct
 
 
 class ProgramSyntaxError(Exception):
@@ -159,7 +159,7 @@ class _Parser:
                 self.i = i
                 self.expect(")")
             self.i = i + 1
-            return Struct(tok, args)
+            return new_struct(tok, tuple(args))
         if c in _VAR_START:
             self.i += 1
             return self.fresh_var(tok)

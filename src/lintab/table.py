@@ -10,6 +10,12 @@ a consumer binds its call's i-th variable to a tuple's i-th element,
 with no unification. Iteration and `dump()` rebuild full answers from
 key + tuple.
 
+The variant checks are flat where the terms are, the Datalog case of
+that paper's call tries: a call whose arguments are atoms, integers and
+variables is found by a plain tuple key (see `register_subgoal`), and a
+tuple of atoms and integers, which the pioneer builds in place, counts no
+variables without a walk. Only terms with a compound are canonicalized.
+
 Tuples are stored append-only; two integer boundaries split the list
 into the old / previous / current regions. Promotion slides the
 boundaries forward between rounds; early promotion moves the current
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .terms import Struct, Term, Var, canonicalize, render, variables
+from .terms import Struct, Term, Var, canonicalize, new_struct, render, variables
 
 Subst = tuple[Term, ...]
 
@@ -44,7 +50,7 @@ def _rebuild(t: Term, tup: Subst) -> Term:
     if tt is Var:
         return tup[t.id]
     if tt is Struct:
-        return Struct(t.functor, [_rebuild(a, tup) for a in t.args])
+        return new_struct(t.functor, tuple([_rebuild(a, tup) for a in t.args]))
     return t
 
 
@@ -64,14 +70,16 @@ class AnswerList:
     def __len__(self) -> int:
         return len(self.tuples)
 
-    def add(self, tup: Subst) -> bool:
-        """Append unless a variant is already stored. Returns inserted."""
-        if tup in self._seen:
-            return False
+    def add(self, tup: Subst) -> None:
+        """Append a tuple that no stored tuple equals."""
         self._seen.add(tup)
         self.tuples.append(tup)
-        self.nvars.append(len(variables(tup)))
-        return True
+        for a in tup:
+            if type(a) is Var or type(a) is Struct:
+                self.nvars.append(len(variables(tup)))
+                break
+        else:  # atoms and integers only
+            self.nvars.append(0)
 
     def __iter__(self) -> Iterator[Term]:
         """The full answers, rebuilt from key + tuple."""
@@ -124,7 +132,9 @@ class SubgoalStore:
     """All entries of one engine run, in registration order."""
 
     def __init__(self):
-        self.entries: dict[Term, SubgoalEntry] = {}
+        # keyed by a call's flat key, or by its canonical key when it has
+        # a compound argument (see register_subgoal)
+        self.entries: dict[object, SubgoalEntry] = {}
 
     def __iter__(self) -> Iterator[SubgoalEntry]:
         return iter(self.entries.values())
@@ -135,10 +145,38 @@ def register_subgoal(
 ) -> tuple[SubgoalEntry, tuple[int, ...]]:
     """Find or create the entry for goal's variant class under map m.
 
-    Also returns the call's free variable ids in key order, found in the
-    walk that canonicalizes the key: an answer binds the i-th of them to
-    its tuple's i-th element.
+    Also returns the call's free variable ids in key order: an answer
+    binds the i-th of them to its tuple's i-th element. A call whose
+    arguments deref to atoms, integers and variables is looked up by a
+    flat key built in one pass: the functor, then per argument the
+    constant or `(i,)` for its variable numbered i in first-occurrence
+    order. No constant is a tuple, so two calls get equal flat keys iff
+    they are variants, and the entry's canonical key is built only when
+    the entry is new. A call with a compound argument is looked up by its
+    canonical key, found in a walk that also yields the variable ids.
     """
+    if m is None:
+        m = {}
+    functor, args = (goal.functor, goal.args) if type(goal) is Struct else (goal, ())
+    flat: list = [functor]
+    first: dict[int, int] = {}  # variable id -> its number in the key
+    for a in args:
+        while type(a) is Var and a.id in m:
+            a = m[a.id]
+        if type(a) is Var:
+            flat.append((first.setdefault(a.id, len(first)),))
+        elif type(a) is Struct:
+            break
+        else:
+            flat.append(a)
+    else:
+        key = tuple(flat)
+        entry = store.entries.get(key)
+        if entry is None:
+            canon = [Var(a[0]) if type(a) is tuple else a for a in key[1:]]
+            entry = SubgoalEntry(new_struct(functor, tuple(canon)) if args else functor)
+            store.entries[key] = entry
+        return entry, tuple(first)
     mapping: dict[int, Var] = {}
     key = canonicalize(goal, m, mapping)
     entry = store.entries.get(key)
@@ -149,17 +187,19 @@ def register_subgoal(
 
 def insert_answer(entry: SubgoalEntry, tup: Subst) -> bool:
     """Add a canonical substitution tuple to the current region unless a
-    variant exists.
+    variant exists. Returns inserted.
 
-    Sets the revised flag on insertion so the governing top-most subgoal
-    sees that its round produced something new.
+    Most calls in a round past the first bring a duplicate, so the variant
+    test comes first. Sets the revised flag on insertion so the governing
+    top-most subgoal sees that its round produced something new.
     """
+    if tup in entry.answers._seen:
+        return False
     if entry.state is COMPLETE:
         raise TableError(f"insertion into complete entry {render(entry.key)}")
-    inserted = entry.answers.add(tup)
-    if inserted:
-        entry.revised = True
-    return inserted
+    entry.answers.add(tup)
+    entry.revised = True
+    return True
 
 
 def promote_regions(entry: SubgoalEntry) -> None:

@@ -55,6 +55,15 @@ class Struct:
         return hash(("s", self.functor, self.args))
 
 
+def new_struct(functor: str, args: tuple) -> Struct:
+    """Struct(functor, args) without its checks and copy, for callers that
+    pass a non-empty functor and a non-empty tuple of arguments."""
+    t = object.__new__(Struct)
+    t.functor = functor
+    t.args = args
+    return t
+
+
 Term = Union[Var, Struct, str, int]
 PredKey = tuple[str, int]
 
@@ -153,25 +162,8 @@ def canonicalize(
     standalone copy usable as a table key or stored answer. Idempotent. t
     may also be a tuple of terms, numbered as one sequence. A `mapping`
     dict passed in is filled with original variable id -> canonical
-    variable, in numbering order. A tuple whose elements all deref to
-    atoms or integers (a ground answer of flat terms) is returned as the
-    tuple of those values, with no walk.
+    variable, in numbering order.
     """
-    if type(t) is tuple:
-        bound = m if m is not None else {}
-        flat = []
-        for a in t:
-            while type(a) is Var:
-                nxt = bound.get(a.id)
-                if nxt is None:
-                    break
-                a = nxt
-            ta = type(a)
-            if ta is not str and ta is not int:
-                break
-            flat.append(a)
-        else:
-            return tuple(flat)
     if mapping is None:
         mapping = {}
 
@@ -186,7 +178,7 @@ def canonicalize(
                 mapping[t.id] = v
             return v
         if tt is Struct:
-            return Struct(t.functor, [walk(a) for a in t.args])
+            return new_struct(t.functor, tuple([walk(a) for a in t.args]))
         return t
 
     if type(t) is tuple:
@@ -303,7 +295,7 @@ def renumber(t: Term | tuple[Term, ...], offset: int) -> Term | tuple[Term, ...]
     if tt is Var:
         return Var(t.id + offset)
     if tt is Struct:
-        return Struct(t.functor, [renumber(a, offset) for a in t.args])
+        return new_struct(t.functor, tuple([renumber(a, offset) for a in t.args]))
     if tt is tuple:
         return tuple([renumber(a, offset) for a in t])
     return t

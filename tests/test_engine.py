@@ -411,16 +411,31 @@ def test_entry_lifecycle_after_drained_limited_and_closed_runs(label, opts):
         _, eng = run_query(program, query, opts)
         assert not eng.incomplete, name
         assert all(e.state is COMPLETE for e in eng.store), name
-        # a drained run has undone every binding (a limited or closed one
-        # skips the undo loops of the generators it abandons)
+        # every run ends with every binding undone, drained, limited or closed
         assert eng.bound == {} and eng.trail == [], name
         _, eng = run_query(program, query, dataclasses.replace(opts, limit=1))
         assert not active_entries(eng), name
+        assert eng.bound == {} and eng.trail == [], name
         eng = Engine(program, opts)
         stream = eng.run(query)
         next(stream, None)
         stream.close()
         assert not active_entries(eng), name
+        assert eng.bound == {} and eng.trail == [], name
+
+
+def test_run_stopped_early_undoes_its_bindings():
+    # the generators a limited or closed run abandons never reach their undo
+    program = load_program(corpus.LEFT_RECURSIVE_TC)
+    sols, eng = run_query(program, "p(X,Y)", EngineOptions(limit=1))
+    assert sols == ["p(a,b)"]
+    assert eng.bound == {} and eng.trail == []
+    eng = Engine(program)
+    stream = eng.run("p(X,Y)")
+    assert next(stream) == "p(a,b)"
+    assert eng.bound  # the solution is read while its bindings stand
+    stream.close()
+    assert eng.bound == {} and eng.trail == []
 
 
 def test_non_callable_goal_in_a_term_query_is_an_engine_error():

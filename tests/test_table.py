@@ -1,9 +1,11 @@
-"""Answer tables: regions, promotion, invariants."""
+"""Answer tables: variant lookup, regions, promotion, invariants."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from lintab import load_program, run_query
+from lintab.bench import config_matrix, golden_instances
 from lintab.table import (
     COMPLETE,
     SubgoalStore,
@@ -15,7 +17,7 @@ from lintab.table import (
     promote_regions,
     register_subgoal,
 )
-from lintab.terms import Struct, Var
+from lintab.terms import Struct, Var, canonicalize, deref, unify, variables
 
 
 def sub(*names):
@@ -53,6 +55,113 @@ def test_register_is_variant_keyed():
     assert (vars1, vars2) == ((5, 9), (0, 2))
 
 
+# the atom "0" and the integer 0 are different constants
+CONSTANTS = st.sampled_from(["a", "0", 0, 1])
+VARS = st.integers(0, 3).map(Var)
+FLAT_ARGS = st.one_of(VARS, CONSTANTS)
+ARGS = st.one_of(FLAT_ARGS, st.builds(Struct, st.just("f"), st.lists(FLAT_ARGS, min_size=1, max_size=2)))
+GOALS = st.one_of(
+    st.just("r"),  # arity 0
+    st.builds(Struct, st.just("p"), st.lists(FLAT_ARGS, min_size=1, max_size=3)),
+    st.builds(Struct, st.just("p"), st.lists(ARGS, min_size=1, max_size=3)),
+)
+# binding pairs, each bound through unify: chains of bound variables arise
+# where a variable is bound to another
+BINDINGS = st.lists(st.tuples(st.integers(0, 3), st.one_of(ARGS, VARS)), max_size=4)
+
+
+def bound(pairs):
+    m, trail = {}, []
+    for vid, t in pairs:
+        unify(Var(vid), t, m, trail)
+    return m
+
+
+def unbound_vars(t, m):
+    """The ids of t's unbound variables under m, in first-occurrence order."""
+    out = []
+    stack = [t]
+    while stack:
+        a = deref(stack.pop(), m)
+        if type(a) is Var:
+            if a.id not in out:
+                out.append(a.id)
+        elif type(a) is Struct:
+            stack.extend(reversed(a.args))
+    return tuple(out)
+
+
+@given(st.lists(st.tuples(GOALS, BINDINGS), min_size=1, max_size=6))
+@settings(max_examples=300)
+def test_register_finds_one_entry_per_variant_class(calls):
+    store = SubgoalStore()
+    seen = []
+    for goal, pairs in calls:
+        m = bound(pairs)
+        entry, call_vars = register_subgoal(store, goal, m)
+        key = canonicalize(goal, m)
+        assert entry.key == key
+        assert call_vars == unbound_vars(goal, m)
+        for other_key, other in seen:
+            assert (entry is other) == (key == other_key)
+        seen.append((key, entry))
+    assert len(store.entries) == len({key for key, _ in seen})
+    assert [e.key for e in store] == list(dict.fromkeys(key for key, _ in seen))
+
+
+def test_register_tells_an_atom_from_an_integer():
+    store = SubgoalStore()
+    e1, _ = register_subgoal(store, Struct("p", ["0"]))
+    e2, _ = register_subgoal(store, Struct("p", [0]))
+    assert e1 is not e2
+    assert (e1.key, e2.key) == (Struct("p", ["0"]), Struct("p", [0]))
+
+
+def test_register_a_repeated_variable_under_bindings():
+    store = SubgoalStore()
+    e1, vars1 = register_subgoal(store, Struct("p", [Var(7), Var(7), "a"]))
+    # B is bound to A through a chain, so p(A,B,C) is p(A,A,a)
+    m = {1: Var(2), 2: Var(0), 3: "a"}
+    e2, vars2 = register_subgoal(store, Struct("p", [Var(0), Var(1), Var(3)]), m)
+    assert e1 is e2 and (vars1, vars2) == ((7,), (0,))
+    assert e1.key == Struct("p", [Var(0), Var(0), "a"])
+
+
+def test_register_an_arity_0_goal():
+    store = SubgoalStore()
+    e1, vars1 = register_subgoal(store, "r")
+    e2, vars2 = register_subgoal(store, "r", {0: "a"})
+    assert e1 is e2 and e1.key == "r" and vars1 == vars2 == ()
+
+
+def test_register_compound_and_flat_calls_of_one_predicate():
+    store = SubgoalStore()
+    f = lambda *args: Struct("f", args)  # noqa: E731
+    e1, vars1 = register_subgoal(store, Struct("p", [f(Var(4)), Var(5)]))
+    e2, vars2 = register_subgoal(store, Struct("p", ["a", Var(5)]))
+    e3, vars3 = register_subgoal(store, Struct("p", [Var(1), Var(2)]), {1: f(Var(8))})
+    e4, _ = register_subgoal(store, Struct("p", [Var(0), Var(1)]), {0: "a"})
+    assert e1 is e3 and e2 is e4 and e1 is not e2
+    assert (vars1, vars2, vars3) == ((4, 5), (5,), (8, 2))
+    assert [e.key for e in store] == [Struct("p", [f(Var(0)), Var(1)]), Struct("p", ["a", Var(0)])]
+
+
+def test_answer_variable_counts():
+    _, e = fresh_entry()
+    for tup in [sub("a"), sub(1), sub(Var(0)), sub(Struct("f", [Var(0), Var(1), Var(0)]))]:
+        insert_answer(e, tup)
+    assert e.answers.nvars == [0, 0, 1, 2]
+
+
+@pytest.mark.parametrize("label,opts", config_matrix(), ids=[c[0] for c in config_matrix()])
+def test_golden_runs_count_each_answers_variables(label, opts):
+    for name, text, query in golden_instances():
+        _, eng = run_query(load_program(text), query, opts)
+        for entry in eng.store:
+            answers = entry.answers
+            assert answers.nvars == [len(variables(tup)) for tup in answers.tuples], name
+
+
 def test_insert_dedups_variants():
     _, e = fresh_entry()
     assert insert_answer(e, sub("a"))
@@ -75,6 +184,15 @@ def test_insert_into_complete_raises():
     e.state = COMPLETE
     with pytest.raises(TableError):
         insert_answer(e, sub("a"))
+
+
+def test_insert_tests_for_a_variant_first():
+    _, e = fresh_entry()
+    insert_answer(e, sub("a"))
+    e.state = COMPLETE
+    assert not insert_answer(e, sub("a"))
+    with pytest.raises(TableError):
+        insert_answer(e, sub("b"))
 
 
 def test_promotion_slides_regions():

@@ -237,11 +237,11 @@ def test_unify_with_renamed_clause_head(call, head, pre, ok):
 )
 @settings(max_examples=200)
 def test_canonicalize_tuple_under_bindings(tup, pre):
-    # a tuple whose elements deref to atoms and integers takes the flat path
+    # a tuple's elements are numbered as one sequence, under the bindings
     tup = tuple(tup)
     m, _ = _bound(pre)
     resolved = tuple(resolve(a, m) for a in tup)
     got = canonicalize(tup, m)
     assert got == canonicalize(resolved)
-    # a compound is always walked, so wrapping the tuple checks the flat path
+    # as the arguments of one compound are
     assert got == (canonicalize(Struct("t", resolved)).args if tup else ())
