@@ -136,24 +136,28 @@ def model_gaps(text: str, query: str, step_budget: int = 10**6) -> dict[str, Mod
     query's solutions and every table entry's answers with the model."""
     items = parse_program(text)
     model = oracle_model(items)
-    want = {query: oracle.oracle_solve(items, query, model)}
+    want_query = oracle.oracle_solve(items, query, model)
+    # per rendered entry key, shared by the configs; kept apart from the
+    # query's own, which a query written as p(_G0,_G1) would render like
+    want_entry: dict[str, set[str]] = {}
     program = analysis.analyze(items)
     out = {}
     for label, opts in config_matrix():
         eng = Engine(program, replace(opts, step_budget=step_budget))
         try:
-            got = {query: set(eng.run(query))}
+            checks = [(query, set(eng.run(query)), want_query)]
         except Exception as exc:  # tallied: finding these is the point
             out[label] = ModelGaps(error=f"{type(exc).__name__}: {exc}")
             continue
         for e in eng.store:
             key = render(e.key)
-            got[key] = {render(a) for a in e.answers}
-            want[key] = {render(f) for f in answers_for_key(model, e.key)}
+            if key not in want_entry:
+                want_entry[key] = {render(f) for f in answers_for_key(model, e.key)}
+            checks.append((key, {render(a) for a in e.answers}, want_entry[key]))
         gaps = out[label] = ModelGaps()
-        for goal, answers in got.items():
-            gaps.outside |= {f"{goal}: {a}" for a in answers - want[goal]}
-            gaps.missing |= {f"{goal}: {a}" for a in want[goal] - answers}
+        for goal, answers, want in checks:
+            gaps.outside |= {f"{goal}: {a}" for a in answers - want}
+            gaps.missing |= {f"{goal}: {a}" for a in want - answers}
     return out
 
 

@@ -1,13 +1,24 @@
-"""Brute-force reference evaluator: naive bottom-up least fixpoint.
+"""Reference evaluator: semi-naive bottom-up least fixpoint.
 
-Ground truth for answer sets on desk-scale instances. Deliberately naive
-(every pass re-derives everything from the model so far) to stay as
-independent as possible from the engine: the only shared code is the
-term/parser layer.
+Ground truth for answer sets on desk-scale instances. Pass 1 is naive.
+From pass 2 on, a clause runs only if a body goal's predicate gained facts
+in the previous pass (its delta), and only on the derivations that read
+at least one delta fact (semi-naive evaluation; Bancilhon and
+Ramakrishnan, SIGMOD 1986). Every other derivation ran a pass earlier and
+could only re-derive a known fact. Those that remain run once each, in
+the naive pass's order, so the model holds each predicate's facts in the
+order naive iteration gives them, after as many passes.
+
+The oracle stays independent of the engine, which it checks: the only
+shared code is the term/parser layer. Its delta is per predicate and per
+pass and shares no code with the engine's per-rule semi-naive gate over
+each subgoal's answer regions, and it keeps the naive passes and model
+order, so its answers depend on no scheduling choice the engine makes.
 
 A body goal reads facts through an index by (predicate, argument
 position, ground argument) whose buckets are ordered sublists of the
 model's lists: a plain dict built here, sharing no code with the engine.
+The delta has an index of its own, built the same way.
 """
 
 from __future__ import annotations
@@ -94,25 +105,54 @@ def _index(model: Model, preds: Iterable[PredKey]) -> Index:
     return index
 
 
+class _Delta:
+    """The facts the previous pass added: per predicate in model order, an
+    index over them, and their object ids (each model fact is one object)."""
+
+    __slots__ = ("model", "index", "ids")
+
+    def __init__(self, new_facts: list[tuple[PredKey, Term]]):
+        self.model: Model = {}
+        for hk, fact in new_facts:
+            self.model.setdefault(hk, []).append(fact)
+        self.index = _index(self.model, self.model)
+        self.ids = {id(fact) for _, fact in new_facts}
+
+
 def _match_body(
-    goals: tuple[Term, ...], i: int, model: Model, index: Index, theta: dict[int, Term]
+    goals: tuple[Term, ...],
+    i: int,
+    model: Model,
+    index: Index,
+    theta: dict[int, Term],
+    delta: Optional[_Delta] = None,
+    last: int = -1,
+    used: bool = False,
 ):
+    """Each theta under which goals[i:] hold in the model, in nested-loop
+    order. With a delta, goal `last`, the last whose predicate has delta
+    facts, reads only delta facts unless an earlier goal read one (`used`),
+    so only the derivations that read a delta fact are enumerated."""
     if i == len(goals):
         yield theta
         return
     goal = goals[i]
     hk = pred_key(goal)
-    facts = model.get(hk, ())
+    facts_of, facts_index = (
+        (delta.model, delta.index) if i == last and not used else (model, index)
+    )
+    facts = facts_of.get(hk, ())
     if type(goal) is Struct:  # theta binds variables to ground terms only
         for pos, arg in enumerate(goal.args):
             arg = _substitute(arg, theta)
             if is_ground(arg):
-                facts = index.get((hk, pos, arg), ())
+                facts = facts_index.get((hk, pos, arg), ())
                 break
     for fact in facts:
         bound: list[int] = []
         if _match(goal, fact, theta, bound):
-            yield from _match_body(goals, i + 1, model, index, theta)
+            hit = used or (i < last and id(fact) in delta.ids)
+            yield from _match_body(goals, i + 1, model, index, theta, delta, last, hit)
         for vid in bound:
             del theta[vid]
 
@@ -139,30 +179,44 @@ def _herbrand_bound(clauses: list[Clause]) -> tuple[int, bool]:
 
 
 def oracle_model(items: Iterable[Item]) -> Model:
-    """Least model of all predicates by naive iteration to fixpoint."""
+    """Least model of all predicates by semi-naive iteration to fixpoint.
+
+    Pass 1 is naive. From pass 2 on, a clause runs only on derivations that
+    read a fact the previous pass added; any other derivation re-derives a
+    fact already in the model. The model and the pass count are those of
+    naive iteration: each predicate's facts in the same order.
+    """
     try:
         clauses = [i for i in items if isinstance(i, Clause)]
         _check_range_restricted(clauses)
+        body_preds = [[pred_key(g) for g in c.body] for c in clauses]
         model: Model = {}
         index: Index = {}
         seen: set[tuple[PredKey, Term]] = set()
         bound, functions = _herbrand_bound(clauses)
         iterations = 0
+        delta: Optional[_Delta] = None  # pass 1 is naive
         changed = True
         while changed:
             iterations += 1
             if iterations > bound + 1:
                 if functions:
                     raise OracleInapplicable(
-                        f"function symbols: the naive fixpoint ran past {bound + 1}"
+                        f"function symbols: the fixpoint ran past {bound + 1}"
                         " passes, the bound over the program's constants"
                     )
-                raise AssertionError("naive fixpoint exceeded the Herbrand bound")
-            changed = False
+                raise AssertionError("fixpoint exceeded the Herbrand bound")
             new_facts: list[tuple[PredKey, Term]] = []
-            for c in clauses:
+            for c, preds in zip(clauses, body_preds):
+                last = -1
+                if delta is not None:
+                    for i, bk in enumerate(preds):
+                        if bk in delta.model:
+                            last = i
+                    if last < 0:
+                        continue  # no derivation reads a delta fact
                 hk = pred_key(c.head)
-                for theta in _match_body(c.body, 0, model, index, {}):
+                for theta in _match_body(c.body, 0, model, index, {}, delta, last):
                     fact = _substitute(c.head, theta)
                     assert is_ground(fact)
                     if (hk, fact) not in seen:
@@ -171,7 +225,8 @@ def oracle_model(items: Iterable[Item]) -> Model:
             for hk, fact in new_facts:
                 model.setdefault(hk, []).append(fact)
                 _index_fact(index, hk, fact)
-                changed = True
+            delta = _Delta(new_facts)
+            changed = bool(new_facts)
         return model
     except RecursionError:  # the recursive term walks cannot follow a term
         raise OracleInapplicable("a term nested too deeply") from None

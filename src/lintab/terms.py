@@ -253,6 +253,15 @@ def render(
     pass a shared `names` dict to keep numbering stable across several
     terms of one solution.
     """
+    if m is not None:
+        t = deref(t, m)
+    if type(t) is Struct:  # flat fast path: every argument a constant
+        args = t.args if m is None else [deref(a, m) for a in t.args]
+        for a in args:
+            if type(a) is not str and type(a) is not int:
+                break
+        else:
+            return f"{t.functor}({','.join(map(str, args))})"
     if names is None:
         names = {}
     parts: list[str] = []

@@ -196,6 +196,23 @@ _HAND_WRITTEN = [
     "m(X) :- e(X,Y), e(Y,X), e(X,X).\n",
     # a 0-arity body goal, and a body predicate with no facts
     "go.\ne(1,2).\np(X) :- go, e(X,Y).\nn(X) :- e(X,Y), none(Y).\nv(X) :- e(X,Y), stop.\n",
+    # the semi-naive delta: two recursive goals in one body, each of which
+    # may read the previous pass's facts
+    "e(1,2).\ne(2,3).\ne(3,4).\ne(4,5).\ne(5,1).\np(X,Y) :- e(X,Y).\n"
+    "p(X,Y) :- p(X,Z), p(Z,Y).\n",
+    # two mutually recursive predicates joined in one body
+    "e(1,2).\ne(2,3).\ne(3,1).\ne(3,4).\na(X,Y) :- e(X,Y).\na(X,Y) :- b(X,Z), a(Z,Y).\n"
+    "b(X,Y) :- a(X,Z), e(Z,Y).\nc(X,Y) :- a(X,Z), b(Z,Y).\n",
+    # a 0-arity derived goal, done, that first holds in pass 5, long after
+    # e, the other goal of the bodies that read it, stopped changing
+    "e(1,2).\ne(2,3).\ne(3,4).\nr(X,Y) :- e(X,Y).\nr(X,Y) :- r(X,Z), e(Z,Y).\n"
+    "done :- r(1,4).\nq(X) :- e(X,Y), done.\nw(X) :- done, e(X,Y), e(Y,Z).\n",
+    # a delta fact of an earlier goal joined with an older fact of the last
+    # goal with delta facts
+    "e(1,5).\nb(5).\nh(7).\na(X,Y) :- e(X,Y).\nb(X) :- h(X).\nc(X) :- a(X,Y), b(Y).\n",
+    # a body whose only goal with delta facts comes first
+    "e(1,2).\ne(2,3).\ne(3,4).\nf(2).\nf(4).\nt(X,Y) :- e(X,Y).\n"
+    "t(X,Y) :- t(X,Z), e(Z,Y).\ns(X,Y) :- t(X,Y), e(Y,Z), f(Z).\n",
 ]
 
 
@@ -233,6 +250,12 @@ def test_hand_written_index_cases():
         (_HAND_WRITTEN[3], "p(X)", {"p(1)"}),
         (_HAND_WRITTEN[3], "n(X)", set()),
         (_HAND_WRITTEN[3], "v(X)", set()),
+        (_HAND_WRITTEN[4], "p(1,Y)", {f"p(1,{i})" for i in range(1, 6)}),
+        (_HAND_WRITTEN[5], "c(3,Y)", {"c(3,2)", "c(3,3)", "c(3,1)", "c(3,4)"}),
+        (_HAND_WRITTEN[6], "q(X)", {"q(1)", "q(2)", "q(3)"}),
+        (_HAND_WRITTEN[6], "w(X)", {"w(1)", "w(2)"}),
+        (_HAND_WRITTEN[7], "c(X)", {"c(1)"}),
+        (_HAND_WRITTEN[8], "s(X,Y)", {"s(1,3)", "s(2,3)"}),
     ):
         assert oracle_solve(text, query) == want, query
 
@@ -270,6 +293,19 @@ def test_function_symbols_past_the_bound_are_inapplicable():
     )
     with pytest.raises(OracleInapplicable, match="function symbols"):
         oracle_model(parse_program(text))
+
+
+def test_function_symbols_within_the_bound_are_applicable():
+    # one constant and two predicates bound the naive fixpoint at 3 passes:
+    # d(f(a)) comes in pass 2 and pass 3 adds nothing. small(f(a)) adds
+    # d(f(f(a))) in pass 3, so a fourth pass runs past the bound
+    text = "d(a).\nd(f(X)) :- d(X), small(X).\nsmall(a).\n"
+    items = parse_program(text)
+    model = oracle_model(items)
+    assert model == _scan_model(items)
+    assert model[("d", 1)] == [Struct("d", ["a"]), Struct("d", [Struct("f", ["a"])])]
+    with pytest.raises(OracleInapplicable, match="function symbols"):
+        oracle_model(parse_program(text + "small(f(a)).\n"))
 
 
 def test_terms_nested_past_the_recursion_limit_are_inapplicable():

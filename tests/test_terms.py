@@ -245,3 +245,53 @@ def test_canonicalize_tuple_under_bindings(tup, pre):
     assert got == canonicalize(resolved)
     # as the arguments of one compound are
     assert got == (canonicalize(Struct("t", resolved)).args if tup else ())
+
+
+def _walk_render(t, m, names):
+    """render's general walk, kept as the reference for its flat fast path."""
+    t = deref(t, m)
+    if type(t) is Var:
+        return names.setdefault(t.id, f"_G{len(names)}")
+    if type(t) is not Struct:
+        return str(t)
+    return f"{t.functor}({','.join(_walk_render(a, m, names) for a in t.args)})"
+
+
+GOALS = st.lists(
+    st.builds(Struct, st.sampled_from("pq"), st.lists(st.one_of(FLAT, terms()), min_size=1, max_size=3)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(GOALS, st.lists(st.tuples(st.integers(0, 3), st.one_of(FLAT, terms())), max_size=4))
+@settings(max_examples=300)
+def test_flat_render_equals_the_walk(goals, pre):
+    # flat and general goals, unbound and under bindings (chains included)
+    m, _ = _bound(pre)
+    for binding in (m, None):
+        names = {}
+        want = [_walk_render(g, binding or {}, names) for g in goals]
+        assert render_goals(goals, binding) == ",".join(want)
+        assert [render(g, binding) for g in goals] == [_walk_render(g, binding or {}, {}) for g in goals]
+
+
+@pytest.mark.parametrize(
+    "goals,m,want",
+    [
+        # the atom "0" and the integer 0 print alike
+        ([Struct("p", ["0", 0])], None, "p(0,0)"),
+        ([Struct("p", [-3, Var(0)])], {0: -1}, "p(-3,-1)"),
+        # a variable chain ending in a constant
+        ([Struct("p", [Var(0), "a"])], {0: Var(1), 1: Var(2), 2: "b"}, "p(b,a)"),
+        # a variable bound to a compound takes the general walk
+        ([Struct("p", [Var(0)])], {0: Struct("f", [Var(1), 2])}, "p(f(_G0,2))"),
+        # a flat goal names no variable, so the next goal's is _G0
+        ([Struct("p", [Var(0)]), Struct("q", [Var(1), Var(2), Var(1)])], {0: "a"}, "p(a),q(_G0,_G1,_G0)"),
+        ([Var(5)], {5: Struct("r", [1, "x"])}, "r(1,x)"),
+    ],
+)
+def test_flat_render_cases(goals, m, want):
+    assert render_goals(goals, m) == want
+    names = {}
+    assert ",".join(_walk_render(g, m or {}, names) for g in goals) == want
