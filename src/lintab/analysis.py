@@ -220,13 +220,6 @@ def level_mapping(graph: CallGraph) -> dict[PredKey, int]:
     return levels
 
 
-def atomic_key(t: Term) -> Optional[Union[str, int]]:
-    """Index key of an atom or integer: the constant itself, whose type
-    keeps the atom "0" and the integer 0 apart. None for a Var or Struct."""
-    tt = type(t)
-    return None if tt is Var or tt is Struct else t
-
-
 def _index_position(rules: tuple[AnnotatedRule, ...], pos: int) -> PositionIndex:
     """Bucket rules by their head argument at pos, in one ordered pass.
 

@@ -55,13 +55,6 @@ class InstanceResult:
     divergences: list[str] = field(default_factory=list)
 
 
-def entry_answer_sets(engine: Engine) -> dict[str, frozenset]:
-    return {
-        render(e.key): frozenset(render(a) for a in e.answers)
-        for e in engine.store
-    }
-
-
 def run_instance(
     name: str,
     text: str,
@@ -69,7 +62,12 @@ def run_instance(
     use_oracle: bool = True,
     step_budget: int = 10**8,
 ) -> InstanceResult:
-    """Run one (program, query) under every config and self-check."""
+    """Run one (program, query) under every config and self-check.
+
+    Configs are compared on their solution sets and, per entry key, on the
+    sets of stored answer tuples; the base config's entries are compared
+    with the oracle's model as sets of full answers. Terms are rendered
+    only to name a divergence."""
     items = parse_program(text)
     program = analysis.analyze(items)
     result = InstanceResult(name=name)
@@ -80,9 +78,9 @@ def run_instance(
         elapsed = time.monotonic() - t0
         check_region_invariants(eng.store)
         if not result.solutions:  # the base config's entries, for the oracle
-            keys = [e.key for e in eng.store]
+            entries = list(eng.store)
         result.solutions[label] = frozenset(sols)
-        result.entry_answers[label] = entry_answer_sets(eng)
+        result.entry_answers[label] = {e.key: frozenset(e.answers.tuples) for e in eng.store}
         result.entry_rounds[label] = dict(eng.stats.entry_rounds)
         row = {"instance": name, "config": label, "time": elapsed}
         row.update(eng.stats.as_dict())
@@ -109,11 +107,10 @@ def run_instance(
                 result.divergences.append(
                     f"{name}: engine disagrees with the bottom-up oracle"
                 )
-            for key, (key_text, answers) in zip(keys, result.entry_answers[base].items()):
-                want = frozenset(render(f) for f in answers_for_key(model, key))
-                if answers != want:
+            for e in entries:
+                if frozenset(e.answers) != answers_for_key(model, e.key):
                     result.divergences.append(
-                        f"{name}: entry {key_text} disagrees with the oracle"
+                        f"{name}: entry {render(e.key)} disagrees with the oracle"
                     )
         except OracleInapplicable:
             pass  # oracle skipped, never silently passed off as agreement
@@ -130,34 +127,36 @@ class ModelGaps:
     outside: set[str] = field(default_factory=set)
     missing: set[str] = field(default_factory=set)
 
+    def add(self, goal, answers: set, want: set, show=str) -> None:
+        """Record the answers outside want and those missing from it, as
+        text made by show."""
+        self.outside |= {f"{show(goal)}: {show(a)}" for a in answers - want}
+        self.missing |= {f"{show(goal)}: {show(a)}" for a in want - answers}
+
 
 def model_gaps(text: str, query: str, step_budget: int = 10**6) -> dict[str, ModelGaps]:
     """Run one range-restricted program under every config; compare the
-    query's solutions and every table entry's answers with the model."""
+    query's solutions (as text) and every table entry's answers (as terms)
+    with the model; terms are rendered only to name a gap."""
     items = parse_program(text)
     model = oracle_model(items)
     want_query = oracle.oracle_solve(items, query, model)
-    # per rendered entry key, shared by the configs; kept apart from the
-    # query's own, which a query written as p(_G0,_G1) would render like
-    want_entry: dict[str, set[str]] = {}
+    want_entry: dict = {}  # per entry key, shared by the configs
     program = analysis.analyze(items)
     out = {}
     for label, opts in config_matrix():
         eng = Engine(program, replace(opts, step_budget=step_budget))
         try:
-            checks = [(query, set(eng.run(query)), want_query)]
+            solutions = set(eng.run(query))
         except Exception as exc:  # tallied: finding these is the point
             out[label] = ModelGaps(error=f"{type(exc).__name__}: {exc}")
             continue
-        for e in eng.store:
-            key = render(e.key)
-            if key not in want_entry:
-                want_entry[key] = {render(f) for f in answers_for_key(model, e.key)}
-            checks.append((key, {render(a) for a in e.answers}, want_entry[key]))
         gaps = out[label] = ModelGaps()
-        for goal, answers, want in checks:
-            gaps.outside |= {f"{goal}: {a}" for a in answers - want}
-            gaps.missing |= {f"{goal}: {a}" for a in want - answers}
+        gaps.add(query, solutions, want_query)
+        for e in eng.store:
+            if e.key not in want_entry:
+                want_entry[e.key] = answers_for_key(model, e.key)
+            gaps.add(e.key, frozenset(e.answers), want_entry[e.key], render)
     return out
 
 

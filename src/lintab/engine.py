@@ -39,11 +39,11 @@ dispatch on the entry's lifecycle state (see table.py):
     such call read no table that could still grow after it finished, so
     running it again on an old answer would only redo work.
 
-A pioneer stores each answer as the substitution tuple of its call's
-variables (Ramakrishnan et al., JLP 38(1), 1999; see table.py), built in
-place when they are bound to atoms and integers and canonicalized
-otherwise. Consumption walks the answer table by position and binds the
-call's variables to each stored tuple, with no unification. Incomplete
+A pioneer hands each answer to `insert_answer` as its call variables and
+the binding map; table.py turns them into the substitution tuple it
+stores (Ramakrishnan et al., JLP 38(1), 1999). Consumption walks the
+answer table by position and binds the call's variables to each stored
+tuple, with no unification. Incomplete
 entries sit on one completion stack, `incomplete`, in the order of their
 first call (as in the SLG-WAM; Sagonas and Swift, TOPLAS 20(3), 1998),
 and a cluster of inter-dependent subgoals is always a suffix of it. An
@@ -85,7 +85,7 @@ from .terms import (
     Struct,
     Term,
     Var,
-    canonicalize,
+    canonicalize,  # not called here: perfbench/tracing.py wraps this name
     render,
     render_goals,
     renumber,
@@ -345,7 +345,7 @@ class Engine:
         entry, call_vars = register_subgoal(self.store, goal, self.bound)
         state = entry.state
         if state is COMPLETE:
-            yield from self._consume(call_vars, entry, gate, promote=False)
+            yield from self._consume(call_vars, entry, gate)
             return
         if state is not NEW:
             # a follower (RUNNING or HANDING: a loop, possibly fake under
@@ -359,19 +359,22 @@ class Engine:
                 for e in self.incomplete:  # which holds every active pioneer
                     if e.state is HANDING:
                         e.replay = True
-            yield from self._consume(call_vars, entry, gate, promote=True)
+            yield from self._consume(call_vars, entry, gate)
+            # the walk is exhausted: early promotion
+            if self.opts.early_promotion and not entry.promoted_this_round:
+                early_promote(entry)
             return
         # pioneer: rounds of rule resolution to the entry's fixpoint, each
-        # answer stored as the canonical tuple of the call variables'
-        # bindings. A lazy pioneer yields nothing and consumes the table
-        # after its rounds. An eager one yields True per newly stored
-        # answer, the call still bound to it, and first replays the table
-        # each round unless it is its cluster's top-most subgoal and no fake
-        # loop (`replay`) came back into the cluster since the previous
-        # round began; it is HANDING exactly while it is suspended at a
-        # yield to its parent (`_consume` calls no subgoal). Past round 1
-        # with semi-naive on, base rules are skipped and each rule body gets
-        # its last depending index as its gate site.
+        # answer stored as the call variables' bindings. A lazy pioneer
+        # yields nothing and consumes the table after its rounds. An eager
+        # one yields True per newly stored answer, the call still bound to
+        # it, and first replays the table each round unless it is its
+        # cluster's top-most subgoal and no fake loop (`replay`) came back
+        # into the cluster since the previous round began; it is HANDING
+        # exactly while it is suspended at a yield to its parent
+        # (`_consume` calls no subgoal). Past round 1 with semi-naive on,
+        # base rules are skipped and each rule body gets its last depending
+        # index as its gate site.
         eager = self.program.strategy(key, self.opts.strategy) == EAGER
         if entry.pos is None:  # first call: push it on the completion stack
             entry.pos = len(self.incomplete)
@@ -389,7 +392,7 @@ class Engine:
                     entry.replay = False  # a fake loop during this replay counts next round
                     if replay:
                         entry.state = HANDING
-                        yield from self._consume(call_vars, entry, gate, promote=False)
+                        yield from self._consume(call_vars, entry, gate)
                         entry.state = RUNNING
                 later = self.opts.semi_naive and entry.round_counter >= 2
                 # a round past the first has a top; an entry joined to a top
@@ -406,20 +409,8 @@ class Engine:
                     if body is None:
                         continue
                     for _ in self._solve_seq(body, last_dep if later else None, False, 0):
-                        # memo: store the answer; only a new one is returned.
-                        # Bindings to atoms and integers are the tuple as
-                        # they stand; any other answer is canonicalized
-                        tup = []
-                        for a in subst:
-                            while type(a) is Var and a.id in m:
-                                a = m[a.id]
-                            if type(a) is Var or type(a) is Struct:
-                                tup = canonicalize(subst, m)
-                                break
-                            tup.append(a)
-                        else:
-                            tup = tuple(tup)
-                        if insert_answer(entry, tup):
+                        # memo: store the answer; only a new one is returned
+                        if insert_answer(entry, subst, m):
                             self.stats.answers_produced += 1
                             if eager:
                                 entry.state = HANDING
@@ -452,9 +443,9 @@ class Engine:
             if entry.state is RUNNING or entry.state is HANDING:
                 entry.state = NEW  # abandoned: its next call pioneers it
         if not eager:  # lazy: the memo failed, answers wait in the table
-            yield from self._consume(call_vars, entry, gate, promote=False)
+            yield from self._consume(call_vars, entry, gate)
 
-    def _consume(self, call_vars, entry, gate, promote):
+    def _consume(self, call_vars, entry, gate):
         """Walk the entry's answer tuples by position, seeing answers stored
         meanwhile, and yield per answer whether it is new (past the old
         region). Each answer binds the i-th call variable to the tuple's
@@ -487,12 +478,6 @@ class Engine:
             while len(trail) > mark:
                 del m[trail.pop()]
             pos += 1
-        if (
-            promote
-            and self.opts.early_promotion
-            and not entry.promoted_this_round
-        ):
-            early_promote(entry)
 
 
 def run_query(

@@ -1,20 +1,20 @@
 """Subgoal table and three-region answer tables.
 
-Every tabled subgoal variant owns one `SubgoalEntry` keyed by its
-canonical form. Each answer is an instance of its entry's key, so it is
-stored substitution-factored: as the canonical tuple of bindings for the
-key's variables, in key order (Ramakrishnan, Rao, Sagonas, Swift and
-Warren, "Efficient access mechanisms for tabled logic programs", JLP
-38(1), 1999). Two answers are variants iff their tuples are equal, and
-a consumer binds its call's i-th variable to a tuple's i-th element,
-with no unification. Iteration and `dump()` rebuild full answers from
-key + tuple.
+Every tabled subgoal variant owns one `SubgoalEntry`, found by a flat key
+(see `register_subgoal`) and holding its canonical form as `key`. Each
+answer is an instance of its entry's key, so it is stored
+substitution-factored: as the canonical tuple of bindings for the key's
+variables, in key order (Ramakrishnan, Rao, Sagonas, Swift and Warren,
+"Efficient access mechanisms for tabled logic programs", JLP 38(1),
+1999). Two answers are variants iff their tuples are equal, and a
+consumer binds its call's i-th variable to a tuple's i-th element, with
+no unification. Iteration and `dump()` rebuild full answers from key +
+tuple.
 
-The variant checks are flat where the terms are, the Datalog case of
-that paper's call tries: a call whose arguments are atoms, integers and
-variables is found by a plain tuple key (see `register_subgoal`), and a
-tuple of atoms and integers, which the pioneer builds in place, counts no
-variables without a walk. Only terms with a compound are canonicalized.
+Both variant checks are flat, as in that paper's call tries: a call's
+key is the preorder of its arguments in one tuple, and `insert_answer`,
+the one place an answer's tuple is built, takes bindings to atoms and
+integers as they stand and canonicalizes only the others.
 
 Tuples are stored append-only; two integer boundaries split the list
 into the old / previous / current regions. Promotion slides the
@@ -132,9 +132,8 @@ class SubgoalStore:
     """All entries of one engine run, in registration order."""
 
     def __init__(self):
-        # keyed by a call's flat key, or by its canonical key when it has
-        # a compound argument (see register_subgoal)
-        self.entries: dict[object, SubgoalEntry] = {}
+        # keyed by a call's flat key (see register_subgoal)
+        self.entries: dict[tuple, SubgoalEntry] = {}
 
     def __iter__(self) -> Iterator[SubgoalEntry]:
         return iter(self.entries.values())
@@ -146,53 +145,66 @@ def register_subgoal(
     """Find or create the entry for goal's variant class under map m.
 
     Also returns the call's free variable ids in key order: an answer
-    binds the i-th of them to its tuple's i-th element. A call whose
-    arguments deref to atoms, integers and variables is looked up by a
-    flat key built in one pass: the functor, then per argument the
-    constant or `(i,)` for its variable numbered i in first-occurrence
-    order. No constant is a tuple, so two calls get equal flat keys iff
-    they are variants, and the entry's canonical key is built only when
-    the entry is new. A call with a compound argument is looked up by its
-    canonical key, found in a walk that also yields the variable ids.
+    binds the i-th of them to its tuple's i-th element. The lookup key is
+    built in one preorder pass over the dereferenced arguments: the
+    functor, then per subterm the constant, `(i,)` for the variable
+    numbered i in first-occurrence order, or `(functor, arity)` before a
+    compound's arguments. No constant is a tuple, and the arities make
+    the preorder decode to one argument list, so two calls get equal keys
+    iff they are variants. The entry's canonical key is built only when
+    the entry is new, in the same variable order.
     """
     if m is None:
         m = {}
     functor, args = (goal.functor, goal.args) if type(goal) is Struct else (goal, ())
-    flat: list = [functor]
+    key: list = [functor]
     first: dict[int, int] = {}  # variable id -> its number in the key
-    for a in args:
-        while type(a) is Var and a.id in m:
-            a = m[a.id]
-        if type(a) is Var:
-            flat.append((first.setdefault(a.id, len(first)),))
-        elif type(a) is Struct:
-            break
+    todo = [iter(args)]  # per open compound, its arguments not yet visited
+    while todo:
+        for a in todo[-1]:
+            while type(a) is Var and a.id in m:
+                a = m[a.id]
+            if type(a) is Var:
+                key.append((first.setdefault(a.id, len(first)),))
+            elif type(a) is Struct:
+                key.append((a.functor, len(a.args)))
+                todo.append(iter(a.args))
+                break  # its arguments come next
+            else:
+                key.append(a)
         else:
-            flat.append(a)
-    else:
-        key = tuple(flat)
-        entry = store.entries.get(key)
-        if entry is None:
-            canon = [Var(a[0]) if type(a) is tuple else a for a in key[1:]]
-            entry = SubgoalEntry(new_struct(functor, tuple(canon)) if args else functor)
-            store.entries[key] = entry
-        return entry, tuple(first)
-    mapping: dict[int, Var] = {}
-    key = canonicalize(goal, m, mapping)
+            todo.pop()
+    key = tuple(key)
     entry = store.entries.get(key)
     if entry is None:
-        entry = store.entries[key] = SubgoalEntry(key)
-    return entry, tuple(mapping)
+        entry = store.entries[key] = SubgoalEntry(canonicalize(goal, m))
+    return entry, tuple(first)
 
 
-def insert_answer(entry: SubgoalEntry, tup: Subst) -> bool:
-    """Add a canonical substitution tuple to the current region unless a
-    variant exists. Returns inserted.
+def insert_answer(
+    entry: SubgoalEntry, values: Subst, m: Optional[dict[int, Term]] = None
+) -> bool:
+    """Store the answer that binds the key's variables to values under
+    map m in the current region, unless a variant exists. Returns inserted.
 
-    Most calls in a round past the first bring a duplicate, so the variant
-    test comes first. Sets the revised flag on insertion so the governing
-    top-most subgoal sees that its round produced something new.
+    Values that all dereference to atoms and integers are the tuple as
+    they stand; any other answer is canonicalized. Most calls in a round
+    past the first bring a duplicate, so the variant test comes next. Sets
+    the revised flag on insertion so the governing top-most subgoal sees
+    that its round produced something new.
     """
+    if m is None:
+        m = {}
+    tup = []
+    for a in values:
+        while type(a) is Var and a.id in m:
+            a = m[a.id]
+        if type(a) is Var or type(a) is Struct:
+            tup = canonicalize(values, m)
+            break
+        tup.append(a)
+    else:
+        tup = tuple(tup)
     if tup in entry.answers._seen:
         return False
     if entry.state is COMPLETE:

@@ -152,20 +152,15 @@ def _occurs(vid: int, t: Term, m: dict[int, Term]) -> bool:
 
 
 def canonicalize(
-    t: Term | tuple[Term, ...],
-    m: Optional[dict[int, Term]] = None,
-    mapping: Optional[dict[int, Var]] = None,
+    t: Term | tuple[Term, ...], m: Optional[dict[int, Term]] = None
 ) -> Term | tuple[Term, ...]:
     """Renumber variables 0,1,2,... in first-occurrence order.
 
     Dereferences in the binding map m when given, so the result is a
     standalone copy usable as a table key or stored answer. Idempotent. t
-    may also be a tuple of terms, numbered as one sequence. A `mapping`
-    dict passed in is filled with original variable id -> canonical
-    variable, in numbering order.
+    may also be a tuple of terms, numbered as one sequence.
     """
-    if mapping is None:
-        mapping = {}
+    mapping: dict[int, Var] = {}
 
     def walk(t):
         if m is not None:

@@ -16,7 +16,6 @@ from lintab.analysis import (
     TABLED,
     UNDEFINED,
     analyze,
-    atomic_key,
     build_call_graph,
     level_mapping,
     pred_key,
@@ -212,6 +211,13 @@ def test_indexed_lookup_is_the_ordered_filter(heads):
         (pos for pos, ks in enumerate(distinct) if ks),
         key=lambda pos: (-len(distinct[pos]), pos),
     )
+
+
+def atomic_key(t):
+    """Index key of an atom or integer: the constant itself, whose type
+    keeps the atom "0" and the integer 0 apart. None for a Var or Struct."""
+    tt = type(t)
+    return None if tt is Var or tt is Struct else t
 
 
 # The per-rule dispatch loop and index build that the column-wise ones

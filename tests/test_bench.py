@@ -50,6 +50,21 @@ def test_run_instance_flags_a_planted_oracle_divergence(monkeypatch):
     ]
 
 
+def test_run_instance_flags_a_planted_table_difference(monkeypatch):
+    # the last config's first entry holds one answer the others lack
+    (base, _), (label, planted) = config_matrix()[0], config_matrix()[-1]
+
+    class PlantingEngine(lintab.bench.Engine):
+        def run(self, query):
+            yield from super().run(query)
+            if self.opts == planted:
+                next(iter(self.store)).answers.add(("z",))
+
+    monkeypatch.setattr(lintab.bench, "Engine", PlantingEngine)
+    r = run_instance("tc", corpus.LEFT_RECURSIVE_TC, corpus.LEFT_RECURSIVE_TC_QUERY)
+    assert r.divergences == [f"tc: per-entry answers differ between {base} and {label}"]
+
+
 def test_paper_examples_suite_clean():
     results, report = bench_suite("paper-examples", [], seed=0)
     assert all(not r.divergences for r in results)

@@ -284,6 +284,15 @@ p(f(X),Y) :- e(X,Y).
 p(f(X),Y) :- p(f(X),Z), e(Z,Y).
 """
 SHARED = ":- table q/2.\nq(X,X).\n:- table r/2.\nr(f(X),g(X)).\n"
+NESTED = """
+:- table q/1.
+e(a). e(b).
+q(f(X)) :- e(X).
+q(f(X,Y)) :- e(X), e(Y).
+q(g(f(X),X)) :- e(X).
+q(f(f(X),X)) :- e(X).
+q(f(f(X,b))) :- e(X).
+"""
 ABC = ("a", "b", "c")
 
 # Answers are stored as the bindings of the entry key's variables and
@@ -309,6 +318,19 @@ FACTORING_CASES = {
         COMPOUND_TC, "p(f(X),Y)", {f"p(f({x}),{y})" for x in ABC for y in ABC}, True),
     "compound-argument-bound": (
         COMPOUND_TC, "p(f(X),b)", {f"p(f({x}),b)" for x in ABC}, True),
+    # calls of q/1 that differ only in compound arity and nesting; the two
+    # calls of the second query share the preorder f,f,_,_ of functors and
+    # leaves, and only the arities tell them apart
+    "compound-arity-and-nesting": (
+        NESTED, "q(f(X)),q(f(Y,Z)),q(g(f(W),W))",
+        {f"q(f({x})),q(f({yz})),q(g(f({w}),{w}))"
+         for x in ("a", "b", "f(a,b)", "f(b,b)")
+         for yz in ("a,a", "a,b", "b,a", "b,b", "f(a),a", "f(b),b")
+         for w in "ab"},
+        True),
+    "compound-arity-same-preorder": (
+        NESTED, "q(f(f(X),Y)),q(f(f(Z,W)))",
+        {f"q(f(f({x}),{x})),q(f(f({z},b)))" for x in "ab" for z in "ab"}, True),
 }
 
 

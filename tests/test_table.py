@@ -59,7 +59,18 @@ def test_register_is_variant_keyed():
 CONSTANTS = st.sampled_from(["a", "0", 0, 1])
 VARS = st.integers(0, 3).map(Var)
 FLAT_ARGS = st.one_of(VARS, CONSTANTS)
-ARGS = st.one_of(FLAT_ARGS, st.builds(Struct, st.just("f"), st.lists(FLAT_ARGS, min_size=1, max_size=2)))
+# nested compounds over f/1, f/2 and g/2: f(f(a),b) and f(f(a,b)) share
+# the preorder f,f,a,b of functors and leaves, and only the arities tell
+# them apart
+ARGS = st.recursive(
+    FLAT_ARGS,
+    lambda inner: st.one_of(
+        st.builds(lambda a: Struct("f", [a]), inner),
+        st.builds(lambda a, b: Struct("f", [a, b]), inner, inner),
+        st.builds(lambda a, b: Struct("g", [a, b]), inner, inner),
+    ),
+    max_leaves=6,
+)
 GOALS = st.one_of(
     st.just("r"),  # arity 0
     st.builds(Struct, st.just("p"), st.lists(FLAT_ARGS, min_size=1, max_size=3)),
@@ -144,6 +155,16 @@ def test_register_compound_and_flat_calls_of_one_predicate():
     assert e1 is e3 and e2 is e4 and e1 is not e2
     assert (vars1, vars2, vars3) == ((4, 5), (5,), (8, 2))
     assert [e.key for e in store] == [Struct("p", [f(Var(0)), Var(1)]), Struct("p", ["a", Var(0)])]
+
+
+def test_register_tells_compounds_apart_by_arity():
+    store = SubgoalStore()
+    f = lambda *args: Struct("f", args)  # noqa: E731
+    X, Y = Var(0), Var(1)
+    calls = [f(f(X), Y), f(f(X, Y)), f(X, f(Y)), f(f(X, Y), "a"), f(f(X, Y, "a"))]
+    entries = [register_subgoal(store, Struct("q", [c]))[0] for c in calls]
+    assert len(set(map(id, entries))) == len(calls)
+    assert [e.key for e in store] == [Struct("q", [c]) for c in calls]
 
 
 def test_answer_variable_counts():
