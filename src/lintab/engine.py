@@ -1,11 +1,13 @@
 """The linear-tabling interpreter.
 
 Depth-first resolution over generators: `_solve_seq` solves a body goal
-by goal, and each goal's clause loop or table loop is a generator that
-yields once per solution (bindings live in one map and trail, undone
-on backtracking); a last goal's solutions go straight to the caller with
-no further generator; a call to a row relation walks its index bucket in
-place, with no clause loop. A goal finds what its predicate's calls share
+by goal, and each plain or tabled call is a generator that yields
+once per solution (bindings live in one map and trail, undone on
+backtracking); a last goal's solutions go straight to the caller with no
+further generator. Plain calls and pioneer rounds share one clause loop,
+`_activations`, which yields once per matching clause, never per
+solution; a call to a row relation walks its index bucket in place, with
+no clause loop. A goal finds what its predicate's calls share
 in one lookup of the program's dispatch record for it (see analysis.py):
 the kind picks the path (tabled, row relation, clauses or undefined), and
 the record's `bucket` picks the clauses, for the pioneer too. Records are
@@ -203,6 +205,9 @@ class Engine:
                     raise EngineError(f"goal is not callable: {render(g)}")
             ids = [v for g in goals for v in variables(g)]
             nvars = max(ids, default=-1) + 1
+        if self._started:
+            raise EngineError("an Engine instance supports a single run")
+        self._started = True
         off = self._fresh_block(nvars)
         goals = [renumber(g, off) for g in goals]
         return self._solutions(goals)
@@ -214,30 +219,12 @@ class Engine:
         self._var_counter += n
         return base
 
-    def _step(self) -> None:
-        # inlined where it runs once per goal, row or consumed answer
-        self.stats.steps += 1
-        if self.stats.steps > self.opts.step_budget:
-            raise self._out_of_steps()
-
     def _out_of_steps(self) -> StepBudgetExceeded:
         return StepBudgetExceeded(f"step budget {self.opts.step_budget} exhausted")
-
-    def _activate(self, goal, clause):
-        """Unify goal with the clause's head renamed to a fresh block of
-        variables; on a match the body renamed to that block, else None
-        with the bindings rolled back."""
-        off = self._fresh_block(clause.nvars)
-        if not unify(goal, renumber(clause.head, off), self.bound, self.trail):
-            return None
-        return renumber(clause.body, off) if clause.nvars else clause.body
 
     # -- resolution ------------------------------------------------------
 
     def _solutions(self, goals: list[Term]) -> Iterator[str]:
-        if self._started:
-            raise EngineError("an Engine instance supports a single run")
-        self._started = True
         mark = len(self.trail)  # 0 unless the caller bound variables first
         seen: set[str] = set()
         count = 0
@@ -328,16 +315,30 @@ class Engine:
                 yield from self._solve_seq(goals, gate_at, fresh or new, i + 1)
 
     def _solve_plain(self, goal, clauses):
-        m, trail = self.bound, self.trail
-        for ar in clauses:
-            self._step()
-            self.stats.clause_resolutions += 1
-            mark = len(trail)
-            body = self._activate(goal, ar.clause)
-            if body is None:
-                continue
+        for body, _ in self._activations(goal, clauses):
             yield from self._solve_seq(body, None, False, 0)
-            undo(m, trail, mark)
+
+    def _activations(self, goal, clauses, skip_base=False):
+        """Per clause (past base rules, with skip_base): pay a step, count
+        a resolution and unify goal with the head renamed into a fresh
+        block; on a match yield the body renamed into that block and the
+        rule's last depending index, undoing the bindings on resumption."""
+        m, trail = self.bound, self.trail
+        stats, budget = self.stats, self.opts.step_budget
+        for ar in clauses:
+            last_dep = ar.last_depending_index
+            if skip_base and last_dep is None:
+                continue  # a base rule derives nothing new after round 1
+            stats.steps += 1
+            if stats.steps > budget:
+                raise self._out_of_steps()
+            stats.clause_resolutions += 1
+            clause = ar.clause
+            mark = len(trail)
+            off = self._fresh_block(clause.nvars)
+            if unify(goal, renumber(clause.head, off), m, trail):
+                yield renumber(clause.body, off) if clause.nvars else clause.body, last_dep
+                undo(m, trail, mark)
 
     # -- tabled resolution ----------------------------------------------
 
@@ -379,7 +380,7 @@ class Engine:
         if entry.pos is None:  # first call: push it on the completion stack
             entry.pos = len(self.incomplete)
             self.incomplete.append(entry)
-        m, trail = self.bound, self.trail
+        m = self.bound
         subst = tuple(map(Var, call_vars))
         clauses = record.bucket(goal, m)  # the call is bound alike every round
         levels = self.program.levels
@@ -398,16 +399,7 @@ class Engine:
                 # a round past the first has a top; an entry joined to a top
                 # at another level (an eager fake loop) keeps its base rules
                 skip_base = later and levels[key] == levels[pred_key(entry.topmost.key)]
-                for ar in clauses:
-                    last_dep = ar.last_depending_index
-                    if skip_base and last_dep is None:
-                        continue  # a base rule derives nothing new after round 1
-                    self._step()
-                    self.stats.clause_resolutions += 1
-                    mark = len(trail)
-                    body = self._activate(goal, ar.clause)
-                    if body is None:
-                        continue
+                for body, last_dep in self._activations(goal, clauses, skip_base):
                     for _ in self._solve_seq(body, last_dep if later else None, False, 0):
                         # memo: store the answer; only a new one is returned
                         if insert_answer(entry, subst, m):
@@ -416,7 +408,6 @@ class Engine:
                                 entry.state = HANDING
                                 yield True
                                 entry.state = RUNNING
-                    undo(m, trail, mark)
                 # check_completion. A top-most entry stays active from its
                 # first call until its cluster completes, so every incomplete
                 # entry first called after it has either joined its cluster

@@ -405,10 +405,18 @@ def test_level_mapping_matches_reference(rules, declared):
     assert verify_level_mapping(clauses, levels)
 
 
-def test_import_does_not_load_networkx():
+def test_lintab_imports_only_the_standard_library():
+    # a fresh interpreter, so modules the test runner loaded do not count;
+    # this also keeps networkx out, which the SCC code once needed
     src = str(Path(lintab.__file__).resolve().parent.parent)
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    code = "import sys, lintab; print('networkx' in sys.modules)"
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import lintab, lintab.cli, lintab.bench, lintab.corpus, lintab.generate\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(new - {'lintab'} - sys.stdlib_module_names)))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -416,4 +424,4 @@ def test_import_does_not_load_networkx():
         env={**os.environ, "PYTHONPATH": path},
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == ""

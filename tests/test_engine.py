@@ -238,6 +238,21 @@ def test_engine_single_run_guard():
         list(eng.run("p(X)"))
 
 
+def test_second_run_raises_at_once_and_the_first_stream_drains():
+    eng = Engine(load_program("p(a).\np(b).\n"))
+    first = eng.run("p(X)")
+    with pytest.raises(EngineError, match="single run"):
+        eng.run("p(Y)")
+    assert list(first) == ["p(a)", "p(b)"]
+
+
+def test_a_rejected_query_does_not_use_up_the_run():
+    eng = Engine(load_program("p(1).\n"))
+    with pytest.raises(EngineError, match="goal is not callable"):
+        eng.run([Var(0)])
+    assert list(eng.run("p(X)")) == ["p(1)"]
+
+
 def test_stats_counters_consistent():
     _, eng = solve(corpus.LEFT_RECURSIVE_TC, "p(a,Y)")
     s = eng.stats
@@ -604,6 +619,20 @@ def test_step_budget_runs_out_mid_bucket(query, solved):
     assert eng.stats.steps == 7
 
 
+def test_step_budget_runs_out_mid_clause_loop():
+    # q(X) is step 1 and its first clause step 2; the body call e(X) is
+    # step 3 and its rows steps 4-5, so the clause q(9) is step 6
+    text = "q(X) :- e(X).\nq(9).\ne(1).\ne(2).\n"
+    eng = Engine(load_program(text), EngineOptions(step_budget=5))
+    got = []
+    with pytest.raises(StepBudgetExceeded):
+        for sol in eng.run("q(X)"):
+            got.append(sol)
+    assert got == ["q(1)", "q(2)"]
+    assert eng.stats.steps == 6
+    assert eng.stats.clause_resolutions == 3
+
+
 @pytest.mark.parametrize(
     "strategy,budget,solved",
     [(LAZY, 8, ["p(1),p(1)", "p(1),p(2)"]), (EAGER, 7, ["p(1),p(1)", "p(2),p(1)"])],
@@ -631,6 +660,10 @@ def _six_runs(program_for, query):
     for _, opts in config_matrix():
         eng = Engine(program_for(), opts)
         sols = list(eng.run(query))
+        # a drained run leaves no incomplete entry and no binding behind
+        assert not eng.incomplete
+        assert all(e.state is COMPLETE for e in eng.store)
+        assert eng.bound == {} and eng.trail == []
         runs.append((sols, eng.stats.as_dict(), eng.stats.entry_rounds, dump(eng.store)))
     return runs
 
