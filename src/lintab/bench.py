@@ -2,7 +2,11 @@
 
 Every bench run first checks that all engine configurations agree on the
 answer sets (and on the bottom-up oracle where it applies) before any
-counters are reported; a divergence is a hard failure.
+counters are reported; a divergence is a hard failure. The checks compare
+values: query solutions as the value tuples `Engine.solve` gives, entry
+answers as the table's tuples, and the oracle's answers in the same
+forms. Text is made only for a divergence or gap message and for the
+rendered solution sets a result reports.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from typing import Optional
 from . import analysis, corpus, oracle
 from .engine import EAGER, LAZY, Engine, EngineOptions
 from .oracle import OracleInapplicable, answers_for_key, oracle_model
-from .parser import parse_program
+from .parser import parse_program, parse_query
 from .table import check_region_invariants
-from .terms import render
+from .terms import render_goals, render_solutions
 
 
 def config_matrix() -> list[tuple[str, EngineOptions]]:
@@ -49,7 +53,7 @@ def config_matrix() -> list[tuple[str, EngineOptions]]:
 class InstanceResult:
     name: str
     rows: list[dict] = field(default_factory=list)
-    solutions: dict[str, frozenset] = field(default_factory=dict)
+    solutions: dict[str, frozenset] = field(default_factory=dict)  # rendered, per config
     entry_answers: dict[str, dict] = field(default_factory=dict)
     entry_rounds: dict[str, dict] = field(default_factory=dict)
     divergences: list[str] = field(default_factory=list)
@@ -64,33 +68,39 @@ def run_instance(
 ) -> InstanceResult:
     """Run one (program, query) under every config and self-check.
 
-    Configs are compared on their solution sets and, per entry key, on the
-    sets of stored answer tuples; the base config's entries are compared
-    with the oracle's model as sets of full answers. Terms are rendered
-    only to name a divergence."""
+    Configs are compared on their sets of solution value tuples and, per
+    entry key, on the sets of stored answer tuples; the base config's are
+    compared with the oracle's, in the same forms. Each distinct solution
+    set is rendered once for `solutions`, shared by the configs that gave
+    it; other terms are rendered only to name a divergence."""
     items = parse_program(text)
     program = analysis.analyze(items)
     result = InstanceResult(name=name)
+    values: dict[str, frozenset] = {}
     for label, opts in config_matrix():
         eng = Engine(program, replace(opts, step_budget=step_budget))
         t0 = time.monotonic()
-        sols = list(eng.run(query))
+        sols = frozenset(eng.solve(query))
         elapsed = time.monotonic() - t0
         check_region_invariants(eng.store)
-        if not result.solutions:  # the base config's entries, for the oracle
+        if not values:  # the base config's entries, for the oracle
             entries = list(eng.store)
-        result.solutions[label] = frozenset(sols)
+        values[label] = sols
         result.entry_answers[label] = {e.key: frozenset(e.answers.tuples) for e in eng.store}
         result.entry_rounds[label] = dict(eng.stats.entry_rounds)
         row = {"instance": name, "config": label, "time": elapsed}
         row.update(eng.stats.as_dict())
-        row["solutions"] = len(frozenset(sols))
+        row["solutions"] = len(sols)
         result.rows.append(row)
 
-    labels = list(result.solutions)
+    goals = parse_query(query)[0]
+    texts = {sols: frozenset(render_solutions(goals, sols)) for sols in set(values.values())}
+    result.solutions = {label: texts[sols] for label, sols in values.items()}
+
+    labels = list(values)
     base = labels[0]
     for label in labels[1:]:
-        if result.solutions[label] != result.solutions[base]:
+        if values[label] != values[base]:
             result.divergences.append(
                 f"{name}: solution set differs between {base} and {label}"
             )
@@ -102,15 +112,14 @@ def run_instance(
     if use_oracle:
         try:
             model = oracle_model(items)
-            expected = oracle.oracle_solve(items, query, model)
-            if frozenset(expected) != result.solutions[base]:
+            if oracle.oracle_values(items, goals, model) != values[base]:
                 result.divergences.append(
                     f"{name}: engine disagrees with the bottom-up oracle"
                 )
             for e in entries:
-                if frozenset(e.answers) != answers_for_key(model, e.key):
+                if frozenset(e.answers.tuples) != answers_for_key(model, e.key):
                     result.divergences.append(
-                        f"{name}: entry {render(e.key)} disagrees with the oracle"
+                        f"{name}: entry {render_goals([e.key])} disagrees with the oracle"
                     )
         except OracleInapplicable:
             pass  # oracle skipped, never silently passed off as agreement
@@ -127,36 +136,38 @@ class ModelGaps:
     outside: set[str] = field(default_factory=set)
     missing: set[str] = field(default_factory=set)
 
-    def add(self, goal, answers: set, want: set, show=str) -> None:
-        """Record the answers outside want and those missing from it, as
-        text made by show."""
-        self.outside |= {f"{show(goal)}: {show(a)}" for a in answers - want}
-        self.missing |= {f"{show(goal)}: {show(a)}" for a in want - answers}
+    def add(self, goals, answers: set, want: set, name: Optional[str] = None) -> None:
+        """Record the value tuples of goals' variables in answers outside
+        want and those in want missing from it, each as "name: goals under
+        the tuple" text; name defaults to the goals' text."""
+        for gaps, diff in ((self.outside, answers - want), (self.missing, want - answers)):
+            gaps.update(f"{name or render_goals(goals)}: {t}" for t in render_solutions(goals, diff))
 
 
 def model_gaps(text: str, query: str, step_budget: int = 10**6) -> dict[str, ModelGaps]:
     """Run one range-restricted program under every config; compare the
-    query's solutions (as text) and every table entry's answers (as terms)
-    with the model; terms are rendered only to name a gap."""
+    query's solution tuples and every table entry's answer tuples with the
+    model's; terms are rendered only to name a gap."""
     items = parse_program(text)
     model = oracle_model(items)
-    want_query = oracle.oracle_solve(items, query, model)
+    goals = parse_query(query)[0]
+    want_query = oracle.oracle_values(items, goals, model)
     want_entry: dict = {}  # per entry key, shared by the configs
     program = analysis.analyze(items)
     out = {}
     for label, opts in config_matrix():
         eng = Engine(program, replace(opts, step_budget=step_budget))
         try:
-            solutions = set(eng.run(query))
+            solutions = set(eng.solve(query))
         except Exception as exc:  # tallied: finding these is the point
             out[label] = ModelGaps(error=f"{type(exc).__name__}: {exc}")
             continue
         gaps = out[label] = ModelGaps()
-        gaps.add(query, solutions, want_query)
+        gaps.add(goals, solutions, want_query, query)
         for e in eng.store:
             if e.key not in want_entry:
                 want_entry[e.key] = answers_for_key(model, e.key)
-            gaps.add(e.key, frozenset(e.answers), want_entry[e.key], render)
+            gaps.add([e.key], set(e.answers.tuples), want_entry[e.key])
     return out
 
 

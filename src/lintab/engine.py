@@ -87,7 +87,7 @@ from .terms import (
     Struct,
     Term,
     Var,
-    canonicalize,  # not called here: perfbench/tracing.py wraps this name
+    canonicalize,
     render,
     render_goals,
     renumber,
@@ -177,8 +177,10 @@ Query = Union[str, Iterable[Term]]
 
 
 class Engine:
-    """One evaluation run: owns the binding map `bound` (variable id to
-    term), its `trail` of bound ids, the table store and the stats."""
+    """One evaluation run, by `run` (each solution rendered) or `solve`
+    (each solution as a value tuple, for checks that compare values):
+    owns the binding map `bound` (variable id to term), its `trail` of
+    bound ids, the table store and the stats."""
 
     def __init__(self, program: AnnotatedProgram, options: Optional[EngineOptions] = None):
         self.program = program
@@ -196,6 +198,19 @@ class Engine:
 
     def run(self, query: Query) -> Iterator[str]:
         """Pull-based solution stream; each item is the rendered query."""
+        goals = self._start(query)
+        return self._solutions(goals, render_goals, goals)
+
+    def solve(self, query: Query) -> Iterator[tuple[Term, ...]]:
+        """The stream of `run`, each solution as the tuple of the query
+        variables' values in first-occurrence order, in the form an answer
+        tuple takes (see table.insert_answer): two solutions render alike
+        iff their tuples are equal."""
+        goals = self._start(query)
+        return self._solutions(goals, _values, tuple(map(Var, variables(tuple(goals)))))
+
+    def _start(self, query: Query) -> list[Term]:
+        """The query's goals renamed into a fresh block, once per Engine."""
         if isinstance(query, str):
             goals, nvars = parse_query(query)
         else:
@@ -209,8 +224,7 @@ class Engine:
             raise EngineError("an Engine instance supports a single run")
         self._started = True
         off = self._fresh_block(nvars)
-        goals = [renumber(g, off) for g in goals]
-        return self._solutions(goals)
+        return [renumber(g, off) for g in goals]
 
     # -- plumbing --------------------------------------------------------
 
@@ -224,18 +238,19 @@ class Engine:
 
     # -- resolution ------------------------------------------------------
 
-    def _solutions(self, goals: list[Term]) -> Iterator[str]:
+    def _solutions(self, goals: list[Term], emit, arg) -> Iterator:
+        """Solve goals, yielding emit(arg, bindings) per solution."""
         mark = len(self.trail)  # 0 unless the caller bound variables first
-        seen: set[str] = set()
+        seen = set()
         count = 0
         try:
             for _ in self._solve_seq(goals, None, False, 0):
-                text = render_goals(goals, self.bound)
+                sol = emit(arg, self.bound)
                 if self.opts.dedup_solutions:
-                    if text in seen:
+                    if sol in seen:
                         continue
-                    seen.add(text)
-                yield text
+                    seen.add(sol)
+                yield sol
                 count += 1
                 if self.opts.limit is not None and count >= self.opts.limit:
                     return
@@ -469,6 +484,19 @@ class Engine:
             while len(trail) > mark:
                 del m[trail.pop()]
             pos += 1
+
+
+def _values(qvars: tuple[Var, ...], m: dict[int, Term]) -> tuple[Term, ...]:
+    """The values of qvars under m as insert_answer stores them: bindings
+    to atoms and integers as they stand, any other canonicalized."""
+    tup = []
+    for a in qvars:
+        while type(a) is Var and a.id in m:
+            a = m[a.id]
+        if type(a) is Var or type(a) is Struct:
+            return canonicalize(qvars, m)
+        tup.append(a)
+    return tuple(tup)
 
 
 def run_query(

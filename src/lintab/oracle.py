@@ -19,6 +19,13 @@ A body goal reads facts through an index by (predicate, argument
 position, ground argument) whose buckets are ordered sublists of the
 model's lists: a plain dict built here, sharing no code with the engine.
 The delta has an index of its own, built the same way.
+
+Answers are values, in the engine's forms: `oracle_values` gives each
+query solution as the tuple of the query variables' values (as
+`Engine.solve` does) and `answers_for_key` each entry answer as the tuple
+of the key's variables' values (as the answer table stores it), so a
+check compares them with no rendering. `oracle_solve` renders the former
+for callers that compare text.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ from .terms import (
     Var,
     is_ground,
     iter_subterms,
+    new_struct,
     pred_key,
-    render_goals,
-    subsumes,
+    render_solutions,
     variables,
 )
 
@@ -63,7 +70,7 @@ def _substitute(t: Term, theta: dict[int, Term]) -> Term:
     if tt is Var:
         return theta.get(t.id, t)
     if tt is Struct:
-        return Struct(t.functor, [_substitute(a, theta) for a in t.args])
+        return new_struct(t.functor, tuple([_substitute(a, theta) for a in t.args]))
     return t
 
 
@@ -80,14 +87,16 @@ def _match(pattern: Term, fact: Term, theta: dict[int, Term], bound: list[int]) 
         return existing == fact
     if tp is not Struct:
         return type(fact) is tp and fact == pattern
-    return (
-        type(fact) is Struct
-        and fact.functor == pattern.functor
-        and len(fact.args) == len(pattern.args)
-        and all(
-            _match(p, f, theta, bound) for p, f in zip(pattern.args, fact.args)
-        )
-    )
+    if (
+        type(fact) is not Struct
+        or fact.functor != pattern.functor
+        or len(fact.args) != len(pattern.args)
+    ):
+        return False
+    for p, f in zip(pattern.args, fact.args):
+        if not _match(p, f, theta, bound):
+            return False
+    return True
 
 
 def _index_fact(index: Index, hk: PredKey, fact: Term) -> None:
@@ -232,12 +241,14 @@ def oracle_model(items: Iterable[Item]) -> Model:
         raise OracleInapplicable("a term nested too deeply") from None
 
 
-def oracle_solve(
+def oracle_values(
     items_or_text: Union[str, Iterable[Item]],
     query: Union[str, list[Term]],
     model: Optional[Model] = None,
-) -> set[str]:
-    """Ground solutions of the query against the least model, rendered.
+) -> set[tuple[Term, ...]]:
+    """Ground solutions of the query against the least model, each as the
+    tuple of the query variables' values in first-occurrence order (the
+    form Engine.solve gives).
 
     Pass the program's model, if already built by oracle_model, to skip
     building it again; the query reads the model as passed.
@@ -251,16 +262,33 @@ def oracle_solve(
             )
             model = oracle_model(items)
         goals = parse_query(query)[0] if isinstance(query, str) else list(query)
+        ids = variables(tuple(goals))
         index = _index(model, {pred_key(g) for g in goals})
-        out = set()
-        for theta in _match_body(tuple(goals), 0, model, index, {}):
-            out.add(render_goals([_substitute(g, theta) for g in goals]))
-        return out
+        return {
+            tuple([theta[v] for v in ids])
+            for theta in _match_body(tuple(goals), 0, model, index, {})
+        }
     except RecursionError:  # the recursive term walks cannot follow a term
         raise OracleInapplicable("a term nested too deeply") from None
 
 
-def answers_for_key(model: Model, key: Term) -> frozenset[Term]:
-    """Model facts that are instances of a canonical subgoal key."""
-    facts = model.get(pred_key(key), ())
-    return frozenset(f for f in facts if subsumes(key, f))
+def oracle_solve(
+    items_or_text: Union[str, Iterable[Item]],
+    query: Union[str, list[Term]],
+    model: Optional[Model] = None,
+) -> set[str]:
+    """oracle_values' solutions, rendered as Engine.run renders them."""
+    goals = parse_query(query)[0] if isinstance(query, str) else list(query)
+    return set(render_solutions(goals, oracle_values(items_or_text, goals, model)))
+
+
+def answers_for_key(model: Model, key: Term) -> frozenset[tuple[Term, ...]]:
+    """The model facts that are instances of a canonical subgoal key, each
+    as the tuple of the key's variables' values: the form of the key's
+    answer tuples in the table."""
+    out = set()
+    for fact in model.get(pred_key(key), ()):
+        theta: dict[int, Term] = {}
+        if _match(key, fact, theta, []):
+            out.add(tuple([theta[i] for i in range(len(theta))]))
+    return frozenset(out)

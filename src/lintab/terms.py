@@ -208,35 +208,6 @@ def is_ground(t: Term) -> bool:
     return True
 
 
-def subsumes(t1: Term, t2: Term) -> bool:
-    """One-way matching: does a substitution theta exist with t1*theta == t2?
-
-    t2's variables are treated as constants; t1 and t2 must not share
-    variables.
-    """
-    theta: dict[int, Term] = {}
-
-    def match(a: Term, c: Term) -> bool:
-        ta = type(a)
-        if ta is Var:
-            bound = theta.get(a.id)
-            if bound is None:
-                theta[a.id] = c
-                return True
-            return bound == c
-        if ta is not type(c):
-            return False
-        if ta is not Struct:
-            return a == c
-        return (
-            a.functor == c.functor
-            and len(a.args) == len(c.args)
-            and all(match(x, y) for x, y in zip(a.args, c.args))
-        )
-
-    return match(t1, t2)
-
-
 def render(
     t: Term,
     m: Optional[dict[int, Term]] = None,
@@ -290,6 +261,17 @@ def render_goals(goals, m: Optional[dict[int, Term]] = None) -> str:
     """Render a conjunction with one shared unbound-variable numbering."""
     names: dict[int, str] = {}
     return ",".join(render(g, m, names) for g in goals)
+
+
+def render_solutions(goals, solutions) -> Iterator[str]:
+    """Per tuple of values for goals' variables in first-occurrence order,
+    goals rendered under it: the text Engine.run gives for a solution that
+    Engine.solve gives as that tuple. The values' variables are renamed
+    apart from the goals' first."""
+    ids = variables(tuple(goals))
+    off = max(ids, default=-1) + 1
+    for values in solutions:
+        yield render_goals(goals, dict(zip(ids, renumber(values, off))))
 
 
 def renumber(t: Term | tuple[Term, ...], offset: int) -> Term | tuple[Term, ...]:

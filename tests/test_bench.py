@@ -4,7 +4,9 @@ import pytest
 
 import lintab.bench
 import lintab.corpus as corpus
-from lintab.bench import bench_suite, config_matrix, run_instance, suite_instances
+from lintab import load_program
+from lintab.bench import bench_suite, config_matrix, golden_instances, run_instance, suite_instances
+from lintab.engine import Engine
 from lintab.oracle import oracle_model, oracle_solve
 from lintab.terms import Struct
 
@@ -55,14 +57,40 @@ def test_run_instance_flags_a_planted_table_difference(monkeypatch):
     (base, _), (label, planted) = config_matrix()[0], config_matrix()[-1]
 
     class PlantingEngine(lintab.bench.Engine):
-        def run(self, query):
-            yield from super().run(query)
+        def solve(self, query):
+            yield from super().solve(query)
             if self.opts == planted:
                 next(iter(self.store)).answers.add(("z",))
 
     monkeypatch.setattr(lintab.bench, "Engine", PlantingEngine)
     r = run_instance("tc", corpus.LEFT_RECURSIVE_TC, corpus.LEFT_RECURSIVE_TC_QUERY)
     assert r.divergences == [f"tc: per-entry answers differ between {base} and {label}"]
+
+
+def test_run_instance_flags_a_planted_solution_difference(monkeypatch):
+    # the last config gives one solution value the others lack
+    (base, _), (label, planted) = config_matrix()[0], config_matrix()[-1]
+
+    class PlantingEngine(lintab.bench.Engine):
+        def solve(self, query):
+            yield from super().solve(query)
+            if self.opts == planted:
+                yield ("z",)
+
+    monkeypatch.setattr(lintab.bench, "Engine", PlantingEngine)
+    r = run_instance("tc", corpus.LEFT_RECURSIVE_TC, corpus.LEFT_RECURSIVE_TC_QUERY)
+    assert r.divergences == [f"tc: solution set differs between {base} and {label}"]
+    assert r.solutions[label] - r.solutions[base] == {"p(a,z)"}
+
+
+@pytest.mark.parametrize("name,text,query", golden_instances(), ids=[i[0] for i in golden_instances()])
+def test_run_instance_solutions_are_each_configs_rendered_run(name, text, query):
+    # each distinct value set is rendered once and shared between configs:
+    # the text is what the config's own run() yields
+    r = run_instance(name, text, query)
+    program = load_program(text)
+    for label, opts in config_matrix():
+        assert r.solutions[label] == set(Engine(program, opts).run(query)), label
 
 
 def test_paper_examples_suite_clean():

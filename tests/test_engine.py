@@ -23,9 +23,9 @@ from lintab.analysis import ROWS, analyze
 from lintab.bench import config_matrix, golden_instances, run_instance, suite_instances
 from lintab.corpus import mutual_recursion_program
 from lintab.oracle import OracleInapplicable, oracle_solve
-from lintab.parser import Clause
+from lintab.parser import Clause, parse_query
 from lintab.table import COMPLETE, HANDING, RUNNING, check_region_invariants, dump
-from lintab.terms import Struct, Var, undo, unify
+from lintab.terms import Struct, Var, render_solutions, undo, unify
 
 
 def solve(text, query, **kw):
@@ -251,6 +251,56 @@ def test_a_rejected_query_does_not_use_up_the_run():
     with pytest.raises(EngineError, match="goal is not callable"):
         eng.run([Var(0)])
     assert list(eng.run("p(X)")) == ["p(1)"]
+
+
+@pytest.mark.parametrize("first,second", [("run", "solve"), ("solve", "run"), ("solve", "solve")])
+def test_second_solve_or_run_raises(first, second):
+    eng = Engine(load_program("p(a).\np(b).\n"))
+    stream = getattr(eng, first)("p(X)")
+    with pytest.raises(EngineError, match="single run"):
+        getattr(eng, second)("p(Y)")
+    assert len(list(stream)) == 2
+
+
+GOLDEN = golden_instances()
+
+
+@pytest.mark.parametrize("name,text,query", GOLDEN, ids=[i[0] for i in GOLDEN])
+def test_solve_renders_to_the_run_stream(name, text, query):
+    # solve() is run() before rendering: same order and duplicates, under
+    # a limit and with deduplication too
+    program = load_program(text)
+    goals = parse_query(query)[0]
+    for _, opts in config_matrix():
+        for extra in ({}, {"limit": 1}, {"dedup_solutions": True}):
+            o = dataclasses.replace(opts, **extra)
+            values = list(Engine(program, o).solve(query))
+            assert list(render_solutions(goals, values)) == list(Engine(program, o).run(query))
+
+
+def test_variant_solutions_give_one_canonical_tuple():
+    # two clauses derive variant non-ground solutions in fresh variables
+    program = load_program("p(f(A,B)).\np(f(C,D)).\np(f(E,E)).\n")
+    assert list(Engine(program).run("p(X)")) == ["p(f(_G0,_G1))"] * 2 + ["p(f(_G0,_G0))"]
+    sols = list(Engine(program).solve("p(X)"))
+    assert sols[0] == sols[1] == (Struct("f", [Var(0), Var(1)]),)
+    assert sols[2] == (Struct("f", [Var(0), Var(0)]),)
+    assert list(Engine(program, EngineOptions(dedup_solutions=True)).solve("p(X)")) == [sols[0], sols[2]]
+    # the values' Var(0) is renamed apart from the query's X (also Var(0))
+    assert list(render_solutions(parse_query("p(X)")[0], sols)) == list(Engine(program).run("p(X)"))
+    # one numbering across the tuple: g's variable is f's or a new one
+    two = load_program("p(f(A),g(B)).\np(f(C),g(C)).\n")
+    f0, g0, g1 = Struct("f", [Var(0)]), Struct("g", [Var(0)]), Struct("g", [Var(1)])
+    assert list(Engine(two).solve("p(X,Y)")) == [(f0, g1), (f0, g0)]
+
+
+@pytest.mark.parametrize("strategy", [LAZY, EAGER])
+def test_solve_gives_the_tuples_the_table_stores(strategy):
+    text = ":- table q/1.\nq(X) :- p(X).\np(f(A,B)).\np(f(C,D)).\np(f(E,E)).\np(a).\n"
+    eng = Engine(load_program(text), EngineOptions(strategy=strategy))
+    sols = list(eng.solve("q(X)"))
+    [entry] = eng.store
+    assert sols == entry.answers.tuples == [(Struct("f", [Var(0), Var(1)]),), (Struct("f", [Var(0), Var(0)]),), ("a",)]
 
 
 def test_stats_counters_consistent():

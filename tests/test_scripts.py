@@ -126,7 +126,7 @@ def test_ab_query_against_itself(tmp_path):
     "module,old,new,parts",
     [
         ("engine.py", "self.stats.answers_consumed += 1", "self.stats.answers_consumed += 2", {"counters"}),
-        ("engine.py", "                yield text\n", "                yield text\n" * 2, {"stream"}),
+        ("engine.py", "                yield sol\n", "                yield sol\n" * 2, {"stream"}),
         ("table.py", '"complete" if entry.state', '"done" if entry.state', {"tables"}),
         # a ground answer counted as holding a variable: renamed for nothing
         ("table.py", "self.nvars.append(0)", "self.nvars.append(1)", {"nvars"}),

@@ -13,11 +13,39 @@ from lintab.terms import (
     render,
     render_goals,
     renumber,
-    subsumes,
     undo,
     unify,
     variables,
 )
+
+
+def subsumes(t1, t2):
+    """One-way matching: does a substitution theta exist with t1*theta == t2?
+
+    t2's variables are treated as constants; t1 and t2 must not share
+    variables.
+    """
+    theta = {}
+
+    def match(a, c):
+        ta = type(a)
+        if ta is Var:
+            bound = theta.get(a.id)
+            if bound is None:
+                theta[a.id] = c
+                return True
+            return bound == c
+        if ta is not type(c):
+            return False
+        if ta is not Struct:
+            return a == c
+        return (
+            a.functor == c.functor
+            and len(a.args) == len(c.args)
+            and all(match(x, y) for x, y in zip(a.args, c.args))
+        )
+
+    return match(t1, t2)
 
 
 def resolve(t, m):
