@@ -19,7 +19,7 @@ test is a type scan of the same columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .parser import Clause, Item, TableDeclaration
@@ -34,6 +34,10 @@ CallGraph = dict[PredKey, dict[PredKey, None]]
 class AnnotatedRule:
     clause: Clause
     last_depending_index: Optional[int]  # None: a base or non-tabled rule
+    # its head-matching plan (see head_plan), set when its predicate's
+    # dispatch record is built, and never for a row relation's rules
+    slots: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
+    unify_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
 
 # One argument-position index: clauses per atomic key, each in program
@@ -122,6 +126,9 @@ class AnnotatedProgram:
             else ROWS if rows
             else CLAUSES
         )
+        if kind is TABLED or kind is CLAUSES:
+            for r in rules or ():
+                r.slots, r.unify_at = head_plan(r.clause)
         plan = tuple(sorted(distinct, key=lambda pos: (-len(distinct[pos]), pos)))
         record = self.records[key] = Dispatch(kind, plan, rules or ())
         return record
@@ -218,6 +225,41 @@ def level_mapping(graph: CallGraph) -> dict[PredKey, int]:
                     for m in members:
                         levels[m] = level
     return levels
+
+
+def head_plan(clause: Clause) -> tuple[tuple[Optional[int], ...], tuple[int, ...]]:
+    """How a call matches clause's head: per variable id, the argument
+    position it stands for or None, and the positions to unify, last to
+    first (unify's own order).
+
+    A variable that occurs exactly once in the head, as a whole argument,
+    stands for that position: nothing binds it, and the body is built
+    with the call's argument in its place (a first occurrence is a
+    register move in the WAM, not a binding; Warren, SRI TN 309, 1983).
+    Every other position (a constant, a compound, a repeated variable) is
+    unified with the call's argument. The slots are () when no variable
+    stands for a position.
+    """
+    head = clause.head
+    if type(head) is not Struct:  # arity 0: nothing to match
+        return (), ()
+    seen: dict[int, int] = {}  # variable id -> its occurrences in the head
+    todo = list(head.args)
+    while todo:
+        t = todo.pop()
+        if type(t) is Var:
+            seen[t.id] = seen.get(t.id, 0) + 1
+        elif type(t) is Struct:
+            todo.extend(t.args)
+    slots: list[Optional[int]] = [None] * clause.nvars
+    unify_at = []
+    for k, a in enumerate(head.args):
+        if type(a) is Var and seen[a.id] == 1:
+            slots[a.id] = k
+        else:
+            unify_at.append(k)
+    any_slot = len(unify_at) < len(head.args)
+    return tuple(slots) if any_slot else (), tuple(reversed(unify_at))
 
 
 def _index_position(rules: tuple[AnnotatedRule, ...], pos: int) -> PositionIndex:

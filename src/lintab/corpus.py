@@ -116,6 +116,36 @@ u(2,3).
 """
 FAKE_LOOP_INTO_INNER_TOP_QUERY = "h(X),t(Y)"
 
+# Every head shape that clause resolution matches differently: constant
+# arguments, compounds (one with a repeated variable), a variable repeated
+# as two arguments, p(X,f(X)), p(f(X),X) and arity 0, tabled and not. A
+# head variable seen once as a whole argument takes the call's argument;
+# the other positions are unified. Range-restricted, so the oracle applies.
+HEAD_SHAPES = """\
+:- table path/2.
+:- table pair/1.
+:- table done/0.
+node(a).
+node(b).
+node(c).
+edge(a,b).
+edge(b,c).
+edge(c,a).
+path(X,Y) :- edge(X,Y).
+path(X,Y) :- path(X,Z), edge(Z,Y).
+path(a,c) :- node(c).
+pair(f(X,Y)) :- path(X,Y), edge(Y,X).
+pair(g(X,X)) :- path(X,X).
+first(f(X,Y),X) :- path(X,Y).
+first(f(a,Y),a) :- node(Y).
+twice(X,f(X)) :- node(X).
+back(f(X),X) :- node(X).
+same(X,X) :- node(X).
+go :- pair(f(a,Y)), same(Y,Y), done.
+done :- path(a,a).
+"""
+HEAD_SHAPES_QUERY = "pair(P),first(P,X),twice(X,T),back(T,Z),same(X,Z),go"
+
 # Tabled string matcher for (a|b)*: linear with new-answers-only
 # consumption, quadratic without.
 STRING_MATCHER = """\

@@ -15,8 +15,11 @@ filled on a predicate's first call and kept on the program, so later runs
 of the same program reuse them. Each yield carries one bool: whether the
 solution stands on a new answer, one past its entry's old region or just
 stored by a pioneer, at any depth below. A clause is resolved by
-unifying the call with its head renamed into a fresh block of variables;
-only on a match is the body renamed into that block too. Tabled calls
+matching its head against the call (see analysis.head_plan): a head
+variable seen once, as a whole argument, is never bound, and the other
+argument positions are unified with the head's renamed into a fresh block
+of variables; only on a match is the body renamed into that block too,
+each such variable replaced by the call's argument. Tabled calls
 dispatch on the entry's lifecycle state (see table.py):
 
   * a COMPLETE entry is resolved from the table;
@@ -335,11 +338,15 @@ class Engine:
 
     def _activations(self, goal, clauses, skip_base=False):
         """Per clause (past base rules, with skip_base): pay a step, count
-        a resolution and unify goal with the head renamed into a fresh
-        block; on a match yield the body renamed into that block and the
-        rule's last depending index, undoing the bindings on resumption."""
+        a resolution and match goal against the head (see
+        analysis.head_plan): each position the plan names is unified with
+        the head's argument renamed into a fresh block, last to first; on
+        a match yield the body renamed into that block, each of the
+        plan's slot variables taking the call's argument, and the rule's
+        last depending index, undoing the bindings on resumption."""
         m, trail = self.bound, self.trail
         stats, budget = self.stats, self.opts.step_budget
+        args = goal.args if type(goal) is Struct else ()
         for ar in clauses:
             last_dep = ar.last_depending_index
             if skip_base and last_dep is None:
@@ -351,8 +358,13 @@ class Engine:
             clause = ar.clause
             mark = len(trail)
             off = self._fresh_block(clause.nvars)
-            if unify(goal, renumber(clause.head, off), m, trail):
-                yield renumber(clause.body, off) if clause.nvars else clause.body, last_dep
+            head = clause.head
+            for k in ar.unify_at:
+                if not unify(args[k], renumber(head.args[k], off), m, trail):
+                    undo(m, trail, mark)
+                    break
+            else:
+                yield renumber(clause.body, off, ar.slots, args) if clause.nvars else clause.body, last_dep
                 undo(m, trail, mark)
 
     # -- tabled resolution ----------------------------------------------

@@ -50,7 +50,10 @@ def _rebuild(t: Term, tup: Subst) -> Term:
     if tt is Var:
         return tup[t.id]
     if tt is Struct:
-        return new_struct(t.functor, tuple([_rebuild(a, tup) for a in t.args]))
+        args = []  # a loop, not a comprehension: one frame per level
+        for a in t.args:
+            args.append(_rebuild(a, tup))
+        return new_struct(t.functor, tuple(args))
     return t
 
 

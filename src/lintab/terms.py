@@ -173,7 +173,10 @@ def canonicalize(
                 mapping[t.id] = v
             return v
         if tt is Struct:
-            return new_struct(t.functor, tuple([walk(a) for a in t.args]))
+            args = []  # a loop, not a comprehension: one frame per level
+            for a in t.args:
+                args.append(walk(a))
+            return new_struct(t.functor, tuple(args))
         return t
 
     if type(t) is tuple:
@@ -274,16 +277,38 @@ def render_solutions(goals, solutions) -> Iterator[str]:
         yield render_goals(goals, dict(zip(ids, renumber(values, off))))
 
 
-def renumber(t: Term | tuple[Term, ...], offset: int) -> Term | tuple[Term, ...]:
+def renumber(
+    t: Term | tuple[Term, ...],
+    offset: int,
+    slots: tuple[Optional[int], ...] = (),
+    args: tuple[Term, ...] = (),
+) -> Term | tuple[Term, ...]:
     """Shift every variable id by offset (clause activation renaming).
-    t may also be a tuple of terms."""
+    t may also be a tuple of terms.
+
+    With slots, the head-matching plan of a clause (see
+    analysis.head_plan), a variable whose slot is an argument position k
+    takes the call's argument args[k] instead: a head variable seen once,
+    as a whole argument, is never bound, so the body is built holding
+    what the call passed there. slots is indexed by variable id and
+    covers the clause's variables; () renames them all."""
     tt = type(t)
     if tt is Var:
+        if slots:
+            k = slots[t.id]
+            if k is not None:
+                return args[k]
         return Var(t.id + offset)
     if tt is Struct:
-        return new_struct(t.functor, tuple([renumber(a, offset) for a in t.args]))
+        new = []  # a loop, not a comprehension: one frame per level
+        for a in t.args:
+            new.append(renumber(a, offset, slots, args))
+        return new_struct(t.functor, tuple(new))
     if tt is tuple:
-        return tuple([renumber(a, offset) for a in t])
+        new = []
+        for a in t:
+            new.append(renumber(a, offset, slots, args))
+        return tuple(new)
     return t
 
 

@@ -5,7 +5,14 @@ import pytest
 import lintab.bench
 import lintab.corpus as corpus
 from lintab import load_program
-from lintab.bench import bench_suite, config_matrix, golden_instances, run_instance, suite_instances
+from lintab.bench import (
+    bench_suite,
+    config_matrix,
+    golden_instances,
+    model_gaps,
+    run_instance,
+    suite_instances,
+)
 from lintab.engine import Engine
 from lintab.oracle import oracle_model, oracle_solve
 from lintab.terms import Struct
@@ -91,6 +98,25 @@ def test_run_instance_solutions_are_each_configs_rendered_run(name, text, query)
     program = load_program(text)
     for label, opts in config_matrix():
         assert r.solutions[label] == set(Engine(program, opts).run(query)), label
+
+
+def test_head_shapes_agree_with_the_oracle_lazily():
+    # every head shape, under every config: no error and no answer outside
+    # the model; the lazy configs miss none either
+    gaps = model_gaps(corpus.HEAD_SHAPES, corpus.HEAD_SHAPES_QUERY)
+    assert len(gaps) == 6
+    for label, g in gaps.items():
+        assert g.error is None and not g.outside, label
+        assert label.startswith("eager") or not g.missing, label
+
+
+# Under eager, pair(f(a,_)) is first called while pair(_) hands out its
+# first answer and completes with none, so every query solution is lost;
+# `path(a,c),path(a,W)` over the same edges loses path(a,a) and path(a,c)
+@pytest.mark.xfail(strict=True, reason="eager misses answers (ROADMAP 1)")
+def test_head_shapes_miss_no_answer_eagerly():
+    gaps = model_gaps(corpus.HEAD_SHAPES, corpus.HEAD_SHAPES_QUERY)
+    assert {label: g.missing for label, g in gaps.items() if g.missing} == {}
 
 
 def test_paper_examples_suite_clean():

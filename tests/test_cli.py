@@ -100,6 +100,26 @@ def test_deeply_nested_term_is_a_usage_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_run_answers_a_fact_nested_900_deep(tmp_path, capsys):
+    # each term walk takes one frame per nesting level
+    term = "f(" * 900 + "a" + ")" * 900
+    path = tmp_path / "deep.pl"
+    path.write_text(f"p({term}).\n")
+    assert main(["run", str(path), "p(X)"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == f"p({term})"
+
+
+def test_run_tabled_fact_nested_600_deep_exit_code(tmp_path, capsys):
+    # the answer table hashes a stored compound recursively, two frames
+    # per nesting level (ROADMAP 8)
+    path = tmp_path / "deep.pl"
+    path.write_text(":- table p/1.\np(" + "f(" * 600 + "a" + ")" * 600 + ").\n")
+    assert main(["run", str(path), "p(X)"]) == EXIT_DEPTH
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: resolution nested deeper")
+    assert "Traceback" not in captured.err
+
+
 def test_oracle_declines_a_fact_nested_past_its_recursion(tmp_path, capsys):
     # the engine answers a fact nested 400 deep; the oracle's recursive
     # walks cannot follow it, so the oracle is inapplicable

@@ -25,7 +25,16 @@ from lintab.corpus import mutual_recursion_program
 from lintab.oracle import OracleInapplicable, oracle_solve
 from lintab.parser import Clause, parse_query
 from lintab.table import COMPLETE, HANDING, RUNNING, check_region_invariants, dump
-from lintab.terms import Struct, Var, render_solutions, undo, unify
+from lintab.terms import (
+    Struct,
+    Var,
+    canonicalize,
+    render_solutions,
+    renumber,
+    undo,
+    unify,
+    variables,
+)
 
 
 def solve(text, query, **kw):
@@ -614,23 +623,90 @@ def test_row_walk_equals_unify_with_each_row(case, pre):
     assert {k for k, r in program.records.items() if r.kind is ROWS} == {("p", len(rows[0]))}
 
 
+def _terms(var_ids):
+    """Constants, variables from var_ids, and compounds nested in them."""
+    return st.recursive(
+        st.one_of(st.sampled_from(var_ids).map(Var), CONSTANTS),
+        lambda inner: st.one_of(
+            st.builds(lambda a: Struct("f", [a]), inner),
+            st.builds(lambda a, b: Struct("g", [a, b]), inner, inner),
+        ),
+        max_leaves=4,
+    )
+
+
+HEAD_VARS = [0, 1]  # a clause's variables; its body adds 2 and 3
+CALL_VARS = [100, 101, 102]  # the caller's, apart from every fresh block
+# half the head arguments a bare variable, so one often recurs in a compound
+HEAD_ARGS = st.one_of(st.sampled_from(HEAD_VARS).map(Var), _terms(HEAD_VARS))
+
+
+def _head_and_call(head_args):
+    return st.tuples(st.just(tuple(head_args)), st.tuples(*[_terms(CALL_VARS)] * len(head_args)))
+
+
+X, Y, A, B = Var(0), Var(1), Var(100), Var(101)
+
+
+@example(((X, Struct("f", [X])), (A, A)), (Var(2),), [])  # p(X,f(X)): never slot X
+@example(((Struct("f", [X]), X), (A, A)), (X,), [])  # p(f(X),X)
+@example(((X, Y), (A, A)), (Y, X), [])  # a call's repeated variable
+@example(((X, "a", X), (A, B, "b")), (X,), [(101, A)])  # a pre-bound call
+@given(
+    st.lists(HEAD_ARGS, min_size=1, max_size=3).flatmap(_head_and_call),
+    st.lists(_terms(HEAD_VARS + [2, 3]), min_size=1, max_size=2).map(tuple),
+    st.lists(st.tuples(st.sampled_from(CALL_VARS), _terms(CALL_VARS)), max_size=3),
+)
+@settings(max_examples=300)
+def test_head_matching_equals_unifying_the_renamed_head(head_and_call, body_args, pre):
+    # matching a call against a head (slot variables take the call's
+    # arguments, the other positions are unified) succeeds iff unifying
+    # the call with the renamed head does; the body it builds, read with
+    # the call under its bindings, is a variant of the renamed body under
+    # the unifier's; resuming it leaves the bindings and trail as before
+    head_args, call_args = head_and_call
+    nvars = 1 + max(variables((Struct("p", head_args), Struct("q", body_args))), default=-1)
+    clause = Clause(Struct("p", head_args), (Struct("q", body_args), "r"), nvars)
+    program = analyze([clause])
+    rules = program.dispatch(("p", len(head_args))).rules
+    goal = Struct("p", call_args)
+    eng = Engine(program)
+    eng._var_counter = off = 1000
+    for vid, t in pre:
+        unify(Var(vid), t, eng.bound, eng.trail)
+    before = (dict(eng.bound), list(eng.trail))
+    m, trail = dict(eng.bound), list(eng.trail)
+    matched = unify(goal, renumber(clause.head, off), m, trail)
+    activations = eng._activations(goal, rules)
+    got = next(activations, None)
+    assert (got is not None) == matched
+    if matched:
+        body, _ = got
+        want = renumber(clause.body, off)
+        assert canonicalize((goal, *body), eng.bound) == canonicalize((goal, *want), m)
+        assert next(activations, None) is None
+    assert (eng.bound, eng.trail) == before
+
+
 ROW_BOUNDARY = [
-    # text, query, predicate, solutions, unify calls, clause resolutions;
-    # only the first is a row relation, so only it resolves with no unify
-    ("e(1,2).\ne(1,2).\n", "e(1,Y)", ("e", 2), ["e(1,2)", "e(1,2)"], 0, 2),
-    ("e(1,2).\ne(3,4) :- f(3).\nf(3).\n", "e(A,B)", ("e", 2), ["e(1,2)", "e(3,4)"], 2, 3),
-    ("e(1,2).\ne(X,3).\n", "e(A,B)", ("e", 2), ["e(1,2)", "e(_G0,3)"], 2, 2),
-    (":- table e/2.\ne(1,2).\ne(2,3).\n", "e(A,B)", ("e", 2), ["e(1,2)", "e(2,3)"], 2, 2),
-    ("go.\n", "go", ("go", 0), ["go"], 1, 1),
+    # text, query, predicate, row relation?, solutions, unify calls, clause
+    # resolutions. A row relation calls no unify; a clause head calls it
+    # once per constant, compound or repeated-variable position (f(3) is a
+    # row relation), so an open or arity-0 head not at all
+    ("e(1,2).\ne(1,2).\n", "e(1,Y)", ("e", 2), True, ["e(1,2)", "e(1,2)"], 0, 2),
+    ("e(1,2).\ne(3,4) :- f(3).\nf(3).\n", "e(A,B)", ("e", 2), False, ["e(1,2)", "e(3,4)"], 4, 3),
+    ("e(1,2).\ne(X,3).\n", "e(A,B)", ("e", 2), False, ["e(1,2)", "e(_G0,3)"], 3, 2),
+    (":- table e/2.\ne(1,2).\ne(2,3).\n", "e(A,B)", ("e", 2), False, ["e(1,2)", "e(2,3)"], 4, 2),
+    ("go.\n", "go", ("go", 0), False, ["go"], 0, 1),
 ]
 
 
 @pytest.mark.parametrize(
-    "text,query,key,expected,unify_calls,resolutions",
+    "text,query,key,rows,expected,unify_calls,resolutions",
     ROW_BOUNDARY,
     ids=["duplicate-facts", "facts-and-rules", "variable-argument", "tabled", "arity-0"],
 )
-def test_row_relation_boundary(monkeypatch, text, query, key, expected, unify_calls, resolutions):
+def test_row_relation_boundary(monkeypatch, text, query, key, rows, expected, unify_calls, resolutions):
     calls = []
 
     def counting_unify(*args):
@@ -641,7 +717,8 @@ def test_row_relation_boundary(monkeypatch, text, query, key, expected, unify_ca
     program = load_program(text)
     sols, eng = run_query(program, query)
     assert sols == expected
-    assert (program.records[key].kind is ROWS) == (unify_calls == 0)
+    assert (program.records[key].kind is ROWS) == rows
+    assert not rows or not calls  # a row relation calls no unify
     assert len(calls) == unify_calls
     # every clause tried counts, on the row walk and the general path alike
     assert eng.stats.clause_resolutions == resolutions

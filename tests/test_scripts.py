@@ -119,7 +119,7 @@ def run_ab_query_against_patched_copy(tmp_path, code, module="engine.py", old=""
 def test_ab_query_against_itself(tmp_path):
     differ, last = run_ab_query_against_patched_copy(tmp_path, code=0)
     assert differ == {}
-    assert last == "instances=27 configs=6 runs differ=0"
+    assert last == "instances=28 configs=6 runs differ=0"
 
 
 @pytest.mark.parametrize(
@@ -139,6 +139,6 @@ def test_ab_query_against_itself(tmp_path):
 def test_ab_query_names_the_part_that_differs(tmp_path, module, old, new, parts):
     differ, last = run_ab_query_against_patched_copy(tmp_path, 1, module, old, new)
     runs = int(last.rsplit("=", 1)[1])
-    assert last.startswith("instances=27 configs=6 runs differ=") and runs > 0
+    assert last.startswith("instances=28 configs=6 runs differ=") and runs > 0
     assert {part for part, n in differ.items() if n} == parts
     assert all(differ[part] <= runs for part in parts)

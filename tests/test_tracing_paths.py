@@ -43,6 +43,9 @@ def test_tracer_installs_records_and_restores():
         tracer.install()
         program = load_program(corpus.LEFT_RECURSIVE_TC)
         assert list(Engine(program).run("p(a,Y)")) == ["p(a,b)", "p(a,c)"]
+        # its heads are all open, so only a head that binds calls unify
+        program = load_program(corpus.LEFT_RECURSIVE_TC + "q(a,Y) :- p(a,Y).\n")
+        assert list(Engine(program).run("q(X,c)")) == ["q(a,c)"]
     finally:
         tracer.uninstall()
     names = {span["name"] for span in tracer.spans}
