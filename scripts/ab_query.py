@@ -15,7 +15,11 @@ step budget of 10**6. Per run, the parts compared are the program's
 `report()`, the solution stream (order and duplicates), `entry_rounds`,
 `RunStats.as_dict()`, `table.dump` and each entry's `answers.nvars` (a
 wrong variable count changes renaming, which a stream does not always
-show), or else the type and message of what the run raised.
+show), or else the type and message of what the run raised. The `closed`
+part covers a run stopped early: a second engine pulls one solution with
+`next(stream, None)` and closes the stream, and the part is that
+solution, `as_dict()`, `entry_rounds`, and the binding map and trail left
+after the close.
 
 Exits 0 when every run is the same in both trees. Otherwise prints the
 first differing run and, per part, how many runs differ in it, and exits
@@ -35,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("parser", "analysis", "engine", "table", "bench", "corpus")
-PARTS = ("report", "stream", "rounds", "counters", "tables", "nvars", "raised")
+PARTS = ("report", "stream", "rounds", "counters", "tables", "nvars", "closed", "raised")
 
 
 def import_tree(src: Path, name: str, tmp: Path):
@@ -48,6 +52,15 @@ def raised(exc):
     return {"raised": f"{type(exc).__name__}: {exc}"}
 
 
+def closed_run(tree, program, opts, query):
+    """The one solution a stream closed after it gives, and the state left."""
+    eng = tree.engine.Engine(program, opts)
+    stream = eng.run(query)
+    sol = next(stream, None)
+    stream.close()
+    return sol, eng.stats.as_dict(), list(eng.stats.entry_rounds.items()), eng.bound, eng.trail
+
+
 def outcomes(tree, text, query):
     """Per config label, each part of the run's outcome."""
     try:
@@ -57,12 +70,14 @@ def outcomes(tree, text, query):
         return {label: raised(exc) for label, _ in tree.bench.config_matrix()}
     out = {}
     for label, opts in tree.bench.config_matrix():
+        opts = replace(opts, step_budget=10**6)
         try:
-            eng = tree.engine.Engine(program, replace(opts, step_budget=10**6))
+            eng = tree.engine.Engine(program, opts)
             out[label] = dict(report, stream=list(eng.run(query)),
                               rounds=list(eng.stats.entry_rounds.items()),
                               counters=eng.stats.as_dict(), tables=tree.table.dump(eng.store),
-                              nvars=[e.answers.nvars for e in eng.store])
+                              nvars=[e.answers.nvars for e in eng.store],
+                              closed=closed_run(tree, program, opts, query))
         except Exception as exc:
             out[label] = dict(report, **raised(exc))
     return out

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 from typing import Optional
 
@@ -55,14 +56,15 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _options(args) -> EngineOptions:
-    return EngineOptions(
+    opts = EngineOptions(
         strategy=args.strategy,
         semi_naive=args.semi_naive,
         early_promotion=args.early_promotion,
-        dedup_solutions=args.dedup,
-        limit=args.limit,
         step_budget=args.step_budget,
     )
+    if args.limit is not None and args.limit < 1:
+        raise ValueError("limit must be positive")
+    return opts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,10 +131,18 @@ def _cmd_run(args) -> int:
     program = analyze(items)
     t2 = time.perf_counter()
     engine = Engine(program, opts)
-    solutions = []
-    for sol in engine.run(args.query):
-        solutions.append(sol)
-        print(sol)
+    solutions, seen = [], set()
+    # dedup before limit; closing the stream finalizes the stats printed below
+    with closing(engine.run(args.query)) as stream:
+        for sol in stream:
+            if args.dedup:
+                if sol in seen:
+                    continue
+                seen.add(sol)
+            solutions.append(sol)
+            print(sol)
+            if len(solutions) == args.limit:
+                break
     t3 = time.perf_counter()
     if args.stats:
         print("-- stats --")

@@ -81,6 +81,7 @@ from .table import (
     RUNNING,
     SubgoalEntry,
     SubgoalStore,
+    answer_tuple,
     early_promote,
     insert_answer,
     promote_regions,
@@ -90,7 +91,7 @@ from .terms import (
     Struct,
     Term,
     Var,
-    canonicalize,
+    canonicalize,  # not called here; perfbench/tracing.py wraps lintab.engine.canonicalize
     render,
     render_goals,
     renumber,
@@ -120,8 +121,6 @@ class EngineOptions:
     strategy: str = LAZY  # default; per-predicate declarations override
     semi_naive: bool = True
     early_promotion: bool = True
-    dedup_solutions: bool = False
-    limit: Optional[int] = None
     step_budget: int = 10**8
 
     def __post_init__(self):
@@ -131,8 +130,6 @@ class EngineOptions:
             raise ValueError("early promotion requires semi-naive consumption")
         if self.step_budget <= 0:
             raise ValueError("step budget must be positive")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError("limit must be positive")
 
 
 @dataclass
@@ -206,11 +203,11 @@ class Engine:
 
     def solve(self, query: Query) -> Iterator[tuple[Term, ...]]:
         """The stream of `run`, each solution as the tuple of the query
-        variables' values in first-occurrence order, in the form an answer
-        tuple takes (see table.insert_answer): two solutions render alike
+        variables' values in first-occurrence order, built by
+        table.answer_tuple as an answer's is: two solutions render alike
         iff their tuples are equal."""
         goals = self._start(query)
-        return self._solutions(goals, _values, tuple(map(Var, variables(tuple(goals)))))
+        return self._solutions(goals, answer_tuple, tuple(map(Var, variables(tuple(goals)))))
 
     def _start(self, query: Query) -> list[Term]:
         """The query's goals renamed into a fresh block, once per Engine."""
@@ -242,21 +239,14 @@ class Engine:
     # -- resolution ------------------------------------------------------
 
     def _solutions(self, goals: list[Term], emit, arg) -> Iterator:
-        """Solve goals, yielding emit(arg, bindings) per solution."""
+        """Solve goals, yielding emit(arg, bindings) per solution. Closing
+        the stream is the one way to stop early: a limited or closed run
+        evaluates nothing past its last solution, and every run ends with
+        its bindings undone and its stats finalized."""
         mark = len(self.trail)  # 0 unless the caller bound variables first
-        seen = set()
-        count = 0
         try:
             for _ in self._solve_seq(goals, None, False, 0):
-                sol = emit(arg, self.bound)
-                if self.opts.dedup_solutions:
-                    if sol in seen:
-                        continue
-                    seen.add(sol)
-                yield sol
-                count += 1
-                if self.opts.limit is not None and count >= self.opts.limit:
-                    return
+                yield emit(arg, self.bound)
         except RecursionError:
             # each goal and subgoal nests a generator, so a derivation
             # chain a few hundred goals deep exhausts the Python stack
@@ -265,7 +255,7 @@ class Engine:
                 f"({sys.getrecursionlimit()})"
             ) from None
         finally:
-            # a limited or closed run abandons generators before their undo
+            # a closed run abandons generators before their undo
             undo(self.bound, self.trail, mark)
             self.stats.finalize(self.store)
 
@@ -496,19 +486,6 @@ class Engine:
             while len(trail) > mark:
                 del m[trail.pop()]
             pos += 1
-
-
-def _values(qvars: tuple[Var, ...], m: dict[int, Term]) -> tuple[Term, ...]:
-    """The values of qvars under m as insert_answer stores them: bindings
-    to atoms and integers as they stand, any other canonicalized."""
-    tup = []
-    for a in qvars:
-        while type(a) is Var and a.id in m:
-            a = m[a.id]
-        if type(a) is Var or type(a) is Struct:
-            return canonicalize(qvars, m)
-        tup.append(a)
-    return tuple(tup)
 
 
 def run_query(

@@ -12,9 +12,10 @@ no unification. Iteration and `dump()` rebuild full answers from key +
 tuple.
 
 Both variant checks are flat, as in that paper's call tries: a call's
-key is the preorder of its arguments in one tuple, and `insert_answer`,
-the one place an answer's tuple is built, takes bindings to atoms and
-integers as they stand and canonicalizes only the others.
+key is the preorder of its arguments in one tuple, and `answer_tuple`,
+the one place an answer's (or a query solution's) tuple is built, takes
+bindings to atoms and integers as they stand and canonicalizes only the
+others.
 
 Tuples are stored append-only; two integer boundaries split the list
 into the old / previous / current regions. Promotion slides the
@@ -184,30 +185,35 @@ def register_subgoal(
     return entry, tuple(first)
 
 
+def answer_tuple(values: Subst, m: dict[int, Term]) -> Subst:
+    """The tuple of values under map m as an answer table stores it:
+    bindings to atoms and integers as they stand, any other tuple
+    canonicalized. Two value tuples give equal answer tuples iff they
+    are variants."""
+    tup = []
+    for a in values:
+        while type(a) is Var:
+            if a.id not in m:
+                return canonicalize(values, m)
+            a = m[a.id]
+        if type(a) is Struct:
+            return canonicalize(values, m)
+        tup.append(a)
+    return tuple(tup)
+
+
 def insert_answer(
     entry: SubgoalEntry, values: Subst, m: Optional[dict[int, Term]] = None
 ) -> bool:
     """Store the answer that binds the key's variables to values under
     map m in the current region, unless a variant exists. Returns inserted.
 
-    Values that all dereference to atoms and integers are the tuple as
-    they stand; any other answer is canonicalized. Most calls in a round
+    The tuple stored is `answer_tuple(values, m)`. Most calls in a round
     past the first bring a duplicate, so the variant test comes next. Sets
     the revised flag on insertion so the governing top-most subgoal sees
     that its round produced something new.
     """
-    if m is None:
-        m = {}
-    tup = []
-    for a in values:
-        while type(a) is Var and a.id in m:
-            a = m[a.id]
-        if type(a) is Var or type(a) is Struct:
-            tup = canonicalize(values, m)
-            break
-        tup.append(a)
-    else:
-        tup = tuple(tup)
+    tup = answer_tuple(values, {} if m is None else m)
     if tup in entry.answers._seen:
         return False
     if entry.state is COMPLETE:

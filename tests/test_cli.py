@@ -225,6 +225,47 @@ def test_run_limit_and_dedup(tc_file, capsys):
     assert capsys.readouterr().out.splitlines() == ["p(a,b)"]
 
 
+@pytest.fixture
+def join_file(tmp_path):
+    path = tmp_path / "join.pl"
+    path.write_text(corpus.TWO_FACT_SELF_JOIN)
+    return str(path)
+
+
+def run_join(join_file, capsys, *flags):
+    """stdout lines of the eager self-join query under flags."""
+    args = ["run", join_file, corpus.TWO_FACT_SELF_JOIN_QUERY, "--strategy", "eager", *flags]
+    assert main(args) == EXIT_OK
+    return capsys.readouterr().out.splitlines()
+
+
+def test_run_limit_truncates_the_stream(join_file, capsys):
+    assert run_join(join_file, capsys, "--limit", "3") == ["p(1),p(1)", "p(2),p(1)", "p(2),p(2)"]
+
+
+def test_run_dedup_keeps_first_occurrences(join_file, capsys):
+    assert run_join(join_file, capsys, "--dedup") == [
+        "p(1),p(1)", "p(2),p(1)", "p(2),p(2)", "p(1),p(2)"
+    ]
+
+
+def test_run_limited_stats_are_final(join_file, capsys):
+    # the stream is closed, which finalizes the stats, before they print
+    lines = run_join(join_file, capsys, "--limit", "1", "--stats")
+    assert [line for line in lines if "_s=" not in line] == [
+        "p(1),p(1)",
+        "-- stats --",
+        "subgoals=1",
+        "max_its=1",
+        "ave_its=1.00",
+        "answers_produced=1",
+        "answers_consumed=1",
+        "clause_resolutions=1",
+        "steps=4",
+        "undefined_calls=0",
+    ]
+
+
 def test_gen_chain(capsys):
     assert main(["gen", "chain", "3"]) == EXIT_OK
     assert capsys.readouterr().out == "e(1,2).\ne(2,3).\n"

@@ -1,6 +1,7 @@
 """Engine behavior: strategies, rounds, loops, options, budgets."""
 
 import dataclasses
+import itertools
 
 import hypothesis.strategies as st
 import pytest
@@ -41,6 +42,15 @@ def solve(text, query, **kw):
     return run_query(load_program(text), query, EngineOptions(**kw))
 
 
+def first(program, query, n, opts=None, method="run"):
+    """The first n solutions of a stream closed after them, and its engine."""
+    eng = Engine(program, opts)
+    stream = getattr(eng, method)(query)
+    sols = list(itertools.islice(stream, n))
+    stream.close()
+    return sols, eng
+
+
 EAGER_CONFIGS = [(label, opts) for label, opts in config_matrix() if opts.strategy == EAGER]
 
 
@@ -51,12 +61,9 @@ def test_options_validation():
         EngineOptions(semi_naive=False, early_promotion=True)
     with pytest.raises(ValueError):
         EngineOptions(step_budget=0)
-
-
-@pytest.mark.parametrize("limit", [0, -3])
-def test_limit_must_be_positive(limit):
-    with pytest.raises(ValueError, match="limit must be positive"):
-        EngineOptions(limit=limit)
+    # stopping early and deduplicating are the caller's, not options
+    names = [f.name for f in dataclasses.fields(EngineOptions)]
+    assert names == ["strategy", "semi_naive", "early_promotion", "step_budget"]
 
 
 def test_left_recursion_terminates_with_all_answers():
@@ -78,15 +85,15 @@ def test_eager_emits_duplicates_lazy_does_not():
 
 
 def test_dedup_collapses_eager_duplicates():
-    sols, _ = solve(
-        corpus.TWO_FACT_SELF_JOIN, "p(X),p(Y)", strategy=EAGER, dedup_solutions=True
-    )
-    assert sols == ["p(1),p(1)", "p(2),p(1)", "p(2),p(2)", "p(1),p(2)"]
+    sols, _ = solve(corpus.TWO_FACT_SELF_JOIN, "p(X),p(Y)", strategy=EAGER)
+    assert list(dict.fromkeys(sols)) == ["p(1),p(1)", "p(2),p(1)", "p(2),p(2)", "p(1),p(2)"]
 
 
 def test_limit_truncates_stream():
-    sols, _ = solve(corpus.TWO_FACT_SELF_JOIN, "p(X),p(Y)", strategy=EAGER, limit=3)
+    program = load_program(corpus.TWO_FACT_SELF_JOIN)
+    sols, eng = first(program, "p(X),p(Y)", 3, EngineOptions(strategy=EAGER))
     assert sols == ["p(1),p(1)", "p(2),p(1)", "p(2),p(2)"]
+    assert eng.stats.subgoal_count == 1  # closing the stream finalized the stats
 
 
 def test_per_predicate_strategy_overrides_default():
@@ -276,15 +283,17 @@ GOLDEN = golden_instances()
 
 @pytest.mark.parametrize("name,text,query", GOLDEN, ids=[i[0] for i in GOLDEN])
 def test_solve_renders_to_the_run_stream(name, text, query):
-    # solve() is run() before rendering: same order and duplicates, under
-    # a limit and with deduplication too
+    # solve() is run() before rendering: same order and duplicates, in a
+    # stream closed after its first solution, and deduplicated too
     program = load_program(text)
     goals = parse_query(query)[0]
     for _, opts in config_matrix():
-        for extra in ({}, {"limit": 1}, {"dedup_solutions": True}):
-            o = dataclasses.replace(opts, **extra)
-            values = list(Engine(program, o).solve(query))
-            assert list(render_solutions(goals, values)) == list(Engine(program, o).run(query))
+        values = list(Engine(program, opts).solve(query))
+        sols = list(Engine(program, opts).run(query))
+        assert list(render_solutions(goals, values)) == sols
+        assert list(render_solutions(goals, dict.fromkeys(values))) == list(dict.fromkeys(sols))
+        values, _ = first(program, query, 1, opts, "solve")
+        assert list(render_solutions(goals, values)) == first(program, query, 1, opts)[0]
 
 
 def test_variant_solutions_give_one_canonical_tuple():
@@ -294,7 +303,8 @@ def test_variant_solutions_give_one_canonical_tuple():
     sols = list(Engine(program).solve("p(X)"))
     assert sols[0] == sols[1] == (Struct("f", [Var(0), Var(1)]),)
     assert sols[2] == (Struct("f", [Var(0), Var(0)]),)
-    assert list(Engine(program, EngineOptions(dedup_solutions=True)).solve("p(X)")) == [sols[0], sols[2]]
+    assert list(dict.fromkeys(sols)) == [sols[0], sols[2]]
+    assert first(program, "p(X)", 1, method="solve")[0] == sols[:1]
     # the values' Var(0) is renamed apart from the query's X (also Var(0))
     assert list(render_solutions(parse_query("p(X)")[0], sols)) == list(Engine(program).run("p(X)"))
     # one numbering across the tuple: g's variable is f's or a new one
@@ -475,8 +485,7 @@ def active_entries(eng):
     ids=["left-recursive-tc", "regex-warren-20"],
 )
 def test_abandoned_run_leaves_no_active_pioneer(label, opts, text, query):
-    opts = dataclasses.replace(opts, limit=1)
-    sols, eng = run_query(load_program(text), query, opts)
+    sols, eng = first(load_program(text), query, 1, opts)
     assert len(sols) == 1
     assert not active_entries(eng)
 
@@ -509,7 +518,7 @@ def test_entry_lifecycle_after_drained_limited_and_closed_runs(label, opts):
         assert all(e.state is COMPLETE for e in eng.store), name
         # every run ends with every binding undone, drained, limited or closed
         assert eng.bound == {} and eng.trail == [], name
-        _, eng = run_query(program, query, dataclasses.replace(opts, limit=1))
+        _, eng = first(program, query, 2, opts)
         assert not active_entries(eng), name
         assert eng.bound == {} and eng.trail == [], name
         eng = Engine(program, opts)
@@ -523,7 +532,7 @@ def test_entry_lifecycle_after_drained_limited_and_closed_runs(label, opts):
 def test_run_stopped_early_undoes_its_bindings():
     # the generators a limited or closed run abandons never reach their undo
     program = load_program(corpus.LEFT_RECURSIVE_TC)
-    sols, eng = run_query(program, "p(X,Y)", EngineOptions(limit=1))
+    sols, eng = first(program, "p(X,Y)", 1)
     assert sols == ["p(a,b)"]
     assert eng.bound == {} and eng.trail == []
     eng = Engine(program)

@@ -125,16 +125,21 @@ def test_ab_query_against_itself(tmp_path):
 @pytest.mark.parametrize(
     "module,old,new,parts",
     [
-        ("engine.py", "self.stats.answers_consumed += 1", "self.stats.answers_consumed += 2", {"counters"}),
-        ("engine.py", "                yield sol\n", "                yield sol\n" * 2, {"stream"}),
+        ("engine.py", "self.stats.answers_consumed += 1", "self.stats.answers_consumed += 2",
+         {"counters", "closed"}),
+        ("engine.py", "                yield emit(arg, self.bound)\n",
+         "                yield emit(arg, self.bound)\n" * 2, {"stream"}),
         ("table.py", '"complete" if entry.state', '"done" if entry.state', {"tables"}),
         # a ground answer counted as holding a variable: renamed for nothing
         ("table.py", "self.nvars.append(0)", "self.nvars.append(1)", {"nvars"}),
+        # a closed run keeps the bindings its abandoned generators made
+        ("engine.py", "            undo(self.bound, self.trail, mark)\n", "", {"closed"}),
         # the semi-naive skip of a base rule past round 1 raises instead
         ("engine.py", "continue  # a base rule derives nothing new after round 1",
-         'raise EngineError("planted")', {"raised", "stream", "rounds", "counters", "tables", "nvars"}),
+         'raise EngineError("planted")',
+         {"raised", "stream", "rounds", "counters", "tables", "nvars", "closed"}),
     ],
-    ids=["counters", "stream", "tables", "nvars", "raised"],
+    ids=["counters", "stream", "tables", "nvars", "closed", "raised"],
 )
 def test_ab_query_names_the_part_that_differs(tmp_path, module, old, new, parts):
     differ, last = run_ab_query_against_patched_copy(tmp_path, 1, module, old, new)
