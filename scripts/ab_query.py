@@ -34,7 +34,6 @@ import shutil
 import sys
 import tempfile
 import types
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,7 +69,10 @@ def outcomes(tree, text, query):
         return {label: raised(exc) for label, _ in tree.bench.config_matrix()}
     out = {}
     for label, opts in tree.bench.config_matrix():
-        opts = replace(opts, step_budget=10**6)
+        # built directly, not by dataclasses.replace: either tree's EngineOptions
+        # may be a dataclass or a plain class
+        opts = tree.engine.EngineOptions(strategy=opts.strategy, semi_naive=opts.semi_naive,
+                                         early_promotion=opts.early_promotion, step_budget=10**6)
         try:
             eng = tree.engine.Engine(program, opts)
             out[label] = dict(report, stream=list(eng.run(query)),

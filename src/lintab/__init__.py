@@ -1,4 +1,9 @@
-"""Embeddable tabled logic-programming engine with linear tabling."""
+"""Embeddable tabled logic-programming engine with linear tabling.
+
+`import lintab` loads only what a query runs: the terms, parser,
+analysis, table and engine modules. The bottom-up oracle (`oracle_solve`,
+`OracleInapplicable`) is imported on first use.
+"""
 
 from .analysis import AnnotatedProgram, analyze
 from .engine import (
@@ -13,7 +18,6 @@ from .engine import (
     run_query,
 )
 from .parser import ProgramSyntaxError, parse_program, parse_query
-from .oracle import OracleInapplicable, oracle_solve
 
 __all__ = [
     "AnnotatedProgram",
@@ -34,6 +38,15 @@ __all__ = [
     "parse_query",
     "run_query",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: the oracle module loads when one of its names is first read
+    if name in ("OracleInapplicable", "oracle_solve"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def load_program(text: str) -> AnnotatedProgram:

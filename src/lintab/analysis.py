@@ -19,7 +19,6 @@ test is a type scan of the same columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .parser import Clause, Item, TableDeclaration
@@ -30,14 +29,28 @@ from .terms import PredKey, Struct, Term, Var, pred_key
 CallGraph = dict[PredKey, dict[PredKey, None]]
 
 
-@dataclass(slots=True, unsafe_hash=True)  # slotted like parser.Clause
 class AnnotatedRule:
-    clause: Clause
-    last_depending_index: Optional[int]  # None: a base or non-tabled rule
-    # its head-matching plan (see head_plan), set when its predicate's
-    # dispatch record is built, and never for a row relation's rules
-    slots: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
-    unify_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    """A clause with its semi-naive annotation: a value, slotted like
+    parser.Clause, compared and printed by those two fields alone."""
+
+    # slots, unify_at: its head-matching plan (see head_plan), set when its
+    # predicate's dispatch record is built, and never for a row relation's rules
+    __slots__ = ("clause", "last_depending_index", "slots", "unify_at")
+
+    def __init__(self, clause: Clause, last_depending_index: Optional[int]):
+        self.clause = clause
+        self.last_depending_index = last_depending_index  # None: a base or non-tabled rule
+
+    def __eq__(self, other):
+        if type(other) is not AnnotatedRule:
+            return NotImplemented
+        return (self.clause, self.last_depending_index) == (other.clause, other.last_depending_index)
+
+    def __hash__(self):
+        return hash((self.clause, self.last_depending_index))
+
+    def __repr__(self):
+        return f"AnnotatedRule(clause={self.clause!r}, last_depending_index={self.last_depending_index!r})"
 
 
 # One argument-position index: clauses per atomic key, each in program
@@ -84,14 +97,27 @@ class Dispatch:
         return self.rules
 
 
-@dataclass
 class AnnotatedProgram:
-    rules: dict[PredKey, tuple[AnnotatedRule, ...]]
-    tabled: dict[PredKey, Optional[str]]  # declared strategy, None = default
-    levels: dict[PredKey, int]
+    """An analyzed program: its rules per predicate, its table
+    declarations and its levels, plus the dispatch records its runs
+    fill and share."""
+
+    __slots__ = ("rules", "tabled", "levels", "records")
+
+    def __init__(
+        self,
+        rules: dict[PredKey, tuple[AnnotatedRule, ...]],
+        tabled: dict[PredKey, Optional[str]],  # declared strategy, None = default
+        levels: dict[PredKey, int],
+    ):
+        self.rules = rules
+        self.tabled = tabled
+        self.levels = levels
+        self.__post_init__()
 
     def __post_init__(self):
-        # one dispatch record per predicate, filled on its first call
+        # one dispatch record per predicate, filled on its first call; a
+        # method of its own: perfbench/tracing.py wraps it as analysis.index_build
         self.records: dict[PredKey, Dispatch] = {}
 
     def strategy(self, key: PredKey, default: str) -> str:

@@ -12,7 +12,7 @@ rendered solution sets a result reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import analysis, corpus, oracle
@@ -23,8 +23,8 @@ from .table import check_region_invariants
 from .terms import render_goals, render_solutions
 
 
-def config_matrix() -> list[tuple[str, EngineOptions]]:
-    """All valid strategy/optimization combinations.
+def config_matrix(step_budget: int = 10**8) -> list[tuple[str, EngineOptions]]:
+    """All valid strategy/optimization combinations, each with step_budget.
 
     Early promotion without semi-naive consumption is rejected by option
     validation, so the full 2x2x2 grid collapses to six runnable configs.
@@ -43,6 +43,7 @@ def config_matrix() -> list[tuple[str, EngineOptions]]:
                         strategy=strategy,
                         semi_naive=semi_naive,
                         early_promotion=early,
+                        step_budget=step_budget,
                     ),
                 )
             )
@@ -77,8 +78,8 @@ def run_instance(
     program = analysis.analyze(items)
     result = InstanceResult(name=name)
     values: dict[str, frozenset] = {}
-    for label, opts in config_matrix():
-        eng = Engine(program, replace(opts, step_budget=step_budget))
+    for label, opts in config_matrix(step_budget):
+        eng = Engine(program, opts)
         t0 = time.monotonic()
         sols = frozenset(eng.solve(query))
         elapsed = time.monotonic() - t0
@@ -155,8 +156,8 @@ def model_gaps(text: str, query: str, step_budget: int = 10**6) -> dict[str, Mod
     want_entry: dict = {}  # per entry key, shared by the configs
     program = analysis.analyze(items)
     out = {}
-    for label, opts in config_matrix():
-        eng = Engine(program, replace(opts, step_budget=step_budget))
+    for label, opts in config_matrix(step_budget):
+        eng = Engine(program, opts)
         try:
             solutions = set(eng.solve(query))
         except Exception as exc:  # tallied: finding these is the point

@@ -9,14 +9,13 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from contextlib import closing
 from pathlib import Path
 from typing import Optional
 
-from . import analyze, bench, generate, load_program, parse_program
+from . import analyze, load_program, parse_program
 from .engine import (
     EAGER,
     LAZY,
@@ -25,7 +24,6 @@ from .engine import (
     EngineOptions,
     StepBudgetExceeded,
 )
-from .oracle import OracleInapplicable, oracle_solve
 from .parser import ProgramSyntaxError
 from .table import dump
 
@@ -34,6 +32,14 @@ EXIT_NO_SOLUTIONS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_DEPTH = 4
+
+
+def oracle_solve(items, query: str) -> set[str]:
+    """`oracle.oracle_solve`, imported on first use, so that a run without
+    --oracle never loads the oracle."""
+    from .oracle import oracle_solve
+
+    return oracle_solve(items, query)
 
 
 def _onoff(value: str) -> bool:
@@ -154,6 +160,8 @@ def _cmd_run(args) -> int:
         print("-- table --")
         print(dump(engine.store))
     if args.oracle:
+        from .oracle import OracleInapplicable
+
         try:
             expected = oracle_solve(items, args.query)
         except OracleInapplicable as exc:
@@ -175,6 +183,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import json
+
+    from . import bench
+
     results, report = bench.bench_suite(
         args.suite,
         args.sizes,
@@ -200,6 +212,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import generate
+
     if args.kind == "ab-string":
         out = generate.ab_string_facts(args.n, pred=args.pred or "c")
     else:

@@ -68,7 +68,6 @@ only moves the walk's start from 0 to the end of the old region.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 from .analysis import CLAUSES, TABLED, UNDEFINED, AnnotatedProgram, pred_key
@@ -116,33 +115,65 @@ class DepthExceeded(EngineError):
     """Resolution nested deeper than the interpreter's recursion limit."""
 
 
-@dataclass
 class EngineOptions:
-    strategy: str = LAZY  # default; per-predicate declarations override
-    semi_naive: bool = True
-    early_promotion: bool = True
-    step_budget: int = 10**8
+    """How a run evaluates: the default strategy (per-predicate
+    declarations override), the semi-naive gate, early promotion and the
+    resolution-step budget. Equal by value."""
 
-    def __post_init__(self):
-        if self.strategy not in (LAZY, EAGER):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.early_promotion and not self.semi_naive:
+    __slots__ = ("strategy", "semi_naive", "early_promotion", "step_budget")
+
+    def __init__(
+        self,
+        strategy: str = LAZY,
+        semi_naive: bool = True,
+        early_promotion: bool = True,
+        step_budget: int = 10**8,
+    ):
+        if strategy not in (LAZY, EAGER):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        for name, flag in (("semi_naive", semi_naive), ("early_promotion", early_promotion)):
+            if type(flag) is not bool:
+                raise ValueError(f"{name} must be a bool, not {flag!r}")
+        if type(step_budget) is not int:
+            raise ValueError(f"step budget must be an int, not {step_budget!r}")
+        if early_promotion and not semi_naive:
             raise ValueError("early promotion requires semi-naive consumption")
-        if self.step_budget <= 0:
+        if step_budget <= 0:
             raise ValueError("step budget must be positive")
+        self.strategy = strategy
+        self.semi_naive = semi_naive
+        self.early_promotion = early_promotion
+        self.step_budget = step_budget
+
+    def __eq__(self, other):
+        if type(other) is not EngineOptions:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        return f"EngineOptions({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
 
 
-@dataclass
 class RunStats:
-    answers_produced: int = 0
-    answers_consumed: int = 0
-    clause_resolutions: int = 0
-    steps: int = 0
-    undefined_calls: int = 0
-    entry_rounds: dict[str, int] = field(default_factory=dict)
-    subgoal_count: int = 0
-    max_iterations: int = 0
-    average_iterations: float = 0.0
+    """One run's counters, and the per-entry round summary `finalize`
+    fills when the run ends."""
+
+    __slots__ = (
+        "answers_produced", "answers_consumed", "clause_resolutions", "steps",
+        "undefined_calls", "entry_rounds", "subgoal_count", "max_iterations",
+        "average_iterations",
+    )
+
+    def __init__(self):
+        self.answers_produced = 0
+        self.answers_consumed = 0
+        self.clause_resolutions = 0
+        self.steps = 0
+        self.undefined_calls = 0
+        self.entry_rounds: dict[str, int] = {}
+        self.subgoal_count = 0
+        self.max_iterations = 0
+        self.average_iterations = 0.0
 
     def finalize(self, store: SubgoalStore) -> None:
         self.entry_rounds = {

@@ -20,7 +20,6 @@ argument recurses: one Python frame per nesting level.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Union
 
@@ -36,19 +35,40 @@ class ProgramSyntaxError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
 class TableDeclaration:
-    name: str
-    arity: int
-    strategy: Optional[str] = None  # None = engine default, else "lazy"/"eager"
+    """A `:- table name/arity [strategy].` item: a frozen value."""
+
+    __slots__ = ("name", "arity", "strategy")
+
+    def __init__(self, name: str, arity: int, strategy: Optional[str] = None):
+        # strategy None = engine default, else "lazy"/"eager"
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "strategy", strategy)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not TableDeclaration:
+            return NotImplemented
+        return (self.name, self.arity, self.strategy) == (other.name, other.arity, other.strategy)
+
+    def __hash__(self):
+        return hash((self.name, self.arity, self.strategy))
+
+    def __repr__(self):
+        return f"TableDeclaration(name={self.name!r}, arity={self.arity!r}, strategy={self.strategy!r})"
 
 
-# slotted, not frozen, to build faster: nothing assigns its fields later
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class Clause:
-    head: Term
-    body: tuple[Term, ...]
-    nvars: int
+    """A fact or rule: a value, slotted and not frozen to build faster
+    (nothing assigns its fields later)."""
+
+    __slots__ = ("head", "body", "nvars")
 
     def __init__(self, head: Term, body: tuple[Term, ...], nvars: int):
         if type(head) is not Struct and type(head) is not str:
@@ -56,6 +76,17 @@ class Clause:
         self.head = head
         self.body = body
         self.nvars = nvars
+
+    def __eq__(self, other):
+        if type(other) is not Clause:
+            return NotImplemented
+        return (self.head, self.body, self.nvars) == (other.head, other.body, other.nvars)
+
+    def __hash__(self):
+        return hash((self.head, self.body, self.nvars))
+
+    def __repr__(self):
+        return f"Clause(head={self.head!r}, body={self.body!r}, nvars={self.nvars!r})"
 
 
 Item = Union[Clause, TableDeclaration]

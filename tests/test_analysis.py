@@ -405,18 +405,11 @@ def test_level_mapping_matches_reference(rules, declared):
     assert verify_level_mapping(clauses, levels)
 
 
-def test_lintab_imports_only_the_standard_library():
-    # a fresh interpreter, so modules the test runner loaded do not count;
-    # this also keeps networkx out, which the SCC code once needed
+def fresh_interpreter(code: str) -> str:
+    """The output of code run by a fresh interpreter, so that modules the
+    test runner loaded do not count."""
     src = str(Path(lintab.__file__).resolve().parent.parent)
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import lintab, lintab.cli, lintab.bench, lintab.corpus, lintab.generate\n"
-        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
-        "print(' '.join(sorted(new - {'lintab'} - sys.stdlib_module_names)))\n"
-    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -424,4 +417,39 @@ def test_lintab_imports_only_the_standard_library():
         env={**os.environ, "PYTHONPATH": path},
         check=True,
     )
-    assert out.stdout.strip() == ""
+    return out.stdout
+
+
+def test_lintab_imports_only_the_standard_library():
+    # this also keeps networkx out, which the SCC code once needed
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import lintab, lintab.cli, lintab.bench, lintab.corpus, lintab.generate\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(new - {'lintab'} - sys.stdlib_module_names)))\n"
+    )
+    assert fresh_interpreter(code).strip() == ""
+
+
+def test_a_one_shot_query_imports_no_dataclasses_oracle_or_harness():
+    # what `import lintab` and `import lintab.cli` load is what every
+    # one-shot query pays before it parses; the oracle loads on first use
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import lintab\n"
+        "print(sorted({'dataclasses', 'lintab.oracle'} & (set(sys.modules) - before)))\n"
+        "import lintab.cli\n"
+        "print(sorted({'dataclasses', 'lintab.bench', 'lintab.generate', 'lintab.oracle'}\n"
+        "             & (set(sys.modules) - before)))\n"
+        "print(lintab.oracle_solve.__module__, lintab.OracleInapplicable.__module__)\n"
+        "from lintab import *\n"
+        "print(oracle_solve is lintab.oracle.oracle_solve, sorted(set(lintab.__all__) - set(dir())))\n"
+    )
+    assert fresh_interpreter(code).splitlines() == [
+        "[]",
+        "[]",
+        "lintab.oracle lintab.oracle",
+        "True []",
+    ]

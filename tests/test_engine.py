@@ -1,7 +1,7 @@
 """Engine behavior: strategies, rounds, loops, options, budgets."""
 
-import dataclasses
 import itertools
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -55,15 +55,39 @@ EAGER_CONFIGS = [(label, opts) for label, opts in config_matrix() if opts.strate
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown strategy 'bogus'$"):
         EngineOptions(strategy="bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^early promotion requires semi-naive consumption$"):
         EngineOptions(semi_naive=False, early_promotion=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^step budget must be positive$"):
         EngineOptions(step_budget=0)
     # stopping early and deduplicating are the caller's, not options
-    names = [f.name for f in dataclasses.fields(EngineOptions)]
-    assert names == ["strategy", "semi_naive", "early_promotion", "step_budget"]
+    assert EngineOptions.__slots__ == ("strategy", "semi_naive", "early_promotion", "step_budget")
+
+
+@pytest.mark.parametrize(
+    "kw,message",
+    [
+        # a truthy non-bool once ran with the gate on
+        (dict(semi_naive="off", early_promotion=False), "semi_naive must be a bool, not 'off'"),
+        (dict(early_promotion=0), "early_promotion must be a bool, not 0"),
+        (dict(step_budget=2.5), "step budget must be an int, not 2.5"),
+        (dict(step_budget=True), "step budget must be an int, not True"),
+    ],
+)
+def test_options_reject_values_of_the_wrong_type(kw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EngineOptions(**kw)
+
+
+def test_options_are_values():
+    opts = EngineOptions(EAGER, semi_naive=True, early_promotion=False, step_budget=50)
+    assert opts == EngineOptions(strategy=EAGER, early_promotion=False, step_budget=50)
+    assert opts != EngineOptions(EAGER, early_promotion=False)
+    assert EngineOptions() == EngineOptions(LAZY, True, True, 10**8)
+    assert repr(opts) == (
+        "EngineOptions(strategy='eager', semi_naive=True, early_promotion=False, step_budget=50)"
+    )
 
 
 def test_left_recursion_terminates_with_all_answers():
@@ -140,7 +164,8 @@ def test_eager_matcher_parent_sees_each_answer_once(n):
     program = load_program(text)
     for label, opts in EAGER_CONFIGS:
         _, eager = run_query(program, query, opts)
-        _, lazy = run_query(program, query, dataclasses.replace(opts, strategy=LAZY))
+        as_lazy = EngineOptions(LAZY, opts.semi_naive, opts.early_promotion, opts.step_budget)
+        _, lazy = run_query(program, query, as_lazy)
         assert eager.stats.max_iterations == lazy.stats.max_iterations, label
         if opts.semi_naive:
             assert eager.stats.answers_consumed <= 5 * n, label

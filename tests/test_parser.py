@@ -136,6 +136,21 @@ def test_clause_is_a_value():
             Clause(head, (), 0)
 
 
+def test_table_declaration_is_a_frozen_value():
+    d = TableDeclaration("p", 2, "eager")
+    same = TableDeclaration("p", 2, "eager")
+    assert d == same and hash(d) == hash(same) and len({d, same}) == 1
+    assert d != TableDeclaration("p", 2) and d != TableDeclaration("q", 2, "eager")
+    assert d != ("p", 2, "eager")
+    assert TableDeclaration("p", 2).strategy is None
+    assert repr(d) == "TableDeclaration(name='p', arity=2, strategy='eager')"
+    with pytest.raises(AttributeError):
+        d.arity = 3
+    with pytest.raises(AttributeError):
+        del d.name
+    assert (d.name, d.arity, d.strategy) == ("p", 2, "eager")
+
+
 def test_head_must_be_callable():
     with pytest.raises(ProgramSyntaxError):
         parse_program("5 :- p(a).")
