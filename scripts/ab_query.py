@@ -68,11 +68,7 @@ def outcomes(tree, text, query):
     except Exception as exc:
         return {label: raised(exc) for label, _ in tree.bench.config_matrix()}
     out = {}
-    for label, opts in tree.bench.config_matrix():
-        # built directly, not by dataclasses.replace: either tree's EngineOptions
-        # may be a dataclass or a plain class
-        opts = tree.engine.EngineOptions(strategy=opts.strategy, semi_naive=opts.semi_naive,
-                                         early_promotion=opts.early_promotion, step_budget=10**6)
+    for label, opts in tree.bench.config_matrix(10**6):
         try:
             eng = tree.engine.Engine(program, opts)
             out[label] = dict(report, stream=list(eng.run(query)),

@@ -30,27 +30,16 @@ CallGraph = dict[PredKey, dict[PredKey, None]]
 
 
 class AnnotatedRule:
-    """A clause with its semi-naive annotation: a value, slotted like
-    parser.Clause, compared and printed by those two fields alone."""
+    """A clause with its semi-naive annotation: a plain slotted record,
+    compared by identity. Its head-matching plan (see head_plan), slots
+    and unify_at, is filled in when its predicate's dispatch record is
+    built, and never for a row relation's rules."""
 
-    # slots, unify_at: its head-matching plan (see head_plan), set when its
-    # predicate's dispatch record is built, and never for a row relation's rules
     __slots__ = ("clause", "last_depending_index", "slots", "unify_at")
 
     def __init__(self, clause: Clause, last_depending_index: Optional[int]):
         self.clause = clause
         self.last_depending_index = last_depending_index  # None: a base or non-tabled rule
-
-    def __eq__(self, other):
-        if type(other) is not AnnotatedRule:
-            return NotImplemented
-        return (self.clause, self.last_depending_index) == (other.clause, other.last_depending_index)
-
-    def __hash__(self):
-        return hash((self.clause, self.last_depending_index))
-
-    def __repr__(self):
-        return f"AnnotatedRule(clause={self.clause!r}, last_depending_index={self.last_depending_index!r})"
 
 
 # One argument-position index: clauses per atomic key, each in program

@@ -84,8 +84,6 @@ def run_instance(
         sols = frozenset(eng.solve(query))
         elapsed = time.monotonic() - t0
         check_region_invariants(eng.store)
-        if not values:  # the base config's entries, for the oracle
-            entries = list(eng.store)
         values[label] = sols
         result.entry_answers[label] = {e.key: frozenset(e.answers.tuples) for e in eng.store}
         result.entry_rounds[label] = dict(eng.stats.entry_rounds)
@@ -117,10 +115,10 @@ def run_instance(
                 result.divergences.append(
                     f"{name}: engine disagrees with the bottom-up oracle"
                 )
-            for e in entries:
-                if frozenset(e.answers.tuples) != answers_for_key(model, e.key):
+            for key, tuples in result.entry_answers[base].items():
+                if tuples != answers_for_key(model, key):
                     result.divergences.append(
-                        f"{name}: entry {render_goals([e.key])} disagrees with the oracle"
+                        f"{name}: entry {render_goals([key])} disagrees with the oracle"
                     )
         except OracleInapplicable:
             pass  # oracle skipped, never silently passed off as agreement

@@ -241,7 +241,8 @@ class Engine:
         return self._solutions(goals, answer_tuple, tuple(map(Var, variables(tuple(goals)))))
 
     def _start(self, query: Query) -> list[Term]:
-        """The query's goals renamed into a fresh block, once per Engine."""
+        """The query's goals, once per Engine: a fresh Engine reserves
+        their variables' block at 0, so they keep their ids."""
         if isinstance(query, str):
             goals, nvars = parse_query(query)
         else:
@@ -254,8 +255,8 @@ class Engine:
         if self._started:
             raise EngineError("an Engine instance supports a single run")
         self._started = True
-        off = self._fresh_block(nvars)
-        return [renumber(g, off) for g in goals]
+        self._fresh_block(nvars)
+        return goals
 
     # -- plumbing --------------------------------------------------------
 

@@ -6,48 +6,28 @@ import random
 from typing import Optional
 
 
-def chain_facts(n: int, pred: str = "e") -> str:
-    """Edges 1->2->...->n."""
-    if n < 1:
-        raise ValueError("chain needs at least one node")
-    return "\n".join(f"{pred}({i},{i + 1})." for i in range(1, n)) + ("\n" if n > 1 else "")
-
-
-def cycle_facts(n: int, pred: str = "e") -> str:
-    """Edges 1->2->...->n->1."""
-    if n < 1:
-        raise ValueError("cycle needs at least one node")
-    lines = [f"{pred}({i},{i + 1})." for i in range(1, n)]
-    lines.append(f"{pred}({n},1).")
-    return "\n".join(lines) + "\n"
-
-
-def random_graph_facts(n: int, m: int, seed: int, pred: str = "e") -> str:
-    """m distinct directed edges over nodes 1..n, deterministic per seed."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    if m > len(pairs):
-        raise ValueError(f"cannot pick {m} distinct edges over {n} nodes")
-    rng = random.Random(seed)
-    chosen = rng.sample(pairs, m)
-    return "\n".join(f"{pred}({i},{j})." for i, j in chosen) + "\n"
-
-
 def graph_facts(
     graph: str, n: int, seed: int, m: Optional[int] = None, pred: str = "edge"
 ) -> str:
-    """Edge facts of a chain, cycle or random graph over nodes 1..n.
-
-    Random graphs need the edge count m and are deterministic per seed.
-    """
-    if graph == "chain":
-        return chain_facts(n, pred)
-    if graph == "cycle":
-        return cycle_facts(n, pred)
-    if graph == "random":
+    """Edge facts over nodes 1..n, one line each: a chain 1->2->...->n, a
+    cycle (the chain plus n->1) or a random graph of m distinct directed
+    edges, deterministic per seed."""
+    if graph in ("chain", "cycle"):
+        if n < 1:
+            raise ValueError(f"{graph} needs at least one node")
+        edges = [(i, i + 1) for i in range(1, n)]
+        if graph == "cycle":
+            edges.append((n, 1))
+    elif graph == "random":
         if m is None:
             raise ValueError("random graphs need an edge count")
-        return random_graph_facts(n, m, seed, pred)
-    raise ValueError(f"unknown graph kind {graph!r}")
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        if m > len(pairs):
+            raise ValueError(f"cannot pick {m} distinct edges over {n} nodes")
+        edges = random.Random(seed).sample(pairs, m)
+    else:
+        raise ValueError(f"unknown graph kind {graph!r}")
+    return "".join(f"{pred}({i},{j}).\n" for i, j in edges)
 
 
 def node_facts(n: int, pred: str = "node") -> str:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .terms import Struct, Term, Var, canonicalize, new_struct, render, variables
+from .terms import Struct, Term, Var, canonicalize, render, renumber, variables
 
 Subst = tuple[Term, ...]
 
@@ -43,19 +43,6 @@ NEW, RUNNING, HANDING, EVALUATED, COMPLETE = (
 
 class TableError(Exception):
     """Internal table misuse (engine bug), e.g. inserting when complete."""
-
-
-def _rebuild(t: Term, tup: Subst) -> Term:
-    """The full answer: t with each variable i replaced by tup[i]."""
-    tt = type(t)
-    if tt is Var:
-        return tup[t.id]
-    if tt is Struct:
-        args = []  # a loop, not a comprehension: one frame per level
-        for a in t.args:
-            args.append(_rebuild(a, tup))
-        return new_struct(t.functor, tuple(args))
-    return t
 
 
 class AnswerList:
@@ -86,9 +73,9 @@ class AnswerList:
             self.nvars.append(0)
 
     def __iter__(self) -> Iterator[Term]:
-        """The full answers, rebuilt from key + tuple."""
+        """The full answers: the key with variable i replaced by tuple[i]."""
         key = self.key
-        return (_rebuild(key, tup) for tup in self.tuples)
+        return (renumber(key, 0, range(len(tup)), tup) for tup in self.tuples)
 
 
 class SubgoalEntry:
@@ -250,7 +237,7 @@ def check_region_invariants(store: SubgoalStore) -> None:
         for tup in entry.answers.tuples:
             if tup in seen:
                 raise TableError(
-                    f"variant duplicate {render(_rebuild(entry.key, tup))} "
+                    f"variant duplicate {render(renumber(entry.key, 0, range(len(tup)), tup))} "
                     f"in {render(entry.key)}"
                 )
             seen.add(tup)

@@ -110,6 +110,16 @@ def test_head_shapes_agree_with_the_oracle_lazily():
         assert label.startswith("eager") or not g.missing, label
 
 
+def test_model_gaps_records_a_raising_config_and_goes_on():
+    # every config runs out of steps: each is recorded with its error,
+    # and the next config still runs
+    gaps = model_gaps(corpus.LEFT_RECURSIVE_TC, "p(a,Y)", step_budget=3)
+    assert list(gaps) == [label for label, _ in config_matrix()]
+    for label, g in gaps.items():
+        assert g.error.startswith("StepBudgetExceeded"), label
+        assert not g.outside and not g.missing, label
+
+
 # Under eager, pair(f(a,_)) is first called while pair(_) hands out its
 # first answer and completes with none, so every query solution is lost;
 # `path(a,c),path(a,W)` over the same edges loses path(a,a) and path(a,c)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import lintab.bench
 import lintab.cli
 import lintab.corpus as corpus
 from lintab.cli import (
@@ -14,7 +15,8 @@ from lintab.cli import (
     EXIT_USAGE,
     main,
 )
-from lintab.oracle import oracle_solve
+from lintab.oracle import oracle_model, oracle_solve
+from lintab.terms import Struct
 
 
 @pytest.fixture
@@ -175,6 +177,15 @@ def test_run_oracle_divergence_exit_code(tc_file, capsys, monkeypatch):
     assert out[2:] == ["oracle: DIVERGENCE", "  missing: p(a,d)", "  extra:   p(a,c)"]
 
 
+def test_run_oracle_truncated_run(tc_file, capsys):
+    # a limited run is checked for being a subset of the model only
+    assert main(["run", tc_file, "p(a,Y)", "--oracle", "--limit", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "p(a,b)",
+        "oracle: truncated run is a subset of the model",
+    ]
+
+
 def test_run_oracle_inapplicable_past_the_bound_with_function_symbols(tmp_path, capsys):
     # a finite 4-fact model whose naive fixpoint outruns the bound over
     # constants: the oracle declines and the run still exits 0
@@ -298,6 +309,21 @@ def test_analyze_report(tc_file, capsys):
     out = capsys.readouterr().out
     assert "p/2 level=1" in out
     assert "rule#0 last_depending=0 base=false" in out
+
+
+def test_bench_divergence_exit_code(capsys, monkeypatch):
+    # an oracle model missing p(a,c) disagrees with the left-recursive closure
+    def model_without_p_a_c(items):
+        model = oracle_model(items)
+        facts = model.get(("p", 2), [])
+        if Struct("p", ["a", "c"]) in facts:
+            facts.remove(Struct("p", ["a", "c"]))
+        return model
+
+    monkeypatch.setattr(lintab.bench, "oracle_model", model_without_p_a_c)
+    assert main(["bench", "paper-examples"]) == EXIT_USAGE
+    out = capsys.readouterr().out.splitlines()
+    assert "DIVERGENCE left-recursive-tc: engine disagrees with the bottom-up oracle" in out
 
 
 def test_bench_writes_json(tmp_path, capsys):

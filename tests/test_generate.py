@@ -2,41 +2,38 @@
 
 import pytest
 
-from lintab.generate import (
-    ab_string_facts,
-    chain_facts,
-    cycle_facts,
-    graph_facts,
-    node_facts,
-    random_graph_facts,
-)
+from lintab.generate import ab_string_facts, graph_facts, node_facts
 
 
 def test_chain():
-    assert chain_facts(3) == "e(1,2).\ne(2,3).\n"
-    assert chain_facts(3, pred="edge") == "edge(1,2).\nedge(2,3).\n"
+    assert graph_facts("chain", 3, seed=0, pred="e") == "e(1,2).\ne(2,3).\n"
+    assert graph_facts("chain", 3, seed=0, pred="edge") == "edge(1,2).\nedge(2,3).\n"
+    assert graph_facts("chain", 1, seed=0) == ""
     with pytest.raises(ValueError):
-        chain_facts(0)
+        graph_facts("chain", 0, seed=0)
 
 
 def test_cycle():
-    assert cycle_facts(3) == "e(1,2).\ne(2,3).\ne(3,1).\n"
+    assert graph_facts("cycle", 3, seed=0, pred="e") == "e(1,2).\ne(2,3).\ne(3,1).\n"
+    with pytest.raises(ValueError):
+        graph_facts("cycle", 0, 0)
 
 
 def test_random_graph_deterministic_and_distinct():
-    a = random_graph_facts(10, 25, seed=9)
-    assert a == random_graph_facts(10, 25, seed=9)
-    assert a != random_graph_facts(10, 25, seed=10)
+    a = graph_facts("random", 10, 9, 25, pred="e")
+    assert a == graph_facts("random", 10, 9, 25, pred="e")
+    assert a != graph_facts("random", 10, 10, 25, pred="e")
     lines = a.strip().splitlines()
     assert len(lines) == len(set(lines)) == 25
+    assert graph_facts("random", 3, 0, 0) == ""
     with pytest.raises(ValueError):
-        random_graph_facts(3, 100, seed=0)
+        graph_facts("random", 3, 0, 100)
 
 
 def test_graph_facts_dispatch():
-    assert graph_facts("chain", 3, seed=0) == chain_facts(3, pred="edge")
-    assert graph_facts("cycle", 3, seed=0, pred="e") == cycle_facts(3)
-    assert graph_facts("random", 10, 9, 25) == random_graph_facts(10, 25, 9, "edge")
+    assert graph_facts("chain", 3, seed=0) == "edge(1,2).\nedge(2,3).\n"
+    assert graph_facts("cycle", 3, seed=0, pred="e") == "e(1,2).\ne(2,3).\ne(3,1).\n"
+    assert graph_facts("random", 4, 9, 3) == "edge(3,2).\nedge(4,1).\nedge(2,4).\n"
     with pytest.raises(ValueError, match="edge count"):
         graph_facts("random", 10, seed=9)
     with pytest.raises(ValueError, match="unknown graph kind"):
@@ -50,3 +47,5 @@ def test_node_facts():
 def test_ab_string_alternates():
     assert ab_string_facts(4) == "c(0,a,1).\nc(1,b,2).\nc(2,a,3).\nc(3,b,4).\n"
     assert ab_string_facts(0) == ""
+    with pytest.raises(ValueError):
+        ab_string_facts(-1)

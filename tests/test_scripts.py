@@ -38,21 +38,8 @@ def test_worked_traces():
     assert "  eager: stream = ['p(a,b)', 'p(a,c)']" in lines
 
 
-def test_complexity_consumption():
-    lines = run_script("complexity.py", "--sizes", "20", "40")
-    assert [line for line in lines if line.startswith("== ")] == [
-        "== tabled, gate on, early promotion",
-        "== tabled, gate on, no promotion",
-        "== tabled, gate off",
-        "== non-tabled helper, gate on",
-        "== eager, gate on, early promotion",
-    ]
-    assert sum(line.startswith("  n=   20  answers_consumed=") for line in lines) == 5
-    assert sum(line.startswith("  n=   40  answers_consumed=") for line in lines) == 5
-
-
 def test_complexity_analyze():
-    lines = run_script("complexity.py", "--analyze", "--sizes", "100", "200")
+    lines = run_script("complexity.py", "--sizes", "100", "200")
     assert len(lines) == 2
     assert lines[0].startswith("facts=  100  parse=")
     assert lines[1].startswith("facts=  200  parse=") and " ratio " in lines[1]
