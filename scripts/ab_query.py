@@ -19,7 +19,10 @@ show), or else the type and message of what the run raised. The `closed`
 part covers a run stopped early: a second engine pulls one solution with
 `next(stream, None)` and closes the stream, and the part is that
 solution, `as_dict()`, `entry_rounds`, and the binding map and trail left
-after the close.
+after the close. The `oracle` part is per instance: the sorted solutions
+`oracle.oracle_solve` gives for the program and query, or else the
+type of what it raised, which is what `lintab run --oracle` compares a
+run with. It belongs to each of the instance's runs.
 
 Exits 0 when every run is the same in both trees. Otherwise prints the
 first differing run and, per part, how many runs differ in it, and exits
@@ -37,8 +40,8 @@ import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("parser", "analysis", "engine", "table", "bench", "corpus")
-PARTS = ("report", "stream", "rounds", "counters", "tables", "nvars", "closed", "raised")
+MODULES = ("parser", "analysis", "engine", "table", "bench", "corpus", "oracle")
+PARTS = ("report", "stream", "rounds", "counters", "tables", "nvars", "closed", "raised", "oracle")
 
 
 def import_tree(src: Path, name: str, tmp: Path):
@@ -60,13 +63,22 @@ def closed_run(tree, program, opts, query):
     return sol, eng.stats.as_dict(), list(eng.stats.entry_rounds.items()), eng.bound, eng.trail
 
 
+def oracle_solutions(tree, text, query):
+    """The oracle's solutions, sorted, or the type of what it raised."""
+    try:
+        return sorted(tree.oracle.oracle_solve(text, query))
+    except Exception as exc:
+        return type(exc).__name__
+
+
 def outcomes(tree, text, query):
     """Per config label, each part of the run's outcome."""
+    report = {"oracle": oracle_solutions(tree, text, query)}
     try:
         program = tree.analysis.analyze(tree.parser.parse_program(text))
-        report = {"report": program.report()}
+        report["report"] = program.report()
     except Exception as exc:
-        return {label: raised(exc) for label, _ in tree.bench.config_matrix()}
+        return {label: dict(report, **raised(exc)) for label, _ in tree.bench.config_matrix()}
     out = {}
     for label, opts in tree.bench.config_matrix(10**6):
         try:

@@ -88,11 +88,12 @@ from .table import (
 )
 from .terms import (
     Struct,
+    Template,
     Term,
     Var,
     canonicalize,  # not called here; perfbench/tracing.py wraps lintab.engine.canonicalize
     render,
-    render_goals,
+    render_goals,  # not called here; perfbench/tracing.py wraps lintab.engine.render_goals
     renumber,
     undo,
     unify,
@@ -228,9 +229,12 @@ class Engine:
     # -- public API ------------------------------------------------------
 
     def run(self, query: Query) -> Iterator[str]:
-        """Pull-based solution stream; each item is the rendered query."""
+        """Pull-based solution stream; each item is the rendered query:
+        the goals' Template, laid out once per run, filled per solution
+        from the binding map."""
         goals = self._start(query)
-        return self._solutions(goals, render_goals, goals)
+        t = Template(goals)
+        return self._solutions(goals, t.fill, t.vars)
 
     def solve(self, query: Query) -> Iterator[tuple[Term, ...]]:
         """The stream of `run`, each solution as the tuple of the query

@@ -31,15 +31,11 @@ def graph_facts(
 
 
 def node_facts(n: int, pred: str = "node") -> str:
-    return "\n".join(f"{pred}({i})." for i in range(1, n + 1)) + "\n"
+    return "".join(f"{pred}({i}).\n" for i in range(1, n + 1))
 
 
 def ab_string_facts(n: int, pred: str = "c") -> str:
     """The alternating a/b string of length n as position-labelled facts."""
     if n < 0:
         raise ValueError("string length must be non-negative")
-    lines = []
-    for i in range(n):
-        letter = "a" if i % 2 == 0 else "b"
-        lines.append(f"{pred}({i},{letter},{i + 1}).")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"{pred}({i},{'ab'[i % 2]},{i + 1}).\n" for i in range(n))

@@ -260,21 +260,65 @@ def render(
     return "".join(parts)
 
 
+class Template:
+    """A conjunction's text laid out once, with one %s hole per variable
+    occurrence; `vars` are the goals' variables in first-occurrence order
+    and `holes` each hole's index into them. Constants print as render
+    prints them, with % escaped."""
+
+    __slots__ = ("text", "holes", "vars")
+
+    def __init__(self, goals):
+        pos: dict[int, int] = {}
+        holes: list[int] = []
+
+        def lay(t: Term) -> str:
+            tt = type(t)
+            if tt is Var:
+                holes.append(pos.setdefault(t.id, len(pos)))
+                return "%s"
+            if tt is Struct:
+                return f"{t.functor.replace('%', '%%')}({','.join([lay(a) for a in t.args])})"
+            return str(t).replace("%", "%%")
+
+        self.text = ",".join([lay(g) for g in goals])
+        self.holes = tuple(holes)
+        self.vars = tuple(map(Var, pos))
+
+    def fill(self, values: tuple[Term, ...], m: Optional[dict[int, Term]] = None) -> str:
+        """The text with each hole holding its variable's value, after
+        applying the binding map m: the text render_goals gives. Unbound
+        variables print as _G<n>, numbered in text order."""
+        vals = []
+        for k in self.holes:
+            v = values[k]
+            if m is not None:  # deref, inlined: this runs once per solution
+                while type(v) is Var:
+                    bound = m.get(v.id)
+                    if bound is None:
+                        break
+                    v = bound
+            vals.append(v)
+        for v in vals:
+            if type(v) is not str and type(v) is not int:
+                names: dict[int, str] = {}
+                vals = [render(v, m, names) for v in vals]
+                break
+        return self.text % tuple(vals)
+
+
 def render_goals(goals, m: Optional[dict[int, Term]] = None) -> str:
     """Render a conjunction with one shared unbound-variable numbering."""
-    names: dict[int, str] = {}
-    return ",".join(render(g, m, names) for g in goals)
+    t = Template(goals)
+    return t.fill(t.vars, m)
 
 
 def render_solutions(goals, solutions) -> Iterator[str]:
     """Per tuple of values for goals' variables in first-occurrence order,
     goals rendered under it: the text Engine.run gives for a solution that
-    Engine.solve gives as that tuple. The values' variables are renamed
-    apart from the goals' first."""
-    ids = variables(tuple(goals))
-    off = max(ids, default=-1) + 1
-    for values in solutions:
-        yield render_goals(goals, dict(zip(ids, renumber(values, off))))
+    Engine.solve gives as that tuple. Every goal variable is a hole, so a
+    value's variables need no renaming apart from the goals'."""
+    return map(Template(goals).fill, solutions)
 
 
 def renumber(

@@ -42,10 +42,14 @@ def test_graph_facts_dispatch():
 
 def test_node_facts():
     assert node_facts(2) == "node(1).\nnode(2).\n"
+    assert node_facts(1, pred="v") == "v(1).\n"
+    # no nodes, no lines: an empty text, as graph_facts gives for no edges
+    assert node_facts(0) == ""
 
 
 def test_ab_string_alternates():
     assert ab_string_facts(4) == "c(0,a,1).\nc(1,b,2).\nc(2,a,3).\nc(3,b,4).\n"
+    assert ab_string_facts(1, pred="s") == "s(0,a,1).\n"
     assert ab_string_facts(0) == ""
     with pytest.raises(ValueError):
         ab_string_facts(-1)

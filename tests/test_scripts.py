@@ -125,8 +125,11 @@ def test_ab_query_against_itself(tmp_path):
         ("engine.py", "continue  # a base rule derives nothing new after round 1",
          'raise EngineError("planted")',
          {"raised", "stream", "rounds", "counters", "tables", "nvars", "closed"}),
+        # the oracle's text for a solution, which `lintab run --oracle` compares
+        ("terms.py", "return map(Template(goals).fill, solutions)",
+         'return (v.upper() for v in map(Template(goals).fill, solutions))', {"oracle"}),
     ],
-    ids=["counters", "stream", "tables", "nvars", "closed", "raised"],
+    ids=["counters", "stream", "tables", "nvars", "closed", "raised", "oracle"],
 )
 def test_ab_query_names_the_part_that_differs(tmp_path, module, old, new, parts):
     differ, last = run_ab_query_against_patched_copy(tmp_path, 1, module, old, new)

@@ -10,8 +10,11 @@ from lintab.terms import (
     canonicalize,
     deref,
     is_ground,
+    iter_subterms,
     render,
+    Template,
     render_goals,
+    render_solutions,
     renumber,
     undo,
     unify,
@@ -285,22 +288,42 @@ def _walk_render(t, m, names):
     return f"{t.functor}({','.join(_walk_render(a, m, names) for a in t.args)})"
 
 
+def _walk_render_goals(goals, m=None):
+    """render_goals as a walk over every goal, kept as the reference for
+    the Template it fills."""
+    names = {}
+    return ",".join(_walk_render(g, m or {}, names) for g in goals)
+
+
+# query goals: atoms (arity 0) and compounds over constants, negative
+# integers, "%" in names, and variables 0..3, repeated and nested
+QUERY_LEAF = st.one_of(FLAT, st.integers(-3, -1), st.sampled_from(["%", "b%s"]))
 GOALS = st.lists(
-    st.builds(Struct, st.sampled_from("pq"), st.lists(st.one_of(FLAT, terms()), min_size=1, max_size=3)),
+    st.one_of(
+        st.sampled_from(["go", "%d"]),
+        st.builds(Struct, st.sampled_from(["p", "q%"]), st.lists(st.one_of(QUERY_LEAF, terms()), min_size=1, max_size=3)),
+    ),
     min_size=1,
     max_size=3,
 )
 
 
-@given(GOALS, st.lists(st.tuples(st.integers(0, 3), st.one_of(FLAT, terms())), max_size=4))
-@settings(max_examples=300)
+@given(GOALS, st.lists(st.tuples(st.integers(0, 3), st.one_of(QUERY_LEAF, terms())), max_size=4))
+@settings(max_examples=400)
 def test_flat_render_equals_the_walk(goals, pre):
-    # flat and general goals, unbound and under bindings (chains included)
+    # flat and general goals, unbound and under bindings: chains, a
+    # variable bound to another query variable (pre binds variables 0..3
+    # to terms over 0..3) and compounds holding bound and unbound ones
     m, _ = _bound(pre)
+    t = Template(goals)
+    assert t.vars == tuple(map(Var, variables(tuple(goals))))
+    # one hole per variable occurrence, in text order
+    occurrences = [u.id for g in goals for u in iter_subterms(g) if type(u) is Var]
+    assert [t.vars[k].id for k in t.holes] == occurrences
     for binding in (m, None):
-        names = {}
-        want = [_walk_render(g, binding or {}, names) for g in goals]
-        assert render_goals(goals, binding) == ",".join(want)
+        want = _walk_render_goals(goals, binding)
+        assert t.fill(t.vars, binding) == want
+        assert render_goals(goals, binding) == want
         assert [render(g, binding) for g in goals] == [_walk_render(g, binding or {}, {}) for g in goals]
 
 
@@ -317,9 +340,53 @@ def test_flat_render_equals_the_walk(goals, pre):
         # a flat goal names no variable, so the next goal's is _G0
         ([Struct("p", [Var(0)]), Struct("q", [Var(1), Var(2), Var(1)])], {0: "a"}, "p(a),q(_G0,_G1,_G0)"),
         ([Var(5)], {5: Struct("r", [1, "x"])}, "r(1,x)"),
+        # a repeated variable fills each of its holes
+        ([Struct("p", [Var(0), Var(1), Var(0)])], {0: -2}, "p(-2,_G0,-2)"),
+        # X bound to the query variable Y: both holes print Y's name
+        ([Struct("p", [Var(0), Var(1)])], {0: Var(1)}, "p(_G0,_G0)"),
+        # names are given in text order, across goals and inside compounds
+        (["go", Struct("p", [Var(2), Struct("f", [Var(0), 1])]), Struct("q", [Var(0)])], {2: Struct("g", [Var(7)])},
+         "go,p(g(_G0),f(_G1,1)),q(_G1)"),
+        # "%" in a functor or constant is text, not a format directive
+        ([Struct("q%", ["%s", Var(0)])], {0: "%d"}, "q%(%s,%d)"),
+        (["halt"], None, "halt"),
     ],
 )
 def test_flat_render_cases(goals, m, want):
+    t = Template(goals)
+    assert t.fill(t.vars, m) == want
     assert render_goals(goals, m) == want
-    names = {}
-    assert ",".join(_walk_render(g, m or {}, names) for g in goals) == want
+    assert _walk_render_goals(goals, m) == want
+
+
+def _renamed_apart_solutions(goals, solutions):
+    """render_solutions as a walk: each value tuple's variables renamed
+    apart from the goals' and bound to them, kept as the reference."""
+    ids = variables(tuple(goals))
+    off = max(ids, default=-1) + 1
+    return [_walk_render_goals(goals, dict(zip(ids, renumber(values, off)))) for values in solutions]
+
+
+@given(GOALS, st.data())
+@settings(max_examples=300)
+def test_render_solutions_equals_renaming_apart(goals, data):
+    # canonical value tuples may share variables, and their ids overlap
+    # the goals' own: (f(_0), _0) for p(X,Y) gives p(f(_G0),_G0)
+    n = len(variables(tuple(goals)))
+    tuples = data.draw(st.lists(st.tuples(*[st.one_of(QUERY_LEAF, terms())] * n), max_size=3))
+    solutions = [canonicalize(values) for values in tuples]
+    assert list(render_solutions(goals, solutions)) == _renamed_apart_solutions(goals, solutions)
+
+
+@pytest.mark.parametrize(
+    "goals,values,want",
+    [
+        ([Struct("p", [Var(0), Var(1)])], (Struct("f", [Var(0)]), Var(0)), "p(f(_G0),_G0)"),
+        ([Struct("p", [Var(1), Var(0), Var(1)])], (Var(0), Var(1)), "p(_G0,_G1,_G0)"),
+        ([Struct("p", [Var(3), "a"]), Struct("q", [Var(3)])], (-1,), "p(-1,a),q(-1)"),
+        (["go"], (), "go"),
+    ],
+)
+def test_render_solutions_cases(goals, values, want):
+    assert list(render_solutions(goals, [values])) == [want]
+    assert _renamed_apart_solutions(goals, [values]) == [want]
