@@ -36,17 +36,7 @@ def config_matrix(step_budget: int = 10**8) -> list[tuple[str, EngineOptions]]:
                 f"{strategy},semi_naive={'on' if semi_naive else 'off'},"
                 f"early_promotion={'on' if early else 'off'}"
             )
-            out.append(
-                (
-                    label,
-                    EngineOptions(
-                        strategy=strategy,
-                        semi_naive=semi_naive,
-                        early_promotion=early,
-                        step_budget=step_budget,
-                    ),
-                )
-            )
+            out.append((label, EngineOptions(strategy, semi_naive, early, step_budget)))
     return out
 
 
@@ -55,9 +45,13 @@ class InstanceResult:
     name: str
     rows: list[dict] = field(default_factory=list)
     solutions: dict[str, frozenset] = field(default_factory=dict)  # rendered, per config
-    entry_answers: dict[str, dict] = field(default_factory=dict)
     entry_rounds: dict[str, dict] = field(default_factory=dict)
     divergences: list[str] = field(default_factory=list)
+
+
+def entry_answers(store) -> dict:
+    """Per entry key, the set of its stored answer tuples."""
+    return {e.key: frozenset(e.answers.tuples) for e in store}
 
 
 def run_instance(
@@ -67,7 +61,7 @@ def run_instance(
     use_oracle: bool = True,
     step_budget: int = 10**8,
 ) -> InstanceResult:
-    """Run one (program, query) under every config and self-check.
+    """Parse one (program, query) once, run it under every config and self-check.
 
     Configs are compared on their sets of solution value tuples and, per
     entry key, on the sets of stored answer tuples; the base config's are
@@ -76,23 +70,24 @@ def run_instance(
     it; other terms are rendered only to name a divergence."""
     items = parse_program(text)
     program = analysis.analyze(items)
+    goals = parse_query(query)[0]
     result = InstanceResult(name=name)
     values: dict[str, frozenset] = {}
+    answers: dict[str, dict] = {}
     for label, opts in config_matrix(step_budget):
         eng = Engine(program, opts)
         t0 = time.monotonic()
-        sols = frozenset(eng.solve(query))
+        sols = frozenset(eng.solve(goals))
         elapsed = time.monotonic() - t0
         check_region_invariants(eng.store)
         values[label] = sols
-        result.entry_answers[label] = {e.key: frozenset(e.answers.tuples) for e in eng.store}
+        answers[label] = entry_answers(eng.store)
         result.entry_rounds[label] = dict(eng.stats.entry_rounds)
         row = {"instance": name, "config": label, "time": elapsed}
         row.update(eng.stats.as_dict())
         row["solutions"] = len(sols)
         result.rows.append(row)
 
-    goals = parse_query(query)[0]
     texts = {sols: frozenset(render_solutions(goals, sols)) for sols in set(values.values())}
     result.solutions = {label: texts[sols] for label, sols in values.items()}
 
@@ -103,7 +98,7 @@ def run_instance(
             result.divergences.append(
                 f"{name}: solution set differs between {base} and {label}"
             )
-        if result.entry_answers[label] != result.entry_answers[base]:
+        if answers[label] != answers[base]:
             result.divergences.append(
                 f"{name}: per-entry answers differ between {base} and {label}"
             )
@@ -115,7 +110,7 @@ def run_instance(
                 result.divergences.append(
                     f"{name}: engine disagrees with the bottom-up oracle"
                 )
-            for key, tuples in result.entry_answers[base].items():
+            for key, tuples in answers[base].items():
                 if tuples != answers_for_key(model, key):
                     result.divergences.append(
                         f"{name}: entry {render_goals([key])} disagrees with the oracle"
@@ -157,16 +152,16 @@ def model_gaps(text: str, query: str, step_budget: int = 10**6) -> dict[str, Mod
     for label, opts in config_matrix(step_budget):
         eng = Engine(program, opts)
         try:
-            solutions = set(eng.solve(query))
+            solutions = set(eng.solve(goals))
         except Exception as exc:  # tallied: finding these is the point
             out[label] = ModelGaps(error=f"{type(exc).__name__}: {exc}")
             continue
         gaps = out[label] = ModelGaps()
         gaps.add(goals, solutions, want_query, query)
-        for e in eng.store:
-            if e.key not in want_entry:
-                want_entry[e.key] = answers_for_key(model, e.key)
-            gaps.add([e.key], set(e.answers.tuples), want_entry[e.key])
+        for key, tuples in entry_answers(eng.store).items():
+            if key not in want_entry:
+                want_entry[key] = answers_for_key(model, key)
+            gaps.add([key], tuples, want_entry[key])
     return out
 
 
@@ -234,18 +229,9 @@ def bench_suite(
     lines = []
     for r in results:
         for row in r.rows:
-            fields = " ".join(
-                f"{k}={row[k]}"
-                for k in (
-                    "subgoals",
-                    "max_its",
-                    "ave_its",
-                    "answers_produced",
-                    "answers_consumed",
-                    "clause_resolutions",
-                    "solutions",
-                )
-            )
+            fields = " ".join(f"{k}={row[k]}" for k in (
+                "subgoals", "max_its", "ave_its", "answers_produced", "answers_consumed",
+                "clause_resolutions", "solutions"))
             lines.append(
                 f"instance={row['instance']} config={row['config']} "
                 f"time={row['time']:.4f} {fields}"

@@ -168,14 +168,17 @@ def _cmd_run(args) -> int:
             print(f"oracle: inapplicable ({exc})")
         else:
             got = set(solutions)
-            if args.limit is None and got == expected:
+            # only a run stopped at its limit may miss model solutions
+            truncated = len(solutions) == args.limit
+            if not truncated and got == expected:
                 print(f"oracle: agreement on {len(expected)} solutions")
-            elif args.limit is not None and got <= expected:
+            elif truncated and got <= expected:
                 print("oracle: truncated run is a subset of the model")
             else:
                 print("oracle: DIVERGENCE")
-                for s in sorted(expected - got):
-                    print(f"  missing: {s}")
+                if not truncated:
+                    for s in sorted(expected - got):
+                        print(f"  missing: {s}")
                 for s in sorted(got - expected):
                     print(f"  extra:   {s}")
                 return EXIT_USAGE
@@ -214,6 +217,8 @@ def _cmd_bench(args) -> int:
 def _cmd_gen(args) -> int:
     from . import generate
 
+    if args.edges is not None and args.kind != "random-graph":
+        raise ValueError(f"--edges applies to random-graph only, not {args.kind}")
     if args.kind == "ab-string":
         out = generate.ab_string_facts(args.n, pred=args.pred or "c")
     else:

@@ -87,6 +87,7 @@ from .table import (
     register_subgoal,
 )
 from .terms import (
+    Record,
     Struct,
     Template,
     Term,
@@ -116,12 +117,14 @@ class DepthExceeded(EngineError):
     """Resolution nested deeper than the interpreter's recursion limit."""
 
 
-class EngineOptions:
+class EngineOptions(Record):
     """How a run evaluates: the default strategy (per-predicate
     declarations override), the semi-naive gate, early promotion and the
-    resolution-step budget. Equal by value."""
+    resolution-step budget. Equal by value, and unhashable: nothing
+    freezes its fields."""
 
     __slots__ = ("strategy", "semi_naive", "early_promotion", "step_budget")
+    __hash__ = None
 
     def __init__(
         self,
@@ -146,18 +149,10 @@ class EngineOptions:
         self.early_promotion = early_promotion
         self.step_budget = step_budget
 
-    def __eq__(self, other):
-        if type(other) is not EngineOptions:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self):
-        return f"EngineOptions({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
-
 
 class RunStats:
-    """One run's counters, and the per-entry round summary `finalize`
-    fills when the run ends."""
+    """One run's counters; `finalize` fills those read off the tables
+    when the run ends."""
 
     __slots__ = (
         "answers_produced", "answers_consumed", "clause_resolutions", "steps",
@@ -177,15 +172,14 @@ class RunStats:
         self.average_iterations = 0.0
 
     def finalize(self, store: SubgoalStore) -> None:
-        self.entry_rounds = {
-            render(e.key): e.round_counter for e in store
-        }
-        rounds = list(self.entry_rounds.values())
+        """Read the answer and round counts off the run's tables: a table
+        never shrinks, and stores an answer only when it is new."""
+        rounds = [e.round_counter for e in store]
+        self.entry_rounds = {render(e.key): e.round_counter for e in store}
+        self.answers_produced = sum(len(e.answers) for e in store)
         self.subgoal_count = len(rounds)
         self.max_iterations = max(rounds, default=0)
-        self.average_iterations = (
-            sum(rounds) / len(rounds) if rounds else 0.0
-        )
+        self.average_iterations = sum(rounds) / len(rounds) if rounds else 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -455,12 +449,10 @@ class Engine:
                 for body, last_dep in self._activations(goal, clauses, skip_base):
                     for _ in self._solve_seq(body, last_dep if later else None, False, 0):
                         # memo: store the answer; only a new one is returned
-                        if insert_answer(entry, subst, m):
-                            self.stats.answers_produced += 1
-                            if eager:
-                                entry.state = HANDING
-                                yield True
-                                entry.state = RUNNING
+                        if insert_answer(entry, subst, m) and eager:
+                            entry.state = HANDING
+                            yield True
+                            entry.state = RUNNING
                 # check_completion. A top-most entry stays active from its
                 # first call until its cluster completes, so every incomplete
                 # entry first called after it has either joined its cluster

@@ -23,7 +23,7 @@ import re
 from itertools import islice
 from typing import Optional, Union
 
-from .terms import Struct, Term, Var, new_struct
+from .terms import Record, Struct, Term, Var, new_struct
 
 
 class ProgramSyntaxError(Exception):
@@ -35,7 +35,7 @@ class ProgramSyntaxError(Exception):
         self.col = col
 
 
-class TableDeclaration:
+class TableDeclaration(Record):
     """A `:- table name/arity [strategy].` item: a frozen value."""
 
     __slots__ = ("name", "arity", "strategy")
@@ -52,19 +52,8 @@ class TableDeclaration:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        if type(other) is not TableDeclaration:
-            return NotImplemented
-        return (self.name, self.arity, self.strategy) == (other.name, other.arity, other.strategy)
 
-    def __hash__(self):
-        return hash((self.name, self.arity, self.strategy))
-
-    def __repr__(self):
-        return f"TableDeclaration(name={self.name!r}, arity={self.arity!r}, strategy={self.strategy!r})"
-
-
-class Clause:
+class Clause(Record):
     """A fact or rule: a value, slotted and not frozen to build faster
     (nothing assigns its fields later)."""
 
@@ -76,17 +65,6 @@ class Clause:
         self.head = head
         self.body = body
         self.nvars = nvars
-
-    def __eq__(self, other):
-        if type(other) is not Clause:
-            return NotImplemented
-        return (self.head, self.body, self.nvars) == (other.head, other.body, other.nvars)
-
-    def __hash__(self):
-        return hash((self.head, self.body, self.nvars))
-
-    def __repr__(self):
-        return f"Clause(head={self.head!r}, body={self.body!r}, nvars={self.nvars!r})"
 
 
 Item = Union[Clause, TableDeclaration]

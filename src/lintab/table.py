@@ -8,8 +8,8 @@ variables, in key order (Ramakrishnan, Rao, Sagonas, Swift and Warren,
 "Efficient access mechanisms for tabled logic programs", JLP 38(1),
 1999). Two answers are variants iff their tuples are equal, and a
 consumer binds its call's i-th variable to a tuple's i-th element, with
-no unification. Iteration and `dump()` rebuild full answers from key +
-tuple.
+no unification. Iteration rebuilds full answers from key + tuple;
+`dump()` prints them by filling the key's Template with each tuple.
 
 Both variant checks are flat, as in that paper's call tries: a call's
 key is the preorder of its arguments in one tuple, and `answer_tuple`,
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .terms import Struct, Term, Var, canonicalize, render, renumber, variables
+from .terms import Struct, Template, Term, Var, canonicalize, render, renumber, variables
 
 Subst = tuple[Term, ...]
 
@@ -237,18 +237,20 @@ def check_region_invariants(store: SubgoalStore) -> None:
         for tup in entry.answers.tuples:
             if tup in seen:
                 raise TableError(
-                    f"variant duplicate {render(renumber(entry.key, 0, range(len(tup)), tup))} "
+                    f"variant duplicate {Template([entry.key]).fill(tup)} "
                     f"in {render(entry.key)}"
                 )
             seen.add(tup)
 
 
 def dump(store: SubgoalStore) -> str:
-    """Deterministic table dump, one line per entry in registration order."""
+    """Deterministic table dump, one line per entry in registration order.
+    Each answer prints as its full term would: the key's Template, laid
+    out once per entry, filled with the stored tuple."""
     lines = []
     for entry in store:
         state = "complete" if entry.state is COMPLETE else "incomplete"
-        answers = ",".join(render(a) for a in entry.answers)
+        answers = ",".join(map(Template([entry.key]).fill, entry.answers.tuples))
         lines.append(
             f"{render(entry.key)}  state={state} answers=[{answers}] "
             f"old={entry.last_old} prev={entry.last_prev}"

@@ -13,6 +13,29 @@ from __future__ import annotations
 from typing import Iterator, Optional, Union
 
 
+class Record:
+    """A slotted value: equal only to a record of its own type with equal
+    fields, hashed by its field tuple and shown as Name(field=value, ...).
+    Its fields are its class's own `__slots__`, in order."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class Var:
     __slots__ = ("id",)
 
@@ -220,17 +243,8 @@ def render(
 
     Unbound variables print as _G<n>, numbered in first-occurrence order;
     pass a shared `names` dict to keep numbering stable across several
-    terms of one solution.
+    terms of one solution. Template.fill formats flat values without it.
     """
-    if m is not None:
-        t = deref(t, m)
-    if type(t) is Struct:  # flat fast path: every argument a constant
-        args = t.args if m is None else [deref(a, m) for a in t.args]
-        for a in args:
-            if type(a) is not str and type(a) is not int:
-                break
-        else:
-            return f"{t.functor}({','.join(map(str, args))})"
     if names is None:
         names = {}
     parts: list[str] = []

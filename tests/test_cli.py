@@ -186,6 +186,30 @@ def test_run_oracle_truncated_run(tc_file, capsys):
     ]
 
 
+def test_run_oracle_limit_not_reached_checks_the_whole_model(tc_file, capsys, monkeypatch):
+    # the stream ends after 2 of at most 5 solutions: the run drained, so a
+    # model solution it lacks is a divergence, not truncation
+    def planted(text, query):
+        return oracle_solve(text, query) | {"p(a,d)"}
+
+    monkeypatch.setattr(lintab.cli, "oracle_solve", planted)
+    assert main(["run", tc_file, "p(a,Y)", "--oracle", "--limit", "5"]) == EXIT_USAGE
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:] == ["oracle: DIVERGENCE", "  missing: p(a,d)"]
+
+
+def test_run_oracle_truncated_divergence_lists_extras_only(tc_file, capsys, monkeypatch):
+    # a run stopped at its limit misses solutions by design: only what it
+    # gave outside the model is named
+    def planted(text, query):
+        return oracle_solve(text, query) - {"p(a,b)"} | {"p(a,d)"}
+
+    monkeypatch.setattr(lintab.cli, "oracle_solve", planted)
+    assert main(["run", tc_file, "p(a,Y)", "--oracle", "--limit", "1"]) == EXIT_USAGE
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["p(a,b)", "oracle: DIVERGENCE", "  extra:   p(a,b)"]
+
+
 def test_run_oracle_inapplicable_past_the_bound_with_function_symbols(tmp_path, capsys):
     # a finite 4-fact model whose naive fixpoint outruns the bound over
     # constants: the oracle declines and the run still exits 0
@@ -302,6 +326,15 @@ def test_gen_pred_flag(capsys):
 def test_gen_errors(capsys):
     assert main(["gen", "random-graph", "5"]) == EXIT_USAGE
     assert main(["gen", "chain", "0"]) == EXIT_USAGE
+
+
+def test_gen_edges_only_for_random_graphs(capsys):
+    # chain, cycle and ab-string have a fixed edge set: --edges is an error
+    for kind in ("chain", "cycle", "ab-string"):
+        assert main(["gen", kind, "3", "--edges", "7"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --edges applies to random-graph only, not {kind}\n"
 
 
 def test_analyze_report(tc_file, capsys):

@@ -90,6 +90,15 @@ def test_options_are_values():
     )
 
 
+def test_options_are_unhashable_and_equal_only_to_options():
+    # no field is frozen, so options hash to nothing; a tuple of the same
+    # fields is not the same value
+    with pytest.raises(TypeError):
+        hash(EngineOptions())
+    assert EngineOptions() != (LAZY, True, True, 10**8)
+    assert (LAZY, True, True, 10**8) != EngineOptions()
+
+
 def test_left_recursion_terminates_with_all_answers():
     sols, eng = solve(corpus.LEFT_RECURSIVE_TC, "p(a,Y)")
     assert sols == ["p(a,b)", "p(a,c)"]

@@ -17,7 +17,7 @@ from lintab.table import (
     promote_regions,
     register_subgoal,
 )
-from lintab.terms import Struct, Var, canonicalize, deref, unify, variables
+from lintab.terms import Struct, Var, canonicalize, deref, render, unify, variables
 
 
 def sub(*names):
@@ -290,3 +290,16 @@ def test_dump_format():
     promote_regions(e)
     e.state = COMPLETE
     assert dump(store) == "p(a,_G0)  state=complete answers=[p(a,b)] old=0 prev=1"
+
+
+def test_dump_prints_each_answer_as_its_full_term():
+    # the key's text is filled per tuple; an answer's own variables are
+    # named in text order, as rendering the rebuilt full answer names them
+    store = SubgoalStore()
+    e, _ = register_subgoal(store, Struct("p", [Var(5), Struct("f", [Var(6), Var(5)])]))
+    insert_answer(e, (Struct("g", [Var(7), Var(8), Var(7)]), "b"))
+    insert_answer(e, ("a", Var(9)))
+    insert_answer(e, ("a%", 1))
+    full = [render(a) for a in e.answers]
+    assert full == ["p(g(_G0,_G1,_G0),f(b,g(_G0,_G1,_G0)))", "p(a,f(_G0,a))", "p(a%,f(1,a%))"]
+    assert dump(store) == f"p(_G0,f(_G1,_G0))  state=incomplete answers=[{','.join(full)}] old=0 prev=0"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from lintab.terms import (
+    Record,
     Struct,
     Var,
     canonicalize,
@@ -390,3 +391,28 @@ def test_render_solutions_equals_renaming_apart(goals, data):
 def test_render_solutions_cases(goals, values, want):
     assert list(render_solutions(goals, [values])) == [want]
     assert _renamed_apart_solutions(goals, [values]) == [want]
+
+
+class Pair(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+
+class OtherPair(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+
+def test_record_is_a_value_of_its_own_type():
+    p = Pair("a", 1)
+    assert p == Pair("a", 1) and hash(p) == hash(("a", 1)) and len({p, Pair("a", 1)}) == 1
+    assert p != Pair("a", 2) and p != ("a", 1)
+    # another record type with the same fields is another value
+    assert p != OtherPair("a", 1) and OtherPair("a", 1) != p
+    assert repr(p) == "Pair(left='a', right=1)"
