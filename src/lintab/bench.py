@@ -20,7 +20,7 @@ from .engine import EAGER, LAZY, Engine, EngineOptions
 from .oracle import OracleInapplicable, answers_for_key, oracle_model
 from .parser import parse_program, parse_query
 from .table import check_region_invariants
-from .terms import render_goals, render_solutions
+from .terms import render, render_goals, render_solutions
 
 
 def config_matrix(step_budget: int = 10**8) -> list[tuple[str, EngineOptions]]:
@@ -113,7 +113,7 @@ def run_instance(
             for key, tuples in answers[base].items():
                 if tuples != answers_for_key(model, key):
                     result.divergences.append(
-                        f"{name}: entry {render_goals([key])} disagrees with the oracle"
+                        f"{name}: entry {render(key)} disagrees with the oracle"
                     )
         except OracleInapplicable:
             pass  # oracle skipped, never silently passed off as agreement

@@ -34,14 +34,6 @@ EXIT_BUDGET = 3
 EXIT_DEPTH = 4
 
 
-def oracle_solve(items, query: str) -> set[str]:
-    """`oracle.oracle_solve`, imported on first use, so that a run without
-    --oracle never loads the oracle."""
-    from .oracle import oracle_solve
-
-    return oracle_solve(items, query)
-
-
 def _onoff(value: str) -> bool:
     if value == "on":
         return True
@@ -160,7 +152,7 @@ def _cmd_run(args) -> int:
         print("-- table --")
         print(dump(engine.store))
     if args.oracle:
-        from .oracle import OracleInapplicable
+        from .oracle import OracleInapplicable, oracle_solve
 
         try:
             expected = oracle_solve(items, args.query)

@@ -285,10 +285,6 @@ def oracle_solve(
 def answers_for_key(model: Model, key: Term) -> frozenset[tuple[Term, ...]]:
     """The model facts that are instances of a canonical subgoal key, each
     as the tuple of the key's variables' values: the form of the key's
-    answer tuples in the table."""
-    out = set()
-    for fact in model.get(pred_key(key), ()):
-        theta: dict[int, Term] = {}
-        if _match(key, fact, theta, []):
-            out.add(tuple([theta[i] for i in range(len(theta))]))
-    return frozenset(out)
+    answer tuples in the table. It is oracle_values' one-goal query, whose
+    tuples follow the key's variables 0..n-1 in first-occurrence order."""
+    return frozenset(oracle_values((), [key], model))

@@ -245,14 +245,16 @@ def check_region_invariants(store: SubgoalStore) -> None:
 
 def dump(store: SubgoalStore) -> str:
     """Deterministic table dump, one line per entry in registration order.
-    Each answer prints as its full term would: the key's Template, laid
-    out once per entry, filled with the stored tuple."""
+    The key's Template is laid out once per entry and filled with the
+    key's own variables for the key, and with each stored tuple for an
+    answer, which prints as its full term would."""
     lines = []
     for entry in store:
         state = "complete" if entry.state is COMPLETE else "incomplete"
-        answers = ",".join(map(Template([entry.key]).fill, entry.answers.tuples))
+        key = Template([entry.key])
+        answers = ",".join(map(key.fill, entry.answers.tuples))
         lines.append(
-            f"{render(entry.key)}  state={state} answers=[{answers}] "
+            f"{key.fill(key.vars)}  state={state} answers=[{answers}] "
             f"old={entry.last_old} prev={entry.last_prev}"
         )
     return "\n".join(lines)

@@ -234,51 +234,19 @@ def is_ground(t: Term) -> bool:
     return True
 
 
-def render(
-    t: Term,
-    m: Optional[dict[int, Term]] = None,
-    names: Optional[dict[int, str]] = None,
-) -> str:
-    """Deterministic text form after applying the binding map m.
-
-    Unbound variables print as _G<n>, numbered in first-occurrence order;
-    pass a shared `names` dict to keep numbering stable across several
-    terms of one solution. Template.fill formats flat values without it.
-    """
-    if names is None:
-        names = {}
-    parts: list[str] = []
-
-    def walk(t: Term) -> None:
-        if m is not None:
-            t = deref(t, m)
-        tt = type(t)
-        if tt is Var:
-            name = names.get(t.id)
-            if name is None:
-                name = f"_G{len(names)}"
-                names[t.id] = name
-            parts.append(name)
-        elif tt is not Struct:
-            parts.append(str(t))
-        else:
-            parts.append(t.functor)
-            parts.append("(")
-            for i, a in enumerate(t.args):
-                if i:
-                    parts.append(",")
-                walk(a)
-            parts.append(")")
-
-    walk(t)
-    return "".join(parts)
+def render(t: Term, m: Optional[dict[int, Term]] = None) -> str:
+    """Deterministic text form after applying the binding map m: t's own
+    Template filled with t's variables. Unbound variables print as _G<n>,
+    numbered in first-occurrence order."""
+    return render_goals([t], m)
 
 
 class Template:
     """A conjunction's text laid out once, with one %s hole per variable
     occurrence; `vars` are the goals' variables in first-occurrence order
-    and `holes` each hole's index into them. Constants print as render
-    prints them, with % escaped."""
+    and `holes` each hole's index into them. The one term-to-text layout:
+    `render` fills a term's own Template. Constants print as `str` gives
+    them, with % escaped."""
 
     __slots__ = ("text", "holes", "vars")
 
@@ -292,17 +260,28 @@ class Template:
                 holes.append(pos.setdefault(t.id, len(pos)))
                 return "%s"
             if tt is Struct:
-                return f"{t.functor.replace('%', '%%')}({','.join([lay(a) for a in t.args])})"
+                args = []  # a loop, not a comprehension: one frame per level
+                for a in t.args:
+                    args.append(lay(a))
+                return f"{t.functor.replace('%', '%%')}({','.join(args)})"
             return str(t).replace("%", "%%")
 
         self.text = ",".join([lay(g) for g in goals])
         self.holes = tuple(holes)
         self.vars = tuple(map(Var, pos))
 
-    def fill(self, values: tuple[Term, ...], m: Optional[dict[int, Term]] = None) -> str:
+    def fill(
+        self,
+        values: tuple[Term, ...],
+        m: Optional[dict[int, Term]] = None,
+        names: Optional[dict[int, str]] = None,
+    ) -> str:
         """The text with each hole holding its variable's value, after
-        applying the binding map m: the text render_goals gives. Unbound
-        variables print as _G<n>, numbered in text order."""
+        applying the binding map m: the text render_goals gives. One %
+        format when every value is an atom or an integer; otherwise an
+        unbound variable prints as _G<n>, numbered in text order through
+        `names` (shared by the compounds filled inside this text), and a
+        compound is filled through its own Template."""
         vals = []
         for k in self.holes:
             v = values[k]
@@ -315,8 +294,14 @@ class Template:
             vals.append(v)
         for v in vals:
             if type(v) is not str and type(v) is not int:
-                names: dict[int, str] = {}
-                vals = [render(v, m, names) for v in vals]
+                if names is None:
+                    names = {}
+                for i, v in enumerate(vals):
+                    if type(v) is Var:
+                        vals[i] = names.setdefault(v.id, f"_G{len(names)}")
+                    elif type(v) is Struct:
+                        t = Template([v])
+                        vals[i] = t.fill(t.vars, m, names)
                 break
         return self.text % tuple(vals)
 

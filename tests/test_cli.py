@@ -7,6 +7,7 @@ import pytest
 import lintab.bench
 import lintab.cli
 import lintab.corpus as corpus
+import lintab.oracle
 from lintab.cli import (
     EXIT_BUDGET,
     EXIT_DEPTH,
@@ -102,12 +103,16 @@ def test_deeply_nested_term_is_a_usage_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-def test_run_answers_a_fact_nested_900_deep(tmp_path, capsys):
-    # each term walk takes one frame per nesting level
+@pytest.mark.parametrize(
+    "query", ["p(X)", "p(" + "f(" * 900 + "X" + ")" * 900 + ")"], ids=["open_query", "query_nested_900_deep"]
+)
+def test_run_answers_a_fact_nested_900_deep(tmp_path, capsys, query):
+    # each term walk takes one frame per nesting level, the query's
+    # Template layout included
     term = "f(" * 900 + "a" + ")" * 900
     path = tmp_path / "deep.pl"
     path.write_text(f"p({term}).\n")
-    assert main(["run", str(path), "p(X)"]) == EXIT_OK
+    assert main(["run", str(path), query]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0] == f"p({term})"
 
 
@@ -171,7 +176,7 @@ def test_run_oracle_divergence_exit_code(tc_file, capsys, monkeypatch):
     def planted(text, query):
         return oracle_solve(text, query) - {"p(a,c)"} | {"p(a,d)"}
 
-    monkeypatch.setattr(lintab.cli, "oracle_solve", planted)
+    monkeypatch.setattr(lintab.oracle, "oracle_solve", planted)
     assert main(["run", tc_file, "p(a,Y)", "--oracle"]) == EXIT_USAGE
     out = capsys.readouterr().out.splitlines()
     assert out[2:] == ["oracle: DIVERGENCE", "  missing: p(a,d)", "  extra:   p(a,c)"]
@@ -192,7 +197,7 @@ def test_run_oracle_limit_not_reached_checks_the_whole_model(tc_file, capsys, mo
     def planted(text, query):
         return oracle_solve(text, query) | {"p(a,d)"}
 
-    monkeypatch.setattr(lintab.cli, "oracle_solve", planted)
+    monkeypatch.setattr(lintab.oracle, "oracle_solve", planted)
     assert main(["run", tc_file, "p(a,Y)", "--oracle", "--limit", "5"]) == EXIT_USAGE
     out = capsys.readouterr().out.splitlines()
     assert out[2:] == ["oracle: DIVERGENCE", "  missing: p(a,d)"]
@@ -204,7 +209,7 @@ def test_run_oracle_truncated_divergence_lists_extras_only(tc_file, capsys, monk
     def planted(text, query):
         return oracle_solve(text, query) - {"p(a,b)"} | {"p(a,d)"}
 
-    monkeypatch.setattr(lintab.cli, "oracle_solve", planted)
+    monkeypatch.setattr(lintab.oracle, "oracle_solve", planted)
     assert main(["run", tc_file, "p(a,Y)", "--oracle", "--limit", "1"]) == EXIT_USAGE
     out = capsys.readouterr().out.splitlines()
     assert out == ["p(a,b)", "oracle: DIVERGENCE", "  extra:   p(a,b)"]

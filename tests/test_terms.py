@@ -197,9 +197,26 @@ def test_is_ground_matches_variables(t):
     assert is_ground(t) == (variables(t) == [])
 
 
-def test_render_unbound_naming():
-    t = Struct("f", [Var(7), Var(9), Var(7)])
-    assert render(t) == "f(_G0,_G1,_G0)"
+def _nested(depth, leaf):
+    """f(f(...f(leaf)...)), depth levels of f."""
+    for _ in range(depth):
+        leaf = Struct("f", [leaf])
+    return leaf
+
+
+@pytest.mark.parametrize(
+    "t,want",
+    [
+        (Struct("f", [Var(7), Var(9), Var(7)]), "f(_G0,_G1,_G0)"),
+        # the layout takes one frame per nesting level
+        (_nested(900, Var(7)), "f(" * 900 + "_G0" + ")" * 900),
+    ],
+    ids=["flat", "nested_900_deep"],
+)
+def test_render_unbound_naming(t, want):
+    assert render(t) == want
+    tmpl = Template([t])
+    assert tmpl.fill(tmpl.vars) == want
 
 
 def test_render_goals_shares_names():
@@ -280,7 +297,8 @@ def test_canonicalize_tuple_under_bindings(tup, pre):
 
 
 def _walk_render(t, m, names):
-    """render's general walk, kept as the reference for its flat fast path."""
+    """A term's text by a walk of its own, independent of the Template
+    that render fills: the reference for render, render_goals and fill."""
     t = deref(t, m)
     if type(t) is Var:
         return names.setdefault(t.id, f"_G{len(names)}")
@@ -311,7 +329,7 @@ GOALS = st.lists(
 
 @given(GOALS, st.lists(st.tuples(st.integers(0, 3), st.one_of(QUERY_LEAF, terms())), max_size=4))
 @settings(max_examples=400)
-def test_flat_render_equals_the_walk(goals, pre):
+def test_render_equals_an_independent_walk(goals, pre):
     # flat and general goals, unbound and under bindings: chains, a
     # variable bound to another query variable (pre binds variables 0..3
     # to terms over 0..3) and compounds holding bound and unbound ones
@@ -336,7 +354,7 @@ def test_flat_render_equals_the_walk(goals, pre):
         ([Struct("p", [-3, Var(0)])], {0: -1}, "p(-3,-1)"),
         # a variable chain ending in a constant
         ([Struct("p", [Var(0), "a"])], {0: Var(1), 1: Var(2), 2: "b"}, "p(b,a)"),
-        # a variable bound to a compound takes the general walk
+        # a variable bound to a compound is filled through its own Template
         ([Struct("p", [Var(0)])], {0: Struct("f", [Var(1), 2])}, "p(f(_G0,2))"),
         # a flat goal names no variable, so the next goal's is _G0
         ([Struct("p", [Var(0)]), Struct("q", [Var(1), Var(2), Var(1)])], {0: "a"}, "p(a),q(_G0,_G1,_G0)"),
@@ -353,7 +371,7 @@ def test_flat_render_equals_the_walk(goals, pre):
         (["halt"], None, "halt"),
     ],
 )
-def test_flat_render_cases(goals, m, want):
+def test_render_cases(goals, m, want):
     t = Template(goals)
     assert t.fill(t.vars, m) == want
     assert render_goals(goals, m) == want
