@@ -135,7 +135,9 @@ class ModelGaps:
         want and those in want missing from it, each as "name: goals under
         the tuple" text; name defaults to the goals' text."""
         for gaps, diff in ((self.outside, answers - want), (self.missing, want - answers)):
-            gaps.update(f"{name or render_goals(goals)}: {t}" for t in render_solutions(goals, diff))
+            if diff:  # text only names a gap: none is laid out for no gap
+                label = name or render_goals(goals)
+                gaps.update(f"{label}: {t}" for t in render_solutions(goals, diff))
 
 
 def model_gaps(text: str, query: str, step_budget: int = 10**6) -> dict[str, ModelGaps]:

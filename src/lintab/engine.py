@@ -7,7 +7,11 @@ backtracking); a last goal's solutions go straight to the caller with no
 further generator. Plain calls and pioneer rounds share one clause loop,
 `_activations`, which yields once per matching clause, never per
 solution; a call to a row relation walks its index bucket in place, with
-no clause loop. A goal finds what its predicate's calls share
+no clause loop. A body's last goal that is a row relation, after a goal
+that is not, is walked inside the loop over that goal's solutions, its
+dispatch record looked up once (the WAM's last call, Warren, SRI TN 309,
+1983): no generator and no dispatch per solution, with the step and
+counters of a call. A goal finds what its predicate's calls share
 in one lookup of the program's dispatch record for it (see analysis.py):
 the kind picks the path (tabled, row relation, clauses or undefined), and
 the record's `bucket` picks the clauses, for the pioneer too. Records are
@@ -70,7 +74,7 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Iterator, Optional, Union
 
-from .analysis import CLAUSES, TABLED, UNDEFINED, AnnotatedProgram, pred_key
+from .analysis import ROWS, TABLED, UNDEFINED, AnnotatedProgram, pred_key
 from .parser import parse_query
 from .table import (
     COMPLETE,
@@ -226,8 +230,7 @@ class Engine:
         """Pull-based solution stream; each item is the rendered query:
         the goals' Template, laid out once per run, filled per solution
         from the binding map."""
-        goals = self._start(query)
-        t = Template(goals)
+        goals, t = self._start(query, Template)
         return self._solutions(goals, t.fill, t.vars)
 
     def solve(self, query: Query) -> Iterator[tuple[Term, ...]]:
@@ -235,26 +238,32 @@ class Engine:
         variables' values in first-occurrence order, built by
         table.answer_tuple as an answer's is: two solutions render alike
         iff their tuples are equal."""
-        goals = self._start(query)
-        return self._solutions(goals, answer_tuple, tuple(map(Var, variables(tuple(goals)))))
+        goals, qvars = self._start(query, lambda goals: tuple(map(Var, variables(tuple(goals)))))
+        return self._solutions(goals, answer_tuple, qvars)
 
-    def _start(self, query: Query) -> list[Term]:
-        """The query's goals, once per Engine: a fresh Engine reserves
-        their variables' block at 0, so they keep their ids."""
-        if isinstance(query, str):
-            goals, nvars = parse_query(query)
-        else:
-            goals = list(query)
-            for g in goals:  # a parsed goal or clause body is callable
-                if not isinstance(g, (str, Struct)):
-                    raise EngineError(f"goal is not callable: {render(g)}")
-            ids = [v for g in goals for v in variables(g)]
-            nvars = max(ids, default=-1) + 1
+    def _start(self, query: Query, prepare) -> tuple[list[Term], object]:
+        """The query's goals, once per Engine, and prepare(goals): a fresh
+        Engine reserves their variables' block at 0, so they keep their
+        ids. The walks over a library caller's goals recurse per nesting
+        level, so a goal nested too deep raises DepthExceeded here."""
+        try:
+            if isinstance(query, str):
+                goals, nvars = parse_query(query)
+            else:
+                goals = list(query)
+                for g in goals:  # a parsed goal or clause body is callable
+                    if not isinstance(g, (str, Struct)):
+                        raise EngineError(f"goal is not callable: {render(g)}")
+                ids = [v for g in goals for v in variables(g)]
+                nvars = max(ids, default=-1) + 1
+            prepared = prepare(goals)
+        except RecursionError:
+            raise self._too_deep() from None
         if self._started:
             raise EngineError("an Engine instance supports a single run")
         self._started = True
         self._fresh_block(nvars)
-        return goals
+        return goals, prepared
 
     # -- plumbing --------------------------------------------------------
 
@@ -265,6 +274,11 @@ class Engine:
 
     def _out_of_steps(self) -> StepBudgetExceeded:
         return StepBudgetExceeded(f"step budget {self.opts.step_budget} exhausted")
+
+    def _too_deep(self) -> DepthExceeded:
+        return DepthExceeded(
+            f"resolution nested deeper than the recursion limit ({sys.getrecursionlimit()})"
+        )
 
     # -- resolution ------------------------------------------------------
 
@@ -280,10 +294,7 @@ class Engine:
         except RecursionError:
             # each goal and subgoal nests a generator, so a derivation
             # chain a few hundred goals deep exhausts the Python stack
-            raise DepthExceeded(
-                f"resolution nested deeper than the recursion limit "
-                f"({sys.getrecursionlimit()})"
-            ) from None
+            raise self._too_deep() from None
         finally:
             # a closed run abandons generators before their undo
             undo(self.bound, self.trail, mark)
@@ -294,63 +305,76 @@ class Engine:
         new answer; fresh says whether goals[:i] do. gate_at is the index
         whose tabled call may open the gate, None where none may: the gate
         opens there when goals[:i] stand on no new answer."""
-        if i == len(goals):
+        n = len(goals)
+        if i == n:
             yield fresh
             return
         goal = goals[i]
-        stats = self.stats
-        stats.steps += 1
-        if stats.steps > self.opts.step_budget:
-            raise self._out_of_steps()
+        stats, budget, m = self.stats, self.opts.step_budget, self.bound
         key = (goal.functor, len(goal.args)) if type(goal) is Struct else (goal, 0)
         record = self.program.records.get(key) or self.program.dispatch(key)
         kind = record.kind
-        if kind is TABLED:
-            solutions = self._solve_tabled(goal, key, record, i == gate_at and not fresh)
-        elif kind is UNDEFINED:  # finite failure
-            stats.undefined_calls += 1
-            return
+        if kind is ROWS:  # walked below, once; the walk pays its step
+            solutions = (False,)
         else:
-            m = self.bound
-            clauses = record.bucket(goal, m)
-            if kind is CLAUSES:
-                solutions = self._solve_plain(goal, clauses)
-            else:  # a row relation: match each row of constants in place
-                args = goal.args
-                trail = self.trail
-                last_to_first = range(len(args) - 1, -1, -1)  # unify's order
-                budget = self.opts.step_budget
-                for ar in clauses:
-                    stats.steps += 1
-                    if stats.steps > budget:
-                        raise self._out_of_steps()
-                    stats.clause_resolutions += 1
-                    mark = len(trail)
-                    row = ar.clause.head.args
-                    for k in last_to_first:
-                        a = args[k]
-                        while type(a) is Var and a.id in m:
-                            a = m[a.id]
-                        c = row[k]
-                        if type(a) is Var:
-                            m[a.id] = c
-                            trail.append(a.id)
-                        elif type(a) is not type(c) or a != c:
-                            break
-                    else:
-                        if i + 1 == len(goals):
-                            yield fresh
-                        else:
-                            yield from self._solve_seq(goals, gate_at, fresh, i + 1)
-                    while len(trail) > mark:
-                        del m[trail.pop()]
+            stats.steps += 1
+            if stats.steps > budget:
+                raise self._out_of_steps()
+            if kind is TABLED:
+                solutions = self._solve_tabled(goal, key, record, i == gate_at and not fresh)
+            elif kind is UNDEFINED:  # finite failure
+                stats.undefined_calls += 1
                 return
-        if i + 1 == len(goals):
-            for new in solutions:
-                yield fresh or new
-        else:
-            for new in solutions:
-                yield from self._solve_seq(goals, gate_at, fresh or new, i + 1)
+            else:
+                solutions = self._solve_plain(goal, record.bucket(goal, m))
+            i += 1
+            if i + 1 == n:  # a last goal that is a row relation is walked below
+                goal = goals[i]
+                key = (goal.functor, len(goal.args)) if type(goal) is Struct else (goal, 0)
+                record = self.program.records.get(key) or self.program.dispatch(key)
+            if i == n:
+                for new in solutions:
+                    yield fresh or new
+                return
+            if i + 1 < n or record.kind is not ROWS:
+                for new in solutions:
+                    yield from self._solve_seq(goals, gate_at, fresh or new, i)
+                return
+        # the one row walk, of goals[i]: once when it is reached directly,
+        # else once per solution of the goal before it (no generator and no
+        # dispatch per solution). Each pass pays the goal's step and
+        # matches each row of its bucket in place
+        args = goal.args
+        trail = self.trail
+        last_to_first = range(len(args) - 1, -1, -1)  # unify's order
+        for new in solutions:
+            stats.steps += 1
+            if stats.steps > budget:
+                raise self._out_of_steps()
+            for ar in record.bucket(goal, m):
+                stats.steps += 1
+                if stats.steps > budget:
+                    raise self._out_of_steps()
+                stats.clause_resolutions += 1
+                mark = len(trail)
+                row = ar.clause.head.args
+                for k in last_to_first:
+                    a = args[k]
+                    while type(a) is Var and a.id in m:
+                        a = m[a.id]
+                    c = row[k]
+                    if type(a) is Var:
+                        m[a.id] = c
+                        trail.append(a.id)
+                    elif type(a) is not type(c) or a != c:
+                        break
+                else:
+                    if i + 1 == n:
+                        yield fresh or new
+                    else:
+                        yield from self._solve_seq(goals, gate_at, fresh or new, i + 1)
+                while len(trail) > mark:
+                    del m[trail.pop()]
 
     def _solve_plain(self, goal, clauses):
         for body, _ in self._activations(goal, clauses):

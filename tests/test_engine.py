@@ -20,7 +20,7 @@ from lintab import (
     load_program,
     run_query,
 )
-from lintab.analysis import ROWS, analyze
+from lintab.analysis import CLAUSES, ROWS, analyze, head_plan
 from lintab.bench import config_matrix, golden_instances, run_instance, suite_instances
 from lintab.corpus import mutual_recursion_program
 from lintab.oracle import OracleInapplicable, oracle_solve
@@ -504,6 +504,20 @@ def test_deep_recursion_is_a_typed_engine_error():
     assert type(info.value) is DepthExceeded
 
 
+@pytest.mark.parametrize("method", ["run", "solve"])
+def test_a_goal_nested_too_deep_for_the_setup_is_a_typed_engine_error(method):
+    # the parser rejects such a query, but a library caller can build one;
+    # the walks over its goals before the run starts recurse per level
+    goal = Var(0)
+    for _ in range(1500):
+        goal = Struct("f", [goal])
+    eng = Engine(load_program("p(a).\n"))
+    with pytest.raises(DepthExceeded):
+        getattr(eng, method)([Struct("p", [goal])])
+    # nothing ran, so the engine is not used up
+    assert list(getattr(eng, method)("p(X)")) == (["p(a)"] if method == "run" else [("a",)])
+
+
 def active_entries(eng):
     """Entries whose pioneer is RUNNING or HANDING: none once a run ends."""
     return [e for e in eng.store if e.state is RUNNING or e.state is HANDING]
@@ -849,3 +863,117 @@ def test_one_shared_program_runs_as_fresh_programs(name, text, query):
     # filled by an earlier run
     shared = load_program(text)
     assert _six_runs(lambda: shared, query) == _six_runs(lambda: load_program(text), query)
+
+
+# a body's last goal that is a row relation is walked inside the loop over
+# the solutions of the goal before it, unless that goal is a row relation too
+FUSED = """\
+:- table t/2.
+:- table s/2.
+:- table w/2.
+t(X,Y) :- e(X,Y).
+t(X,Y) :- t(X,Z), e(Z,Y).
+s(X,Y) :- e(X,Y).
+s(X,Y) :- s(X,Z), s(Z,W), e(W,Y).
+w(X,Y) :- e(X,Y).
+w(X,Y) :- v(X,Z), w(Z,Y).
+v(X,Y) :- w(X,Z), e(Z,Y).
+p(X,Y) :- q(X,Z), e(Z,Y).
+q(X,Y) :- e(X,Z), e(Z,Y).
+r(X,Y) :- nope(X,Z), e(Z,Y).
+e(1,2).
+e(2,3).
+e(3,1).
+e(3,4).
+e(4,4).
+"""
+# after a tabled call with the gate open (t, past round 1) and shut (s,
+# whose second call is the gate site), after a plain call whose freshness
+# decides a gate (v inside w), a plain call (p), a row call (q: no walk in
+# the loop) and an undefined call (r: no loop); in the query itself too.
+# Each query with whether some last goal is walked so
+FUSED_QUERIES = [
+    ("t(1,Y)", True), ("t(X,Y)", True), ("s(1,Y)", True), ("w(1,Y)", True),
+    ("w(X,Y)", True), ("p(1,Y)", True), ("q(X,Y)", False), ("r(1,Y)", False),
+    ("t(1,Z),e(Z,Y)", True), ("v(1,Z),e(Z,Y)", True), ("e(1,Z),e(Z,Y)", False),
+    ("nope(X),e(X,Y)", False),
+]
+
+
+def on_the_general_path(program):
+    """program with its row relation e/2 resolved by the clause loop."""
+    record = program.dispatch(("e", 2))
+    assert record.kind is ROWS
+    record.kind = CLAUSES
+    for r in record.rules:
+        r.slots, r.unify_at = head_plan(r.clause)
+    return program
+
+
+@pytest.mark.parametrize("query,walked", FUSED_QUERIES, ids=[q for q, _ in FUSED_QUERIES])
+def test_a_last_row_goal_walked_in_the_loop_before_it_is_the_general_path(monkeypatch, query, walked):
+    entered = []  # per run, the calls that solve a last e/2 goal after another goal
+    solve_seq = Engine._solve_seq
+
+    def recording(self, goals, gate_at, fresh, i):
+        if 0 < i == len(goals) - 1 and goals[i].functor == "e" and goals[i - 1].functor != "e":
+            entered.append(i)
+        return solve_seq(self, goals, gate_at, fresh, i)
+
+    monkeypatch.setattr(Engine, "_solve_seq", recording)
+    general = _six_runs(lambda: on_the_general_path(load_program(FUSED)), query)
+    assert bool(entered) == walked
+    entered.clear()
+    # streams, counters, entry rounds and tables alike under all six configs
+    assert _six_runs(lambda: load_program(FUSED), query) == general
+    assert not entered  # walked in the loop over the solutions before it
+    assert bool(general[0][0]) == (query not in ("r(1,Y)", "nope(X),e(X,Y)"))  # not vacuous
+
+
+# per query and strategy: the step budget under which each solution comes
+# out (one fewer raises before it), and the steps of the drained run
+FUSED_BUDGETS = [
+    ("t(1,Y)", LAZY, [18, 19, 20], 20),
+    ("p(1,Y)", LAZY, [24, 27, 30], 30),
+    ("t(1,Z),e(Z,Y)", LAZY, [20, 23, 26], 26),
+    ("t(1,Y)", EAGER, [4, 9, 12], 17),
+    ("p(1,Y)", EAGER, [10, 17, 22], 27),
+    ("t(1,Z),e(Z,Y)", EAGER, [6, 13, 18], 23),
+]
+FUSED_BUDGET_PROGRAM = """\
+:- table t/2.
+t(X,Y) :- e(X,Y).
+t(X,Y) :- t(X,Z), e(Z,Y).
+p(X,Y) :- q(X,Z), e(Z,Y).
+q(X,Y) :- t(X,Y).
+e(1,2).
+e(2,3).
+e(3,1).
+"""
+
+
+@pytest.mark.parametrize("query,strategy,out_at,steps", FUSED_BUDGETS)
+def test_step_budget_runs_out_in_a_walk_in_the_loop_before_it(query, strategy, out_at, steps):
+    program = load_program(FUSED_BUDGET_PROGRAM)
+    for budget in range(1, steps):
+        eng = Engine(program, EngineOptions(strategy=strategy, step_budget=budget))
+        got = []
+        with pytest.raises(StepBudgetExceeded):
+            for sol in eng.run(query):
+                got.append(sol)
+        assert len(got) == sum(s <= budget for s in out_at), budget
+        assert eng.stats.steps == budget + 1
+    sols, eng = run_query(program, query, EngineOptions(strategy=strategy, step_budget=steps))
+    assert len(sols) == len(out_at) and eng.stats.steps == steps
+
+
+@pytest.mark.parametrize("label,opts", config_matrix(), ids=[c[0] for c in config_matrix()])
+@pytest.mark.parametrize("query", ["t(1,Y)", "p(1,Y)", "w(1,Y)", "t(1,Z),e(Z,Y)"])
+def test_stream_closed_in_a_walk_in_the_loop_before_it_undoes_its_bindings(label, opts, query):
+    # every solution of these comes out of such a walk, its bindings standing
+    program = load_program(FUSED)
+    for n in (1, 2):
+        sols, eng = first(program, query, n, opts)
+        assert len(sols) == n
+        assert eng.bound == {} and eng.trail == []
+        assert not active_entries(eng)
