@@ -22,7 +22,10 @@ solution, `as_dict()`, `entry_rounds`, and the binding map and trail left
 after the close. The `oracle` part is per instance: the sorted solutions
 `oracle.oracle_solve` gives for the program and query, or else the
 type of what it raised, which is what `lintab run --oracle` compares a
-run with. It belongs to each of the instance's runs.
+run with. The `model` part is per instance too: each predicate's
+`oracle.oracle_model` facts in model order, or else the type of what it
+raised, so a changed fact order shows even where the solution sets agree.
+Both belong to each of the instance's runs.
 
 Exits 0 when every run is the same in both trees. Otherwise prints the
 first differing run and, per part, how many runs differ in it, and exits
@@ -40,8 +43,9 @@ import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("parser", "analysis", "engine", "table", "bench", "corpus", "oracle")
-PARTS = ("report", "stream", "rounds", "counters", "tables", "nvars", "closed", "raised", "oracle")
+MODULES = ("parser", "analysis", "engine", "table", "bench", "corpus", "oracle", "terms")
+PARTS = ("report", "stream", "rounds", "counters", "tables", "nvars", "closed", "raised", "oracle",
+         "model")
 
 
 def import_tree(src: Path, name: str, tmp: Path):
@@ -71,9 +75,26 @@ def oracle_solutions(tree, text, query):
         return type(exc).__name__
 
 
+def plain(tree, t):
+    """A model fact as nested tuples: equal across the two trees' Struct
+    classes, and the atom "0" still differs from the integer 0."""
+    if type(t) is tree.terms.Struct:
+        return (t.functor, *[plain(tree, a) for a in t.args])
+    return t
+
+
+def oracle_facts(tree, text):
+    """Each predicate's model facts in order, or the type of what was raised."""
+    try:
+        model = tree.oracle.oracle_model(tree.parser.parse_program(text))
+        return {hk: [plain(tree, f) for f in facts] for hk, facts in model.items()}
+    except Exception as exc:
+        return type(exc).__name__
+
+
 def outcomes(tree, text, query):
     """Per config label, each part of the run's outcome."""
-    report = {"oracle": oracle_solutions(tree, text, query)}
+    report = {"oracle": oracle_solutions(tree, text, query), "model": oracle_facts(tree, text)}
     try:
         program = tree.analysis.analyze(tree.parser.parse_program(text))
         report["report"] = program.report()

@@ -15,10 +15,19 @@ pass and shares no code with the engine's per-rule semi-naive gate over
 each subgoal's answer regions, and it keeps the naive passes and model
 order, so its answers depend on no scheduling choice the engine makes.
 
-A body goal reads facts through an index by (predicate, argument
-position, ground argument) whose buckets are ordered sublists of the
-model's lists: a plain dict built here, sharing no code with the engine.
-The delta has an index of its own, built the same way.
+Each clause body is compiled once into a join plan (Ullman, *Principles
+of Database and Knowledge-Base Systems* vol. II, 1989): per goal, its
+predicate, its index position, the first argument ground under the
+variables the goals before it bind, and one op per argument, which
+compares a constant, checks a bound variable, binds a first occurrence
+or matches a compound. A flat head, whose arguments are variables and
+constants, is filled straight from the body's bindings. A goal with an
+index position reads only the facts that hold that argument, through an
+index by (predicate, position) and then argument value whose buckets are
+ordered sublists of the model's lists: plain dicts built here, sharing no
+code with the engine. The model and the delta index only the positions
+some plan reads; a query's plan indexes only its own, so an open query
+builds no index.
 
 Answers are values, in the engine's forms: `oracle_values` gives each
 query solution as the tuple of the query variables' values (as
@@ -52,7 +61,7 @@ class OracleInapplicable(Exception):
 
 
 Model = dict[PredKey, list[Term]]
-Index = dict[tuple[PredKey, int, Term], list[Term]]
+Index = dict[tuple[PredKey, int], dict[Term, list[Term]]]
 
 
 def _check_range_restricted(clauses: Iterable[Clause]) -> None:
@@ -99,37 +108,94 @@ def _match(pattern: Term, fact: Term, theta: dict[int, Term], bound: list[int]) 
     return True
 
 
-def _index_fact(index: Index, hk: PredKey, fact: Term) -> None:
-    if type(fact) is Struct:
-        for pos, arg in enumerate(fact.args):
-            index.setdefault((hk, pos, arg), []).append(fact)
+# One op per argument of a body goal, run in argument order on a fact:
+# compare a constant, check a variable already bound, bind a variable's
+# first occurrence, or `_match` a compound.
+_CONST, _CHECK, _BIND, _MATCH = "const", "check", "bind", "match"
 
 
-def _index(model: Model, preds: Iterable[PredKey]) -> Index:
-    """The index of the model's facts of preds only."""
+class _Goal:
+    """A body goal's join plan, settled once for the variables the goals
+    before it bind: its predicate, the (predicate, position) of the first
+    argument ground under those variables, or None, with how to compute
+    that argument's value (`key`: the constant, the bound variable's id or
+    the compound to substitute, tagged as the op on it would be), and its
+    ops. The bound variable at the index position needs no check: its
+    bucket holds only facts equal to it there."""
+
+    __slots__ = ("pred", "read", "key", "ops")
+
+    def __init__(self, goal: Term, before: set[int]):
+        self.pred = pred_key(goal)
+        self.read = self.key = None
+        args = goal.args if type(goal) is Struct else ()
+        checked = -1  # the index position, if a bound variable sits there
+        for pos, arg in enumerate(args):
+            if all(v in before for v in variables(arg)):
+                self.read = (self.pred, pos)
+                if type(arg) is Var:
+                    self.key, checked = (_CHECK, arg.id), pos
+                elif type(arg) is Struct and variables(arg):
+                    self.key = (_MATCH, arg)
+                else:
+                    self.key = (_CONST, arg)
+                break
+        ops, seen = [], set(before)
+        for pos, arg in enumerate(args):
+            if type(arg) is Var:
+                if arg.id not in seen:
+                    ops.append((_BIND, pos, arg.id))
+                    seen.add(arg.id)
+                elif pos != checked:
+                    ops.append((_CHECK, pos, arg.id))
+            elif type(arg) is Struct:
+                ops.append((_MATCH, pos, arg))
+                seen.update(variables(arg))
+            else:
+                ops.append((_CONST, pos, arg))
+        self.ops = tuple(ops)
+
+
+def _plan(goals: Iterable[Term]) -> tuple[_Goal, ...]:
+    """The join plan of goals read left to right from an empty theta."""
+    plan, before = [], set()
+    for goal in goals:
+        plan.append(_Goal(goal, before))
+        before.update(variables(goal))
+    return tuple(plan)
+
+
+def _reads(plans: Iterable[tuple[_Goal, ...]]) -> set[tuple[PredKey, int]]:
+    return {g.read for plan in plans for g in plan if g.read is not None}
+
+
+def _index(model: Model, reads: Iterable[tuple[PredKey, int]]) -> Index:
+    """The index of the model's facts at the read positions only."""
     index: Index = {}
-    for hk in preds:
+    for hk, pos in reads:
+        buckets = index[(hk, pos)] = {}
         for fact in model.get(hk, ()):
-            _index_fact(index, hk, fact)
+            buckets.setdefault(fact.args[pos], []).append(fact)
     return index
 
 
 class _Delta:
     """The facts the previous pass added: per predicate in model order, an
-    index over them, and their object ids (each model fact is one object)."""
+    index over them at the read positions, and their object ids (each
+    model fact is one object)."""
 
     __slots__ = ("model", "index", "ids")
 
-    def __init__(self, new_facts: list[tuple[PredKey, Term]]):
+    def __init__(self, new_facts: list[tuple[PredKey, Term]], reads: set[tuple[PredKey, int]]):
         self.model: Model = {}
         for hk, fact in new_facts:
             self.model.setdefault(hk, []).append(fact)
-        self.index = _index(self.model, self.model)
+        self.index = _index(self.model, reads)
         self.ids = {id(fact) for _, fact in new_facts}
 
 
 def _match_body(
-    goals: tuple[Term, ...],
+    plan: tuple[_Goal, ...],
     i: int,
     model: Model,
     index: Index,
@@ -138,37 +204,69 @@ def _match_body(
     last: int = -1,
     used: bool = False,
 ):
-    """Each theta under which goals[i:] hold in the model, in nested-loop
-    order. With a delta, goal `last`, the last whose predicate has delta
-    facts, reads only delta facts unless an earlier goal read one (`used`),
-    so only the derivations that read a delta fact are enumerated."""
-    if i == len(goals):
+    """Each theta under which plan[i:]'s goals hold in the model, in
+    nested-loop order. With a delta, goal `last`, the last whose predicate
+    has delta facts, reads only delta facts unless an earlier goal read one
+    (`used`), so only the derivations that read a delta fact are
+    enumerated. A bind op's variable stays bound past its fact: no op
+    reads it before the op that binds it again, so theta needs undoing
+    only for what `_match` binds in a compound."""
+    if i == len(plan):
         yield theta
         return
-    goal = goals[i]
-    hk = pred_key(goal)
+    goal = plan[i]
     facts_of, facts_index = (
         (delta.model, delta.index) if i == last and not used else (model, index)
     )
-    facts = facts_of.get(hk, ())
-    if type(goal) is Struct:  # theta binds variables to ground terms only
-        for pos, arg in enumerate(goal.args):
-            arg = _substitute(arg, theta)
-            if is_ground(arg):
-                facts = facts_index.get((hk, pos, arg), ())
-                break
+    if goal.read is None:
+        facts = facts_of.get(goal.pred, ())
+    else:  # theta binds variables to ground terms only
+        kind, x = goal.key
+        value = x if kind is _CONST else theta[x] if kind is _CHECK else _substitute(x, theta)
+        facts = facts_index[goal.read].get(value, ())
+    ops = goal.ops
+    final = i + 1 == len(plan)
+    bound: list[int] = []  # what a _MATCH op bound, undone per fact
     for fact in facts:
-        bound: list[int] = []
-        if _match(goal, fact, theta, bound):
-            hit = used or (i < last and id(fact) in delta.ids)
-            yield from _match_body(goals, i + 1, model, index, theta, delta, last, hit)
-        for vid in bound:
-            del theta[vid]
+        for op, pos, x in ops:
+            arg = fact.args[pos]
+            if op is _BIND:
+                theta[x] = arg
+            elif op is _CHECK:
+                if theta[x] != arg:
+                    break
+            elif op is _CONST:
+                if type(arg) is not type(x) or arg != x:
+                    break
+            elif not _match(x, arg, theta, bound):
+                break
+        else:
+            if final:
+                yield theta
+            else:
+                hit = used or (i < last and id(fact) in delta.ids)
+                yield from _match_body(plan, i + 1, model, index, theta, delta, last, hit)
+        if bound:
+            for vid in bound:
+                del theta[vid]
+            bound.clear()
+
+
+def _slots(head: Term) -> Optional[tuple[tuple[bool, Term], ...]]:
+    """How to fill a flat head, whose arguments are variables and
+    constants, straight from theta: per argument, (True, its variable id)
+    or (False, the constant). None for an atom or a head with a compound
+    argument, which is substituted."""
+    if type(head) is not Struct or any(type(a) is Struct for a in head.args):
+        return None
+    return tuple((type(a) is Var, a.id if type(a) is Var else a) for a in head.args)
 
 
 def _herbrand_bound(clauses: list[Clause]) -> tuple[int, bool]:
     """Ground atoms over the program's constants (bound + 1 passes suffice
-    without function symbols), and whether a function symbol occurs."""
+    without function symbols), and whether a function symbol occurs. With
+    function symbols no count over the constants bounds the model, so the
+    bound is only a heuristic there and counts at most 8 arguments."""
     consts = set()
     preds = set()
     functions = False
@@ -183,7 +281,7 @@ def _herbrand_bound(clauses: list[Clause]) -> tuple[int, bool]:
     k = max(len(consts), 1)
     bound = 0
     for _, arity in preds:
-        bound += k ** min(arity, 8)
+        bound += k ** (min(arity, 8) if functions else arity)
     return bound, functions
 
 
@@ -198,9 +296,10 @@ def oracle_model(items: Iterable[Item]) -> Model:
     try:
         clauses = [i for i in items if isinstance(i, Clause)]
         _check_range_restricted(clauses)
-        body_preds = [[pred_key(g) for g in c.body] for c in clauses]
+        rules = [(_plan(c.body), pred_key(c.head), c.head, _slots(c.head)) for c in clauses]
+        reads = _reads(plan for plan, _, _, _ in rules)
         model: Model = {}
-        index: Index = {}
+        index = _index(model, reads)
         seen: set[tuple[PredKey, Term]] = set()
         bound, functions = _herbrand_bound(clauses)
         iterations = 0
@@ -216,25 +315,32 @@ def oracle_model(items: Iterable[Item]) -> Model:
                     )
                 raise AssertionError("fixpoint exceeded the Herbrand bound")
             new_facts: list[tuple[PredKey, Term]] = []
-            for c, preds in zip(clauses, body_preds):
+            for plan, hk, head, slots in rules:
                 last = -1
                 if delta is not None:
-                    for i, bk in enumerate(preds):
-                        if bk in delta.model:
+                    for i, goal in enumerate(plan):
+                        if goal.pred in delta.model:
                             last = i
                     if last < 0:
                         continue  # no derivation reads a delta fact
-                hk = pred_key(c.head)
-                for theta in _match_body(c.body, 0, model, index, {}, delta, last):
-                    fact = _substitute(c.head, theta)
-                    assert is_ground(fact)
+                for theta in _match_body(plan, 0, model, index, {}, delta, last):
+                    if slots is None:
+                        fact = _substitute(head, theta)
+                        assert is_ground(fact)
+                    else:
+                        fact = new_struct(
+                            head.functor, tuple([theta[x] if var else x for var, x in slots])
+                        )
                     if (hk, fact) not in seen:
                         seen.add((hk, fact))
                         new_facts.append((hk, fact))
-            for hk, fact in new_facts:
-                model.setdefault(hk, []).append(fact)
-                _index_fact(index, hk, fact)
-            delta = _Delta(new_facts)
+            delta = _Delta(new_facts, reads)
+            for hk, facts in delta.model.items():
+                model.setdefault(hk, []).extend(facts)
+            for read, buckets in delta.index.items():
+                model_buckets = index[read]
+                for arg, facts in buckets.items():
+                    model_buckets.setdefault(arg, []).extend(facts)
             changed = bool(new_facts)
         return model
     except RecursionError:  # the recursive term walks cannot follow a term
@@ -263,11 +369,9 @@ def oracle_values(
             model = oracle_model(items)
         goals = parse_query(query)[0] if isinstance(query, str) else list(query)
         ids = variables(tuple(goals))
-        index = _index(model, {pred_key(g) for g in goals})
-        return {
-            tuple([theta[v] for v in ids])
-            for theta in _match_body(tuple(goals), 0, model, index, {})
-        }
+        plan = _plan(goals)
+        index = _index(model, _reads([plan]))
+        return {tuple([theta[v] for v in ids]) for theta in _match_body(plan, 0, model, index, {})}
     except RecursionError:  # the recursive term walks cannot follow a term
         raise OracleInapplicable("a term nested too deeply") from None
 

@@ -215,6 +215,28 @@ def test_run_oracle_truncated_divergence_lists_extras_only(tc_file, capsys, monk
     assert out == ["p(a,b)", "oracle: DIVERGENCE", "  extra:   p(a,b)"]
 
 
+def test_run_oracle_on_a_function_free_program_of_arity_9(tmp_path, capsys):
+    # a 9-bit counter needs 513 passes: the oracle's bound for a
+    # function-free program counts every argument, so it agrees and exits 0
+    path = tmp_path / "ctr.pl"
+    path.write_text(
+        "c(0,0,0,0,0,0,0,0,0).\n"
+        "c(1,0,0,0,0,0,0,0,0) :- c(0,1,1,1,1,1,1,1,1).\n"
+        "c(X0,1,0,0,0,0,0,0,0) :- c(X0,0,1,1,1,1,1,1,1).\n"
+        "c(X0,X1,1,0,0,0,0,0,0) :- c(X0,X1,0,1,1,1,1,1,1).\n"
+        "c(X0,X1,X2,1,0,0,0,0,0) :- c(X0,X1,X2,0,1,1,1,1,1).\n"
+        "c(X0,X1,X2,X3,1,0,0,0,0) :- c(X0,X1,X2,X3,0,1,1,1,1).\n"
+        "c(X0,X1,X2,X3,X4,1,0,0,0) :- c(X0,X1,X2,X3,X4,0,1,1,1).\n"
+        "c(X0,X1,X2,X3,X4,X5,1,0,0) :- c(X0,X1,X2,X3,X4,X5,0,1,1).\n"
+        "c(X0,X1,X2,X3,X4,X5,X6,1,0) :- c(X0,X1,X2,X3,X4,X5,X6,0,1).\n"
+        "c(X0,X1,X2,X3,X4,X5,X6,X7,1) :- c(X0,X1,X2,X3,X4,X5,X6,X7,0).\n"
+    )
+    assert main(["run", str(path), "c(0,0,0,0,0,0,0,0,0)", "--oracle"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["c(0,0,0,0,0,0,0,0,0)", "oracle: agreement on 1 solutions"]
+    assert "Traceback" not in captured.err
+
+
 def test_run_oracle_inapplicable_past_the_bound_with_function_symbols(tmp_path, capsys):
     # a finite 4-fact model whose naive fixpoint outruns the bound over
     # constants: the oracle declines and the run still exits 0

@@ -13,9 +13,10 @@ from lintab.oracle import (
     answers_for_key,
     oracle_model,
     oracle_solve,
+    oracle_values,
 )
 from lintab.parser import Clause, parse_program, parse_query
-from lintab.terms import Struct, Var, render_goals
+from lintab.terms import Struct, Var, render_goals, variables
 
 
 def test_transitive_closure_model():
@@ -213,6 +214,14 @@ _HAND_WRITTEN = [
     # a body whose only goal with delta facts comes first
     "e(1,2).\ne(2,3).\ne(3,4).\nf(2).\nf(4).\nt(X,Y) :- e(X,Y).\n"
     "t(X,Y) :- t(X,Z), e(Z,Y).\ns(X,Y) :- t(X,Y), e(Y,Z), f(Z).\n",
+    # a variable that first occurs inside a compound argument and again as
+    # a whole argument of the same goal, which checks it
+    "s(f(1),1).\ns(f(1),2).\ns(f(3),3).\ns(g(2),2).\nh(X) :- s(f(X),X).\n",
+    # a compound argument bound only by an earlier argument of the same
+    # goal, which cannot be its index key; in w's second goal the compound
+    # is bound by the first goal and is the key
+    "t(1,f(1)).\nt(1,f(2)).\nt(2,f(2)).\nt(3,g(3)).\nq(X) :- t(X,f(X)).\n"
+    "w(X,Y) :- t(Y,f(Y)), t(X,f(Y)).\n",
 ]
 
 
@@ -256,8 +265,41 @@ def test_hand_written_index_cases():
         (_HAND_WRITTEN[6], "w(X)", {"w(1)", "w(2)"}),
         (_HAND_WRITTEN[7], "c(X)", {"c(1)"}),
         (_HAND_WRITTEN[8], "s(X,Y)", {"s(1,3)", "s(2,3)"}),
+        (_HAND_WRITTEN[9], "h(X)", {"h(1)", "h(3)"}),
+        (_HAND_WRITTEN[10], "q(X)", {"q(1)", "q(2)"}),
+        (_HAND_WRITTEN[10], "w(X,Y)", {"w(1,1)", "w(1,2)", "w(2,2)"}),
     ):
         assert oracle_solve(text, query) == want, query
+
+
+def _scan_values(goals, model):
+    ids = variables(tuple(goals))
+    return {tuple([theta[v] for v in ids]) for theta in _scan_match_body(tuple(goals), 0, model, {})}
+
+
+def _one_goal_queries(functor, arity, fact):
+    """The open query, one query per argument position bound to fact's
+    argument there, and one with a single variable in every position."""
+    if not arity:
+        return [functor]
+    queries = [Struct(functor, [Var(v) for v in range(arity)]), Struct(functor, [Var(0)] * arity)]
+    for pos in range(arity):
+        args = [Var(v) for v in range(arity)]
+        args[pos] = fact.args[pos]
+        queries.append(Struct(functor, args))
+    return queries
+
+
+def test_query_plans_equal_the_scan():
+    # a query's plan picks its index position from the query alone and
+    # indexes the model as passed; its values must be the scan's
+    for name, items in _index_cases():
+        model = oracle_model(items)
+        for (functor, arity), facts in model.items():
+            for goal in _one_goal_queries(functor, arity, facts[len(facts) // 2]):
+                want = _scan_values([goal], model)
+                assert oracle_values(items, [goal], model) == want, (name, goal)
+                assert answers_for_key(model, goal) == want, (name, goal)
 
 
 def test_oracle_solve_reads_the_model_it_is_passed():
@@ -316,3 +358,31 @@ def test_terms_nested_past_the_recursion_limit_are_inapplicable():
         oracle_model(parse_program(f"p({deep}).\n"))
     with pytest.raises(OracleInapplicable, match="nested too deeply"):
         oracle_solve("q(a).\n", f"q({deep})")
+
+
+def test_a_query_nested_deeper_than_any_model_fact_is_matched():
+    # the query's plan matches a compound argument one frame per nesting
+    # level and walks no fact, so the query is answered, not declined
+    deep = "f(" * 600 + "X" + ")" * 600
+    assert oracle_solve("q(a).\n", f"q({deep})") == set()
+    assert oracle_solve("q(a).\n", f"q(Y), q({deep})") == set()
+
+
+def _counter(bits):
+    """A binary counter from all zeros: the rule for bit k sets it and
+    clears the bits after it, so each pass adds one fact."""
+    lines = [f"c({','.join(['0'] * bits)})."]
+    for k in range(bits):
+        xs = [f"X{i}" for i in range(k)]
+        ones, zeros = ["1"] * (bits - k - 1), ["0"] * (bits - k - 1)
+        lines.append(f"c({','.join(xs + ['1'] + zeros)}) :- c({','.join(xs + ['0'] + ones)}).")
+    return "\n".join(lines) + "\n"
+
+
+def test_function_free_bound_counts_every_argument():
+    # 512 facts, one per pass: 513 passes, past a bound that counted at
+    # most 8 of c/9's arguments (2**8 = 256 atoms)
+    model = oracle_model(parse_program(_counter(9)))
+    assert len(model[("c", 9)]) == 512
+    assert len(set(model[("c", 9)])) == 512
+    assert model[("c", 9)][-1] == Struct("c", [1] * 9)
