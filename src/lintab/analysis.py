@@ -55,16 +55,22 @@ TABLED, ROWS, CLAUSES, UNDEFINED = "tabled", "rows", "clauses", "undefined"
 
 class Dispatch:
     """What every call to one predicate shares: its kind, its index plan,
-    all its rules in program order and each plan position's index once
-    built."""
+    all its rules in program order, each plan position's index once
+    built, and the argument positions a row is matched at, last to first:
+    all of them (`order`), or all but a plan position p (`orders[p]`) for
+    a bucket picked at p."""
 
-    __slots__ = ("kind", "plan", "rules", "indexes")
+    __slots__ = ("kind", "plan", "rules", "indexes", "order", "orders")
 
-    def __init__(self, kind: str, plan: tuple[int, ...], rules: tuple[AnnotatedRule, ...]):
+    def __init__(
+        self, kind: str, plan: tuple[int, ...], rules: tuple[AnnotatedRule, ...], arity: int
+    ):
         self.kind = kind
         self.plan = plan
         self.rules = rules
         self.indexes: dict[int, PositionIndex] = {}
+        self.order = tuple(range(arity - 1, -1, -1))
+        self.orders = {p: tuple(k for k in self.order if k != p) for p in plan}
 
     def index(self, pos: int) -> PositionIndex:
         index = self.indexes.get(pos)
@@ -72,18 +78,24 @@ class Dispatch:
             index = self.indexes[pos] = _index_position(self.rules, pos)
         return index
 
-    def bucket(self, goal: Term, m: dict[int, Term]) -> tuple[AnnotatedRule, ...]:
-        """The rules a call can match under the binding map m: one index
-        bucket, at the first plan position where the call's argument
-        derefs to an atom or integer; all rules when there is none."""
+    def bucket(
+        self, goal: Term, m: dict[int, Term]
+    ) -> tuple[tuple[AnnotatedRule, ...], tuple[int, ...]]:
+        """The rules a call can match under the binding map m, and the
+        positions a row relation's row must still be matched at: one
+        index bucket, at the first plan position p where the call's
+        argument derefs to an atom or integer, with orders[p]; all rules
+        with order when there is none. A row's arguments are all atoms
+        (str) or integers (int), and no str equals an int as a dict key,
+        so every row in the bucket holds that very constant at p."""
         for pos in self.plan:
             a = goal.args[pos]
             while type(a) is Var and a.id in m:
                 a = m[a.id]
             if type(a) is not Var and type(a) is not Struct:
                 buckets, unindexed = self.indexes.get(pos) or self.index(pos)
-                return buckets.get(a, unindexed)
-        return self.rules
+                return buckets.get(a, unindexed), self.orders[pos]
+        return self.rules, self.order
 
 
 class AnnotatedProgram:
@@ -145,7 +157,7 @@ class AnnotatedProgram:
             for r in rules or ():
                 r.slots, r.unify_at = head_plan(r.clause)
         plan = tuple(sorted(distinct, key=lambda pos: (-len(distinct[pos]), pos)))
-        record = self.records[key] = Dispatch(kind, plan, rules or ())
+        record = self.records[key] = Dispatch(kind, plan, rules or (), key[1])
         return record
 
     def rules_for(

@@ -6,25 +6,29 @@ once per solution (bindings live in one map and trail, undone on
 backtracking); a last goal's solutions go straight to the caller with no
 further generator. Plain calls and pioneer rounds share one clause loop,
 `_activations`, which yields once per matching clause, never per
-solution; a call to a row relation walks its index bucket in place, with
-no clause loop. A body's last goal that is a row relation, after a goal
-that is not, is walked inside the loop over that goal's solutions, its
-dispatch record looked up once (the WAM's last call, Warren, SRI TN 309,
-1983): no generator and no dispatch per solution, with the step and
-counters of a call. A goal finds what its predicate's calls share
-in one lookup of the program's dispatch record for it (see analysis.py):
-the kind picks the path (tabled, row relation, clauses or undefined), and
-the record's `bucket` picks the clauses, for the pioneer too. Records are
-filled on a predicate's first call and kept on the program, so later runs
-of the same program reuse them. Each yield carries one bool: whether the
+solution; a pioneer renames each clause once per call and reuses the copy
+in every round. A call to a row relation walks its index bucket in place,
+with no clause loop, matching each row at every position but the one
+whose constant picked the bucket. A body's last goal that is a row
+relation, after a goal that is not, is walked inside the loop over that
+goal's solutions, its dispatch record looked up once (the WAM's last
+call, Warren, SRI TN 309, 1983): no generator and no dispatch per
+solution, with the step and counters of a call. A goal finds what its
+predicate's calls share in one lookup of the program's dispatch record
+for it (see analysis.py): the kind picks the path (tabled, row relation,
+clauses or undefined), and the record's `bucket` picks the clauses, for
+the pioneer too, and a row's match order. Records are filled on a
+predicate's first call and kept on the program, so later runs of the
+same program reuse them. Each yield carries one bool: whether the
 solution stands on a new answer, one past its entry's old region or just
 stored by a pioneer, at any depth below. A clause is resolved by
 matching its head against the call (see analysis.head_plan): a head
 variable seen once, as a whole argument, is never bound, and the other
 argument positions are unified with the head's renamed into a fresh block
-of variables; only on a match is the body renamed into that block too,
-each such variable replaced by the call's argument. Tabled calls
-dispatch on the entry's lifecycle state (see table.py):
+of variables (a pioneer's once per call); only on a match is the body
+renamed into that block too, each such variable replaced by the call's
+argument. Tabled calls dispatch on the entry's lifecycle state (see
+table.py):
 
   * a COMPLETE entry is resolved from the table;
   * a follower, which is a call whose entry is RUNNING or HANDING (its
@@ -326,7 +330,7 @@ class Engine:
                 stats.undefined_calls += 1
                 return
             else:
-                solutions = self._solve_plain(goal, record.bucket(goal, m))
+                solutions = self._solve_plain(goal, record.bucket(goal, m)[0])
             i += 1
             if i + 1 == n:  # a last goal that is a row relation is walked below
                 goal = goals[i]
@@ -346,19 +350,21 @@ class Engine:
         # matches each row of its bucket in place
         args = goal.args
         trail = self.trail
-        last_to_first = range(len(args) - 1, -1, -1)  # unify's order
         for new in solutions:
             stats.steps += 1
             if stats.steps > budget:
                 raise self._out_of_steps()
-            for ar in record.bucket(goal, m):
+            # every row of the bucket holds its key at the key's position,
+            # so order, last to first (unify's order), leaves that one out
+            rows, order = record.bucket(goal, m)
+            for ar in rows:
                 stats.steps += 1
                 if stats.steps > budget:
                     raise self._out_of_steps()
                 stats.clause_resolutions += 1
                 mark = len(trail)
                 row = ar.clause.head.args
-                for k in last_to_first:
+                for k in order:
                     a = args[k]
                     while type(a) is Var and a.id in m:
                         a = m[a.id]
@@ -380,14 +386,24 @@ class Engine:
         for body, _ in self._activations(goal, clauses):
             yield from self._solve_seq(body, None, False, 0)
 
-    def _activations(self, goal, clauses, skip_base=False):
+    def _activations(self, goal, clauses, skip_base=False, kept=None):
         """Per clause (past base rules, with skip_base): pay a step, count
         a resolution and match goal against the head (see
         analysis.head_plan): each position the plan names is unified with
-        the head's argument renamed into a fresh block, last to first; on
-        a match yield the body renamed into that block, each of the
-        plan's slot variables taking the call's argument, and the rule's
-        last depending index, undoing the bindings on resumption."""
+        the head's argument renamed into the clause's block, last to
+        first; on a match yield the body renamed into that block, each of
+        the plan's slot variables taking the call's argument, and the
+        rule's last depending index, undoing the bindings on resumption.
+
+        kept maps a rule to its block, renamed head arguments and renamed
+        body, filled at its first activation (the body at its first head
+        match, so a clause that fails at its head copies none). A pioneer
+        passes one map to all its rounds: its goal, whose arguments the
+        body holds, is the same every round, and every binding into a
+        block is undone before the clause is activated again. Any other
+        call renames afresh."""
+        if kept is None:
+            kept = {}
         m, trail = self.bound, self.trail
         stats, budget = self.stats, self.opts.step_budget
         args = goal.args if type(goal) is Struct else ()
@@ -400,15 +416,23 @@ class Engine:
                 raise self._out_of_steps()
             stats.clause_resolutions += 1
             clause = ar.clause
+            copy = kept.get(ar)
+            if copy is None:
+                off = self._fresh_block(clause.nvars)
+                head = clause.head
+                copy = kept[ar] = [off, [renumber(head.args[k], off) for k in ar.unify_at], None]
             mark = len(trail)
-            off = self._fresh_block(clause.nvars)
-            head = clause.head
-            for k in ar.unify_at:
-                if not unify(args[k], renumber(head.args[k], off), m, trail):
+            for k, h in zip(ar.unify_at, copy[1]):
+                if not unify(args[k], h, m, trail):
                     undo(m, trail, mark)
                     break
             else:
-                yield renumber(clause.body, off, ar.slots, args) if clause.nvars else clause.body, last_dep
+                body = copy[2]
+                if body is None:
+                    body = copy[2] = (
+                        renumber(clause.body, copy[0], ar.slots, args) if clause.nvars else clause.body
+                    )
+                yield body, last_dep
                 undo(m, trail, mark)
 
     # -- tabled resolution ----------------------------------------------
@@ -453,7 +477,8 @@ class Engine:
             self.incomplete.append(entry)
         m = self.bound
         subst = tuple(map(Var, call_vars))
-        clauses = record.bucket(goal, m)  # the call is bound alike every round
+        clauses, _ = record.bucket(goal, m)  # the call is bound alike every round
+        kept = {}  # each clause renamed once per call, not once per round
         levels = self.program.levels
         entry.state = RUNNING
         try:
@@ -470,7 +495,7 @@ class Engine:
                 # a round past the first has a top; an entry joined to a top
                 # at another level (an eager fake loop) keeps its base rules
                 skip_base = later and levels[key] == levels[pred_key(entry.topmost.key)]
-                for body, last_dep in self._activations(goal, clauses, skip_base):
+                for body, last_dep in self._activations(goal, clauses, skip_base, kept):
                     for _ in self._solve_seq(body, last_dep if later else None, False, 0):
                         # memo: store the answer; only a new one is returned
                         if insert_answer(entry, subst, m) and eager:
@@ -517,7 +542,7 @@ class Engine:
         m, trail = self.bound, self.trail
         # a bound variable is never re-bound without an intervening undo, so
         # no call variable is bound as the walk starts
-        assert not any(vid in m for vid in call_vars)
+        assert m.keys().isdisjoint(call_vars)
         tuples = entry.answers.tuples
         nvars = entry.answers.nvars
         pos = entry.last_old if gate else 0

@@ -226,11 +226,16 @@ def variables(t: Term | tuple[Term, ...]) -> list[int]:
 
 
 def is_ground(t: Term) -> bool:
-    tt = type(t)
-    if tt is Var:
-        return False
-    if tt is Struct:
-        return all(is_ground(a) for a in t.args)
+    """Does t hold no variable? A loop over a stack of subterms, so a deep
+    term costs no recursion."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        tt = type(t)
+        if tt is Var:
+            return False
+        if tt is Struct:
+            stack.extend(t.args)
     return True
 
 

@@ -185,7 +185,7 @@ def test_indexed_lookup_is_the_ordered_filter(heads):
     rules = prog.rules_for(key)
     record = prog.dispatch(key)
     unbound = [Var(10), Var(11), Var(12)]
-    assert record.bucket(Struct("p", unbound), {}) == rules
+    assert record.bucket(Struct("p", unbound), {})[0] == rules
     for pos in range(3):
         for k in CALL_KEYS:
             want = [
@@ -202,15 +202,42 @@ def test_indexed_lookup_is_the_ordered_filter(heads):
             # through a variable, and to the compound f(k), which no index keys
             args = list(unbound)
             args[pos] = Var(9)
-            got = record.bucket(Struct("p", args), {9: k})
+            got, _ = record.bucket(Struct("p", args), {9: k})
             assert [id(r) for r in got] == [id(r) for r in want]
             args[pos] = Struct("f", [k])
-            assert record.bucket(Struct("p", args), {}) == rules
+            assert record.bucket(Struct("p", args), {})[0] == rules
     distinct = [{a for a in col if type(a) in (str, int)} for col in zip(*heads)]
     assert list(prog.dispatch(key).plan) == sorted(
         (pos for pos, ks in enumerate(distinct) if ks),
         key=lambda pos: (-len(distinct[pos]), pos),
     )
+
+
+ROW_ARGS = st.one_of(st.sampled_from(["a", "b", "0"]), st.integers(0, 2))
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(st.tuples(*[ROW_ARGS] * n), min_size=1, max_size=8)))
+@settings(max_examples=200)
+def test_a_row_bucket_is_matched_past_its_own_key(rows):
+    # a row relation's bucket at plan position p holds only rows with the
+    # call's key at p, so a row there is matched at every other position,
+    # last to first; a call binding no plan position matches them all
+    arity = len(rows[0])
+    prog = analyze([Clause(Struct("p", row), (), 0) for row in rows])
+    record = prog.dispatch(("p", arity))
+    assert record.kind is ROWS and sorted(record.plan) == list(range(arity))
+    last_to_first = tuple(reversed(range(arity)))
+    unbound = [Var(10 + pos) for pos in range(arity)]
+    assert record.bucket(Struct("p", unbound), {}) == (record.rules, last_to_first)
+    for pos in record.plan:
+        for k in CALL_KEYS:
+            args = list(unbound)
+            args[pos] = Var(9)
+            bucket, order = record.bucket(Struct("p", args), {9: k})
+            assert order == tuple(q for q in last_to_first if q != pos)
+            assert [r.clause.head.args for r in bucket] == [
+                row for row in rows if type(row[pos]) is type(k) and row[pos] == k
+            ]
 
 
 def atomic_key(t):

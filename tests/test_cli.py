@@ -127,11 +127,23 @@ def test_run_tabled_fact_nested_600_deep_exit_code(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_oracle_declines_a_fact_nested_past_its_recursion(tmp_path, capsys):
-    # the engine answers a fact nested 400 deep; the oracle's recursive
-    # walks cannot follow it, so the oracle is inapplicable
+def test_oracle_agrees_on_a_fact_nested_450_deep(tmp_path, capsys):
+    # the oracle's groundness test walks a stack, not the Python stack
+    term = "f(" * 450 + "a" + ")" * 450
     path = tmp_path / "deep.pl"
-    path.write_text("p(" + "f(" * 400 + "a" + ")" * 400 + ").\n")
+    path.write_text(f"p({term}).\n")
+    assert main(["run", str(path), "p(X)", "--oracle"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"p({term})", "oracle: agreement on 1 solutions"]
+    assert "Traceback" not in err
+
+
+def test_oracle_declines_a_fact_nested_past_its_recursion(tmp_path, capsys):
+    # the engine answers a fact nested 600 deep; the oracle's recursive
+    # walks (substitution, hashing) cannot follow it, so the oracle is
+    # inapplicable
+    path = tmp_path / "deep.pl"
+    path.write_text("p(" + "f(" * 600 + "a" + ")" * 600 + ").\n")
     assert main(["run", str(path), "p(X)", "--oracle"]) == EXIT_OK
     out, err = capsys.readouterr()
     assert "oracle: inapplicable (" in out

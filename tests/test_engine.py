@@ -182,6 +182,21 @@ def test_eager_matcher_parent_sees_each_answer_once(n):
             assert eager.stats.answers_consumed <= lazy.stats.answers_consumed, label
 
 
+def test_a_pioneer_renames_its_clauses_once_per_call():
+    # p(0,n) and p(0,_) are each pioneered once, and each renames the
+    # matcher's three clauses (3 + 3 + 1 variables) at its first round; the
+    # top-most p(0,_) reuses them in every later round, so the variables a
+    # run reserves do not grow with the string or its round count
+    for label, opts in config_matrix():
+        rounds, reserved = set(), set()
+        for n in (20, 40):
+            text, query = corpus.string_matcher_program(n)
+            _, eng = run_query(load_program(text), query, opts)
+            rounds.add(eng.stats.max_iterations)
+            reserved.add(eng._var_counter)
+        assert len(rounds) == 2 and reserved == {2 * 7}, label
+
+
 @pytest.mark.parametrize("label,opts", EAGER_CONFIGS, ids=[c[0] for c in EAGER_CONFIGS])
 def test_eager_left_recursion_streams_each_answer_once(label, opts):
     sols, _ = run_query(load_program(corpus.LEFT_RECURSIVE_TC), corpus.LEFT_RECURSIVE_TC_QUERY, opts)
@@ -640,6 +655,11 @@ def _rows_and_calls(arity):
 @example(([(1, 1), (1, "1"), ("1", "1")], [(Var(0), Var(0))]), [])  # p(X,X)
 @example(([("a", 0)], [(Struct("f", [Var(0)]), Var(1))]), [])  # a compound call
 @example(([("a",), ("b",)], [(Var(0),)]), [(0, Var(1)), (1, "a")])  # X -> Y -> a
+# the bucket's key reached through a variable chain, X -> Z -> a
+@example(([("a", "b"), ("b", "a"), ("a", "a")], [(Var(0), Var(1))]), [(0, Var(2)), (2, "a")])
+@example(([(1, 1), (1, "1"), ("1", 1), (0, 1)], [(Var(0), Var(0))]), [(0, 1)])  # p(X,X), X = 1
+# p(Y,X), p(X,X): the first walk binds X, so the second picks a bucket
+@example(([(1, 1), ("1", 1), (1, "1")], [(Var(1), Var(0)), (Var(0), Var(0))]), [])
 @given(
     st.integers(1, 3).flatmap(_rows_and_calls),
     st.lists(st.tuples(st.integers(0, 2), CALL_ARGS), max_size=3),
