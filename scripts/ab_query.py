@@ -25,7 +25,11 @@ type of what it raised, which is what `lintab run --oracle` compares a
 run with. The `model` part is per instance too: each predicate's
 `oracle.oracle_model` facts in model order, or else the type of what it
 raised, so a changed fact order shows even where the solution sets agree.
-Both belong to each of the instance's runs.
+The `load` part is per instance as well: the parsed items as values, and
+the analyzed program's rules per predicate (each clause and its
+`last_depending_index`, in order), its `levels` and its `tabled`, so a
+change to the load path is compared item by item. All three belong to
+each of the instance's runs.
 
 Exits 0 when every run is the same in both trees. Otherwise prints the
 first differing run and, per part, how many runs differ in it, and exits
@@ -45,7 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("parser", "analysis", "engine", "table", "bench", "corpus", "oracle", "terms")
 PARTS = ("report", "stream", "rounds", "counters", "tables", "nvars", "closed", "raised", "oracle",
-         "model")
+         "model", "load")
 
 
 def import_tree(src: Path, name: str, tmp: Path):
@@ -76,11 +80,30 @@ def oracle_solutions(tree, text, query):
 
 
 def plain(tree, t):
-    """A model fact as nested tuples: equal across the two trees' Struct
-    classes, and the atom "0" still differs from the integer 0."""
+    """A term as nested tuples, equal across the two trees' classes: a
+    compound as (functor, *args) and a variable as (None, id). The atom
+    "0" still differs from the integer 0."""
     if type(t) is tree.terms.Struct:
         return (t.functor, *[plain(tree, a) for a in t.args])
+    if type(t) is tree.terms.Var:
+        return (None, t.id)
     return t
+
+
+def loaded(tree, items, program):
+    """The parsed items and the analyzed program as plain values."""
+
+    def clause(c):
+        return plain(tree, c.head), [plain(tree, g) for g in c.body], c.nvars
+
+    return {
+        "items": [clause(i) if type(i) is tree.parser.Clause else (i.name, i.arity, i.strategy)
+                  for i in items],
+        "rules": [(key, [(clause(r.clause), r.last_depending_index) for r in rules])
+                  for key, rules in program.rules.items()],
+        "levels": program.levels,
+        "tabled": program.tabled,
+    }
 
 
 def oracle_facts(tree, text):
@@ -96,8 +119,10 @@ def outcomes(tree, text, query):
     """Per config label, each part of the run's outcome."""
     report = {"oracle": oracle_solutions(tree, text, query), "model": oracle_facts(tree, text)}
     try:
-        program = tree.analysis.analyze(tree.parser.parse_program(text))
+        items = tree.parser.parse_program(text)
+        program = tree.analysis.analyze(items)
         report["report"] = program.report()
+        report["load"] = loaded(tree, items, program)
     except Exception as exc:
         return {label: dict(report, **raised(exc)) for label, _ in tree.bench.config_matrix()}
     out = {}

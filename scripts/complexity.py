@@ -2,8 +2,9 @@
 """Measure how loading scales: time parsing and analyzing a chain of edge
 facts, and one point query tcl(k,Y) on it, where k has five successors.
 
-Clause indexes are built on the query's first call, so every phase
-should be linear: doubling the facts should double each time. Answer
+Each phase prints its best of three runs in milliseconds. Clause indexes
+are built on the query's first call, so every phase should be linear:
+doubling the facts should double each time. Answer
 consumption scaling is a bench report: `lintab bench regex-warren` (and
 `regex-warren-nontabled`) prints a size-to-size ratio per config.
 """
@@ -46,7 +47,7 @@ def main():
     prev = None
     for n in args.sizes or [1600, 3200, 6400]:
         times = measure_load(n)
-        cols = "  ".join(f"{k}={v:6.3f}s" for k, v in times.items())
+        cols = "  ".join(f"{k}={v * 1e3:8.3f}ms" for k, v in times.items())
         if prev is not None:
             cols += "  ratio " + " ".join(
                 f"{k}={times[k] / prev[k]:.2f}" for k in times

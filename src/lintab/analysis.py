@@ -1,20 +1,24 @@
 """Static analysis: call graph, level mapping, and per-rule annotations.
 
-The level mapping stratifies predicates by the SCC condensation of the
-call graph: predicates in one SCC share a level, and a predicate's level
-is strictly above everything it calls outside its own SCC. A tabled
-rule's annotation is one index: its last depending subgoal, the
-rightmost body goal at the head's level, or None for a base rule (no
-depending subgoal at all). The engine's semi-naive gate opens only at a
-tabled call in that position; rules of non-tabled predicates carry None.
+`analyze` groups the clauses by head predicate in one walk over the
+items; the call graph, the level mapping and the annotations all read
+those groups, so each head's predicate key is computed once. The level
+mapping stratifies predicates by the SCC condensation of the call graph:
+predicates in one SCC share a level, and a predicate's level is strictly
+above everything it calls outside its own SCC. A tabled rule's
+annotation is one index: its last depending subgoal, the rightmost body
+goal at the head's level, or None for a base rule (no depending subgoal
+at all). The engine's semi-naive gate opens only at a tabled call in
+that position; rules of non-tabled predicates carry None.
 
-Dispatch is demand-driven: a predicate's dispatch record (its kind, index
-plan and rules) is built on its first call, and the index of one argument
-position on the first call that binds that position to an atom or
-integer. The record lives on the program, so every run of it shares it.
-The record reads the clause heads column by column: one set of argument
-values per position gives that position's distinct keys, and the row
-test is a type scan of the same columns.
+Dispatch is demand-driven: a predicate's dispatch record (its kind,
+index plan and rules) is built on its first call, and the index of one
+argument position on the first call that binds that position to an atom
+or integer. The record lives on the program, so every run of it shares
+it. One pass reads every head's arguments, and the record reads them
+column by column: one set of argument values per position gives that
+position's distinct keys, and the row test is a type scan of the same
+columns.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ class AnnotatedRule:
 
     __slots__ = ("clause", "last_depending_index", "slots", "unify_at")
 
-    def __init__(self, clause: Clause, last_depending_index: Optional[int]):
+    def __init__(self, clause: Clause, last_depending_index: Optional[int] = None):
         self.clause = clause
         self.last_depending_index = last_depending_index  # None: a base or non-tabled rule
 
@@ -138,9 +142,11 @@ class AnnotatedProgram:
         rules = self.rules.get(key)
         rows = key[1] > 0 and bool(rules)
         if rows:  # arity >= 1: every head is a compound
-            clauses = [r.clause for r in rules]
-            rows = not any(c.body for c in clauses)
-            for pos, column in enumerate(zip(*[c.head.args for c in clauses])):
+            heads = [c.head.args for r in rules if not (c := r.clause).body]
+            rows = len(heads) == len(rules)  # facts only
+            if not rows:  # a rule's head counts towards the plan too
+                heads = [r.clause.head.args for r in rules]
+            for pos, column in enumerate(zip(*heads)):
                 types = set(map(type, column))
                 if Var in types or Struct in types:
                     rows = False
@@ -191,19 +197,19 @@ class AnnotatedProgram:
         return "\n".join(lines)
 
 
-def build_call_graph(clauses: Iterable[Clause]) -> CallGraph:
-    """Predicate adjacency: q is a successor of p iff q occurs in a body of p."""
+def build_call_graph(groups: dict[PredKey, list[Clause]]) -> CallGraph:
+    """Predicate adjacency over clauses grouped by head predicate: q is a
+    successor of p iff q occurs in a body of p's clauses."""
     graph: CallGraph = {}
-    for c in clauses:
-        head = c.head
-        hk = (head, 0) if type(head) is str else (head.functor, len(head.args))
+    for hk, clauses in groups.items():
         succs = graph.get(hk)
         if succs is None:
             succs = graph[hk] = {}
-        for goal in c.body:
-            bk = pred_key(goal)
-            graph.setdefault(bk, {})
-            succs[bk] = None
+        for c in clauses:
+            for goal in c.body:
+                bk = pred_key(goal)
+                graph.setdefault(bk, {})
+                succs[bk] = None
     return graph
 
 
@@ -296,7 +302,7 @@ def _index_position(rules: tuple[AnnotatedRule, ...], pos: int) -> PositionIndex
     compound) can match any key, so it joins every bucket and the
     fallback; a bucket opened late starts from the fallback so far.
     """
-    buckets: dict[Union[str, int], list[AnnotatedRule]] = {}
+    buckets: dict = {}  # each bucket a list until the pass ends, then a tuple
     unindexed: list[AnnotatedRule] = []
     for r in rules:
         k = r.clause.head.args[pos]
@@ -304,20 +310,21 @@ def _index_position(rules: tuple[AnnotatedRule, ...], pos: int) -> PositionIndex
             unindexed.append(r)
             for bucket in buckets.values():
                 bucket.append(r)
+        elif k in buckets:
+            buckets[k].append(r)
         else:
-            bucket = buckets.get(k)
-            if bucket is None:
-                bucket = buckets[k] = list(unindexed)
-            bucket.append(r)
-    return {k: tuple(v) for k, v in buckets.items()}, tuple(unindexed)
+            buckets[k] = [*unindexed, r]
+    for k, bucket in buckets.items():
+        buckets[k] = tuple(bucket)
+    return buckets, tuple(unindexed)
 
 
 def annotate(
-    clauses: Iterable[Clause],
+    groups: dict[PredKey, list[Clause]],
     declarations: Iterable[TableDeclaration],
     levels: dict[PredKey, int],
 ) -> AnnotatedProgram:
-    """Group rules per predicate and attach semi-naive annotations.
+    """Attach semi-naive annotations to each predicate's clauses.
 
     Duplicate table declarations are accepted idempotently (a later
     explicit strategy wins). Declaring a predicate with no clauses is
@@ -329,36 +336,40 @@ def annotate(
         if d.strategy is not None or key not in tabled:
             tabled[key] = d.strategy
 
-    grouped: dict[PredKey, list[AnnotatedRule]] = {}
-    for c in clauses:
-        head = c.head
-        hk = (head, 0) if type(head) is str else (head.functor, len(head.args))
-        last_dep = None
-        if c.body and hk in tabled:
+    rules: dict[PredKey, tuple[AnnotatedRule, ...]] = {}
+    for hk, clauses in groups.items():
+        if hk not in tabled:
+            rules[hk] = tuple(map(AnnotatedRule, clauses))
+            continue
+        group = []
+        for c in clauses:
+            last_dep = None
             for i, goal in enumerate(c.body):
                 if levels.get(pred_key(goal), 0) == levels[hk]:
                     last_dep = i
-        group = grouped.get(hk)
-        if group is None:
-            group = grouped[hk] = []
-        group.append(AnnotatedRule(c, last_dep))
-
+            group.append(AnnotatedRule(c, last_dep))
+        rules[hk] = tuple(group)
     for key in tabled:
-        grouped.setdefault(key, [])
-
-    return AnnotatedProgram(
-        rules={k: tuple(v) for k, v in grouped.items()},
-        tabled=tabled,
-        levels=levels,
-    )
+        rules.setdefault(key, ())
+    return AnnotatedProgram(rules, tabled, levels)
 
 
 def analyze(items: Iterable[Item]) -> AnnotatedProgram:
-    clauses = [i for i in items if isinstance(i, Clause)]
-    decls = [i for i in items if isinstance(i, TableDeclaration)]
-    graph = build_call_graph(clauses)
+    """The items' clauses grouped by head predicate, in program order, then
+    their call graph, levels and annotations, each read off the groups."""
+    groups: dict[PredKey, list[Clause]] = {}
+    decls = []
+    for item in items:
+        if type(item) is not Clause:
+            decls.append(item)
+            continue
+        head = item.head
+        hk = (head, 0) if type(head) is str else (head.functor, len(head.args))
+        group = groups.get(hk)
+        if group is None:
+            group = groups[hk] = []
+        group.append(item)
+    graph = build_call_graph(groups)
     for d in decls:
         graph.setdefault((d.name, d.arity), {})
-    levels = level_mapping(graph)
-    return annotate(clauses, decls, levels)
-
+    return annotate(groups, decls, level_mapping(graph))

@@ -13,8 +13,10 @@ runs. Within one clause, variables get ids 0..n-1 in first-occurrence
 order; `_` is fresh at every occurrence. Clauses are renamed apart at
 activation time, not here.
 
-Constant and variable arguments are read in place and only a compound
-argument recurses: one Python frame per nesting level.
+Each clause is parsed in place in the item loop: its head is one term,
+and the variable map is reset only after a clause that numbered a
+variable. Constant and variable arguments are read in place and only a
+compound argument recurses: one Python frame per nesting level.
 """
 
 from __future__ import annotations
@@ -65,6 +67,16 @@ class Clause(Record):
         self.head = head
         self.body = body
         self.nvars = nvars
+
+
+def new_clause(head: Term, body: tuple[Term, ...], nvars: int) -> Clause:
+    """Clause(head, body, nvars) without its head check, for a head the
+    parser has already checked (see terms.new_struct)."""
+    c = object.__new__(Clause)
+    c.head = head
+    c.body = body
+    c.nvars = nvars
+    return c
 
 
 Item = Union[Clause, TableDeclaration]
@@ -210,30 +222,29 @@ class _Parser:
         self.expect(".")
         return TableDeclaration(name, int(arity), strategy)
 
-    def parse_clause(self) -> Clause:
-        self.varmap = {}
-        self.nvars = 0
-        at = self.i
-        head = self.parse_term()
-        if not isinstance(head, (str, Struct)):
-            self.error("clause head must be an atom or compound", at)
-        body: tuple[Term, ...] = ()
-        if self.tokens[self.i] == ":-":
-            self.i += 1
-            body = tuple(self.parse_goals())
-        if self.tokens[self.i] != ".":
-            self.expect(".")
-        self.i += 1
-        return Clause(head, body, self.nvars)
-
     def parse_items(self) -> list[Item]:
+        tokens = self.tokens
         items: list[Item] = []
-        while (tok := self.tokens[self.i]) != "":
+        while (tok := tokens[self.i]) != "":
             if tok == ":-":
                 self.i += 1
                 items.append(self.parse_declaration())
-            else:
-                items.append(self.parse_clause())
+                continue
+            at = self.i
+            head = self.parse_term()
+            if type(head) is not Struct and type(head) is not str:
+                self.error("clause head must be an atom or compound", at)
+            body: tuple[Term, ...] = ()
+            if tokens[self.i] == ":-":
+                self.i += 1
+                body = tuple(self.parse_goals())
+            if tokens[self.i] != ".":
+                self.expect(".")
+            self.i += 1
+            items.append(new_clause(head, body, self.nvars))
+            if self.nvars:  # the next clause numbers its variables from 0
+                self.varmap = {}
+                self.nvars = 0
         return items
 
     def parse_query(self) -> tuple[list[Term], int]:

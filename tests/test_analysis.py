@@ -15,6 +15,8 @@ from lintab.analysis import (
     ROWS,
     TABLED,
     UNDEFINED,
+    AnnotatedProgram,
+    AnnotatedRule,
     analyze,
     build_call_graph,
     level_mapping,
@@ -25,9 +27,18 @@ from lintab.parser import Clause, TableDeclaration, parse_program
 from lintab.terms import Struct, Var
 
 
+def groups(clauses):
+    """Clauses grouped by head predicate, in program order: what
+    build_call_graph and annotate read."""
+    grouped = {}
+    for c in clauses:
+        grouped.setdefault(pred_key(c.head), []).append(c)
+    return grouped
+
+
 def verify_level_mapping(clauses, levels):
     """Check the defining bidirectional property on every rule."""
-    graph = build_call_graph(clauses)
+    graph = build_call_graph(groups(clauses))
     reach = {}
 
     def reachable(start):
@@ -61,7 +72,7 @@ def _clauses(text):
 
 
 def test_call_graph_edges():
-    g = build_call_graph(_clauses("p(X) :- q(X), r(X).\nq(X) :- p(X).\nr(a).\n"))
+    g = build_call_graph(groups(_clauses("p(X) :- q(X), r(X).\nq(X) :- p(X).\nr(a).\n")))
     assert {(p, q) for p, succs in g.items() for q in succs} == {
         (("p", 1), ("q", 1)),
         (("p", 1), ("r", 1)),
@@ -71,7 +82,7 @@ def test_call_graph_edges():
 
 def test_level_mapping_stratifies():
     cs = _clauses(corpus.LEFT_RECURSIVE_TC)
-    levels = level_mapping(build_call_graph(cs))
+    levels = level_mapping(build_call_graph(groups(cs)))
     assert levels[("p", 2)] == 1
     assert levels[("e", 2)] == 0
     assert verify_level_mapping(cs, levels)
@@ -79,7 +90,7 @@ def test_level_mapping_stratifies():
 
 def test_level_mapping_mutual_recursion_same_level():
     cs = _clauses(corpus.FRESH_SUBGOAL_GUARD)
-    levels = level_mapping(build_call_graph(cs))
+    levels = level_mapping(build_call_graph(groups(cs)))
     assert levels[("p", 2)] == levels[("q", 2)]
     assert levels[("t", 2)] < levels[("p", 2)]
     assert verify_level_mapping(cs, levels)
@@ -309,6 +320,12 @@ _DISPATCH_CASES = {
     # no head of w has an atom or integer in its first column
     "no-atomic-key": "w(X,a).\nw(f(b),b).\nw(Y,c).\nw(g(Y),a).\n",
     "tabled-facts": ":- table t/2.\nt(a,b).\nt(b,c).\n",
+    # p's and q's clauses interleaved, r called but never defined, and
+    # p declared tabled only after its clauses
+    "interleaved-late-table": (
+        "p(X,Y) :- e(X,Y).\nq(X) :- p(X,Y), r(Y).\np(X,Y) :- p(X,Z), e(Z,Y).\n"
+        "e(a,b).\nq(b).\ne(b,c).\n:- table p/2.\n"
+    ),
 }
 
 
@@ -343,6 +360,61 @@ def test_dispatch_records_equal_the_per_rule_reference():
                     assert _ids(buckets[k]) == _ids(rules), (name, key, pos, k)
                 assert _ids(unindexed) == _ids(want_unindexed), (name, key, pos)
     assert kinds == {TABLED, ROWS, CLAUSES, UNDEFINED}
+
+
+# The three-pass analyze that grouping the clauses once replaced, kept as
+# a reference: a call graph built clause by clause in program order, its
+# levels, then one more pass over the clauses that groups and annotates.
+def _reference_analyze(items):
+    clauses = [i for i in items if isinstance(i, Clause)]
+    decls = [i for i in items if isinstance(i, TableDeclaration)]
+    graph = {}
+    for c in clauses:
+        succs = graph.setdefault(pred_key(c.head), {})
+        for goal in c.body:
+            graph.setdefault(pred_key(goal), {})
+            succs[pred_key(goal)] = None
+    for d in decls:
+        graph.setdefault((d.name, d.arity), {})
+    levels = level_mapping(graph)
+    tabled = {}
+    for d in decls:
+        if d.strategy is not None or (d.name, d.arity) not in tabled:
+            tabled[(d.name, d.arity)] = d.strategy
+    grouped = {}
+    for c in clauses:
+        hk = pred_key(c.head)
+        last_dep = None
+        if c.body and hk in tabled:
+            for i, goal in enumerate(c.body):
+                if levels.get(pred_key(goal), 0) == levels[hk]:
+                    last_dep = i
+        grouped.setdefault(hk, []).append(AnnotatedRule(c, last_dep))
+    for key in tabled:
+        grouped.setdefault(key, [])
+    return AnnotatedProgram({k: tuple(v) for k, v in grouped.items()}, tabled, levels)
+
+
+def _annotated(rules):
+    return [(id(r.clause), r.last_depending_index) for r in rules]
+
+
+def test_analyze_equals_the_three_pass_reference():
+    for name, items in _dispatch_cases():
+        prog, want = analyze(items), _reference_analyze(items)
+        assert list(prog.rules) == list(want.rules), name
+        for key, rules in want.rules.items():
+            assert _annotated(prog.rules[key]) == _annotated(rules), (name, key)
+        assert prog.tabled == want.tabled, name
+        assert prog.levels == want.levels, name
+        assert prog.report() == want.report(), name
+    items = parse_program(_DISPATCH_CASES["interleaved-late-table"])
+    prog = analyze(items)
+    assert list(prog.rules) == [("p", 2), ("q", 1), ("e", 2)]
+    assert _annotated(prog.rules[("p", 2)]) == [(id(items[0]), None), (id(items[2]), 0)]
+    assert _annotated(prog.rules[("q", 1)]) == [(id(items[1]), None), (id(items[4]), None)]
+    assert prog.levels == {("p", 2): 1, ("q", 1): 2, ("e", 2): 0, ("r", 1): 0}
+    assert ("r", 1) not in prog.rules and prog.dispatch(("r", 1)).kind == UNDEFINED
 
 
 def test_dispatch_hand_written_cases():
@@ -425,7 +497,7 @@ def test_level_mapping_matches_reference(rules, declared):
     edges = {((head, 0), (g, 0)) for head, body in rules for g in body}
     want = _reference_levels(sorted(nodes), edges)
     assert analyze(clauses + decls).levels == want
-    graph = build_call_graph(clauses)
+    graph = build_call_graph(groups(clauses))
     assert {(p, q) for p, succs in graph.items() for q in succs} == edges
     levels = level_mapping(graph)
     assert levels == {n: want[n] for n in graph}

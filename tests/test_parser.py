@@ -29,11 +29,33 @@ def test_fact_and_rule():
     assert rule.nvars == 3
 
 
-def test_variable_ids_first_occurrence_per_clause():
-    a, b = parse_program("p(X,Y,X).\nq(Y,X).\n")
-    assert a.head == Struct("p", [Var(0), Var(1), Var(0)])
-    # numbering restarts per clause
-    assert b.head == Struct("q", [Var(0), Var(1)])
+V0, V1, V2 = Var(0), Var(1), Var(2)
+
+
+@pytest.mark.parametrize(
+    "text,items",
+    [
+        # numbering restarts per clause
+        ("p(X,Y,X).\nq(Y,X).\n",
+         [Clause(Struct("p", [V0, V1, V0]), (), 2), Clause(Struct("q", [V0, V1]), (), 2)]),
+        # `_` names no variable but still counts one, and the count restarts
+        ("p(_).\nq(X,X).\n",
+         [Clause(Struct("p", [V0]), (), 1), Clause(Struct("q", [V0, V0]), (), 1)]),
+        # a ground fact between two rules numbers nothing
+        ("p(X,Y) :- e(X,Z), e(Z,Y).\ne(a,b).\nr(Z,X) :- e(X,Z).\n",
+         [Clause(Struct("p", [V0, V1]), (Struct("e", [V0, V2]), Struct("e", [V2, V1])), 3),
+          Clause(Struct("e", ["a", "b"]), (), 0),
+          Clause(Struct("r", [V0, V1]), (Struct("e", [V1, V0]),), 2)]),
+        # a declaration between two clauses that use variables
+        ("p(X,Y) :- q(Y,X).\n:- table p/2.\nq(Y,X) :- p(X,Y).\n",
+         [Clause(Struct("p", [V0, V1]), (Struct("q", [V1, V0]),), 2),
+          TableDeclaration("p", 2, None),
+          Clause(Struct("q", [V0, V1]), (Struct("p", [V1, V0]),), 2)]),
+    ],
+    ids=["restart", "underscore-then-named", "rule-fact-rule", "declaration-between"],
+)
+def test_variable_ids_first_occurrence_per_clause(text, items):
+    assert parse_program(text) == items
 
 
 def test_underscore_always_fresh():

@@ -132,8 +132,12 @@ def test_ab_query_against_itself(tmp_path):
         # solution sets, so only the model's fact order shows it
         ("oracle.py", "model.setdefault(hk, []).extend(facts)", "model.setdefault(hk, [])[:0] = facts",
          {"model"}),
+        # one more variable counted on each fact: these facts are ground,
+        # so no run binds or shows it, and only the parsed items do
+        ("parser.py", "items.append(new_clause(head, body, self.nvars))",
+         "items.append(new_clause(head, body, self.nvars + (not body)))", {"load"}),
     ],
-    ids=["counters", "stream", "tables", "nvars", "closed", "raised", "oracle", "model"],
+    ids=["counters", "stream", "tables", "nvars", "closed", "raised", "oracle", "model", "load"],
 )
 def test_ab_query_names_the_part_that_differs(tmp_path, module, old, new, parts):
     differ, last = run_ab_query_against_patched_copy(tmp_path, 1, module, old, new)
